@@ -69,6 +69,9 @@ class AdjointMap:
     ``hyperplane_order`` lists the source hyperplanes in target-point order:
     entry i is the hyperplane mapped to point {i}.  It is None when the table
     is not point-bijective on hyperplanes (e.g. a failed candidate).
+
+    Construction raises StructureError unless the table is total on the
+    source flats with flats of the target as values.
     """
 
     source: Matroid
@@ -77,6 +80,7 @@ class AdjointMap:
     hyperplane_order: Optional[Tuple[ElementSet, ...]] = None
 
     def __post_init__(self):
+        _structural_check(self)
         if self.hyperplane_order is None:
             object.__setattr__(self, "hyperplane_order", derive_hyperplane_order(self))
 
@@ -122,7 +126,7 @@ DEFINITION_CHECKS = (
 )
 
 
-def _structural_check(phi: AdjointMap) -> list:
+def _structural_check(phi: AdjointMap) -> None:
     """Raise StructureError unless the table is total on source flats with flat values."""
     src_flats = list(phi.source.flats().all_flats())
     missing = [F for F in src_flats if F not in phi.table]
@@ -135,7 +139,6 @@ def _structural_check(phi: AdjointMap) -> list:
     for F, img in phi.table.items():
         if img.universe != phi.target.n or not tgt.is_flat(img):
             raise StructureError(f"image of {F!r} is {img!r}, which is not a flat of the target")
-    return src_flats
 
 
 def verify_adjoint(phi: AdjointMap) -> VerificationReport:
@@ -143,10 +146,10 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
 
     Checks run in a fixed order without short-circuiting, so reports are
     reproducible.  A table that is not even total (or maps to a non-flat) is
-    a StructureError, not a failed check.
+    refused with a StructureError when the map is built, so it never gets here.
     """
-    src_flats = _structural_check(phi)
     M, Mp = phi.source, phi.target
+    src_flats = list(M.flats().all_flats())
     violations = []
 
     # target simplicity
@@ -225,7 +228,6 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
     reported here indicates an implementation bug, not a bad input, and the
     violation text says so.
     """
-    _structural_check(phi)
     r = phi.source.full_rank
     violations = []
     for F in phi.source.flats().all_flats():
@@ -241,7 +243,6 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
 
 def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
     """Images of a strictly-decreasing hyperplane chain are independent in the target."""
-    _structural_check(phi)
     hp = set(phi.source.hyperplanes()) if phi.source.full_rank >= 1 else set()
     running = phi.source.groundset()
     for H in chain:
@@ -274,7 +275,6 @@ def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
 
 def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
     """phi(X), phi(Y) form a modular pair in the target, for all flats X, Y."""
-    _structural_check(phi)
     Mp = phi.target
     flats = sorted(phi.source.flats().all_flats(), key=lambda f: (len(f), f.key))
     violations = []
@@ -363,26 +363,12 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
 
 
 def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
-    """Hyperplanes whose rank drops when D is removed, in canonical order.
-
-    Both characterizations are computed and must agree: the rank drop
-    r(H - D) < r(H), and H n D being codependent in the restriction M|H
-    (checked through the dual of the restriction).
-    """
+    """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H),
+    in canonical order."""
     M._members(D)
     if M.full_rank == 0:
         return ()
-    by_rank_drop = tuple(H for H in M.hyperplanes() if M.rank(H - D) < M.rank(H))
-    by_codependence = []
-    for H in M.hyperplanes():
-        sub = M.restrict(H)
-        relabel = sub.provenance["relabel"]
-        inside = ElementSet.of((relabel[e] for e in (H & D).members), sub.n)
-        if not sub.dual().is_independent(inside):
-            by_codependence.append(H)
-    if by_rank_drop != tuple(by_codependence):
-        raise ConstructionError("the two characterizations of vanishing hyperplanes disagree")
-    return by_rank_drop
+    return tuple(H for H in M.hyperplanes() if M.rank(H - D) < M.rank(H))
 
 
 def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:

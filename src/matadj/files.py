@@ -79,17 +79,37 @@ def matroid_to_dict(M: Matroid, name: Optional[str] = None,
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_bases(bases) -> None:
+    """Refuse what Matroid would silently collapse: repeated elements or bases."""
+    if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
+        raise InputError("'bases' must be a list of lists")
+    seen = set()
+    for b in bases:
+        bad = [e for e in b if not _is_int(e)]
+        if bad:
+            raise InputError(f"basis {b!r} has non-integer element {bad[0]!r}")
+        if len(set(b)) != len(b):
+            raise InputError(f"basis {b!r} repeats an element")
+        key = frozenset(b)
+        if key in seen:
+            raise InputError(f"basis {sorted(key)} is listed more than once")
+        seen.add(key)
+
+
 def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Optional[str]]:
     """Returns (matroid, representation-or-None, name-or-None)."""
     data = _read(source)
     name = data.get("name")
-    if "n" not in data or not isinstance(data["n"], int):
+    n = data.get("n")
+    if not _is_int(n):
         raise InputError("matroid file needs an integer 'n'")
-    n = data["n"]
     if "bases" in data:
         bases = data["bases"]
-        if not isinstance(bases, list):
-            raise InputError("'bases' must be a list of lists")
+        _check_bases(bases)
         matroid = Matroid(n, bases, provenance={"op": "file", "name": name})
         return matroid, None, name
     if "matrix" in data:
@@ -181,14 +201,20 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
         if F in table:
             raise InputError(f"duplicate map entry for flat {F!r}")
         table[F] = ElementSet.of(entry["image"], Mp.n)
-    phi = AdjointMap(M, Mp, table)
     stored = data.get("hyperplane_order")
+    order = None
     if stored is not None:
-        as_sets = tuple(ElementSet.of(h, M.n) for h in stored)
+        if not isinstance(stored, list) or not all(isinstance(h, list) for h in stored):
+            raise InputError("'hyperplane_order' must be a list of lists")
+        order = tuple(ElementSet.of(h, M.n) for h in stored)
+        hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
+        if sorted(order, key=lambda h: h.key) != list(hyperplanes):
+            raise InputError("stored hyperplane_order is not a permutation of the source hyperplanes")
+    phi = AdjointMap(M, Mp, table, order)
+    if order is not None:
         derived = derive_hyperplane_order(phi)
-        if derived is not None and derived != as_sets:
+        if derived is not None and derived != order:
             raise InputError("stored hyperplane_order disagrees with the map table")
-        phi = AdjointMap(M, Mp, table, as_sets)
     return phi
 
 

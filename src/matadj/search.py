@@ -7,14 +7,15 @@ Two independent routes to an adjoint:
   space of linear functionals vanishing on its columns, and the target is
   the matroid of those covectors.
 * ``search_adjoint`` enumerates simple rank-r candidate targets on the
-  hyperplane label set, in a fixed deterministic order, and returns the
-  first one whose induced map verifies.  A budget refusal is reported as
-  not-exhausted, never as a negative answer.
+  hyperplane label set, in a fixed order, and returns the first one whose
+  map, induced by the identity bijection from hyperplanes to labels,
+  verifies.  A budget refusal is reported as not-exhausted, never as a
+  negative answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional, Tuple
 
 from .adjoint import AdjointMap, induced_map, verify_adjoint
@@ -148,7 +149,6 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
 class SearchBudget:
     max_hyperplanes: int = 6
     max_candidates: int = 200_000
-    deterministic: bool = True  # enumeration order is always fixed
 
 
 @dataclass(frozen=True)
@@ -175,26 +175,15 @@ def _family_is_simple(family, m: int, r: int) -> bool:
     return True
 
 
-def _isomorphic(fam_a, fam_b, m: int) -> bool:
-    if len(fam_a) != len(fam_b):
-        return False
-    set_b = set(fam_b)
-    for perm in permutations(range(m)):
-        if all(frozenset(perm[e] for e in b) in set_b for b in fam_a):
-            return True
-    return False
-
-
-def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget(),
-                   isomorphism_dedup: bool = False) -> SearchResult:
+def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Find an adjoint of M by exhausting candidate targets.
 
     Candidates are simple rank-r matroids on the hyperplane labels, ordered
-    by number of bases descending and then lexicographically; for each, all
-    hyperplane bijections in lexicographic order.  ``exhausted`` is True only
-    when the whole space was covered, so a budget refusal can never be read
-    as non-existence.  Dedup by isomorphism is an optional optimization and
-    never affects which map is returned first.
+    by number of bases descending and then lexicographically.  Each is tried
+    once, under the identity bijection H_i -> i: every relabelling of a
+    candidate is itself a candidate, so no other bijection can succeed where
+    all identities fail.  ``exhausted`` is True only when the whole space was
+    covered, so a budget refusal can never be read as non-existence.
     """
     r = M.full_rank
     if r == 0:
@@ -210,15 +199,17 @@ def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget(),
             f"{m} hyperplanes exceeds the budget cap of {budget.max_hyperplanes}",
         )
 
-    flat_info = []
-    for F in M.flats().all_flats():
-        hidx = frozenset(i for i, H in enumerate(hyperplanes) if F <= H)
-        flat_info.append((M.rank(F), hidx))
-    flat_info.sort(key=lambda t: -t[0])
+    # an adjoint must satisfy r'(P(F)) = r - r(F), where P(F) holds the labels
+    # of the hyperplanes containing F; small P(F) first, as they fail soonest
+    forced = sorted(
+        ((r - M.rank(F), frozenset(i for i, H in enumerate(hyperplanes) if F <= H))
+         for F in M.flats().all_flats()),
+        key=lambda t: t[0],
+    )
+    bij = {H: i for i, H in enumerate(hyperplanes)}
 
     all_subsets = sorted(combinations(range(m), r))
     examined = 0
-    seen_families = []
     for size in range(len(all_subsets), 0, -1):
         for chosen in combinations(all_subsets, size):
             family = [frozenset(b) for b in chosen]
@@ -228,36 +219,15 @@ def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget(),
                 candidate = Matroid(m, family)
             except InputError:
                 continue
-            if isomorphism_dedup:
-                if any(_isomorphic(family, f, m) for f in seen_families):
-                    continue
-                seen_families.append(family)
             examined += 1
             if examined > budget.max_candidates:
                 return SearchResult(
                     None, False, examined - 1,
                     f"candidate budget of {budget.max_candidates} exhausted",
                 )
-            rank_cache: dict = {}
-
-            def cand_rank(pts: frozenset) -> int:
-                v = rank_cache.get(pts)
-                if v is None:
-                    v = max(len(pts & b) for b in candidate.bases)
-                    rank_cache[pts] = v
-                return v
-
-            for perm in permutations(range(m)):
-                ok = True
-                for k, hidx in flat_info:
-                    pts = frozenset(perm[i] for i in hidx)
-                    if cand_rank(pts) != r - k:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                bij = {H: perm[i] for i, H in enumerate(hyperplanes)}
-                phi = induced_map(M, candidate, bij)
-                if verify_adjoint(phi).valid:
-                    return SearchResult(phi, False, examined)
+            if any(candidate._rank(pts) != want for want, pts in forced):
+                continue
+            phi = induced_map(M, candidate, bij)
+            if verify_adjoint(phi).valid:
+                return SearchResult(phi, False, examined)
     return SearchResult(None, True, examined)

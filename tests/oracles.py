@@ -4,7 +4,7 @@ Deliberately naive and kept separate from the package: no bitmasks, no
 level-by-level enumeration, its own GF(p) rank.  Tests compare library
 output against these.
 """
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 from matadj.sets import ElementSet
 
@@ -22,12 +22,40 @@ def brute_rank(M, subset):
     return best
 
 
+def brute_closure(M, subset):
+    """Every element whose addition leaves brute_rank unchanged."""
+    r0 = brute_rank(M, subset)
+    return set(subset) | {e for e in range(M.n) if brute_rank(M, set(subset) | {e}) == r0}
+
+
 def brute_flats(M):
     """Close every one of the 2^n subsets and deduplicate."""
-    seen = set()
-    for sub in powerset(range(M.n)):
-        seen.add(M.closure(ElementSet.of(sub, M.n)))
-    return seen
+    return {ElementSet.of(brute_closure(M, sub), M.n) for sub in powerset(range(M.n))}
+
+
+def vanishing_by_codependence(M, D):
+    """Hyperplanes H with H n D codependent in the restriction M|H, checked
+    through the dual of the restriction; the library uses the rank drop."""
+    if M.full_rank == 0:
+        return ()
+    out = []
+    for H in M.hyperplanes():
+        sub = M.restrict(H)
+        relabel = sub.provenance["relabel"]
+        inside = ElementSet.of((relabel[e] for e in (H & D).members), sub.n)
+        if not sub.dual().is_independent(inside):
+            out.append(H)
+    return tuple(out)
+
+
+def isomorphic(A, B):
+    """Some relabelling of A's ground set carries its bases onto B's."""
+    if A.n != B.n or len(A.bases) != len(B.bases):
+        return False
+    return any(
+        all(frozenset(perm[e] for e in b) in B.bases for b in A.bases)
+        for perm in permutations(range(A.n))
+    )
 
 
 def gf_matrix_rank(rows, p):

@@ -73,6 +73,16 @@ def test_verify_corrupted_map_exits_1(u23_files, tmp_path, capsys):
     assert "injectivity" in captured.out
 
 
+def test_verify_partial_map_exits_2(u23_files, tmp_path, capsys):
+    m, t, p = u23_files
+    data = json.loads(p.read_text())
+    data["map"] = [entry for entry in data["map"] if entry["flat"] != [0]]
+    bad = tmp_path / "partial_map.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", str(m), str(t), str(bad)]) == 2
+    assert "not total" in capsys.readouterr().err
+
+
 def test_minor_adjoint_identity_round_trip(u23_files, tmp_path, capsys):
     m, t, p = u23_files
     out = tmp_path / "identity.json"

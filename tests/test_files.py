@@ -78,6 +78,10 @@ def test_loader_reports_exchange_failure():
         ({"n": 3, "field": "real", "matrix": [[1, 0, 0]]}, "'field'"),
         ({"n": 3, "field": {"prime": 2}, "matrix": [[1, 0]]}, "exactly n=3"),
         ({"n": 3, "field": "rational", "matrix": [["x", "0", "0"]]}, "bad matrix entry"),
+        ({"n": 3, "bases": [[0, 1, 1], [0, 2, 2], [1, 2, 2]]}, "repeats an element"),
+        ({"n": 3, "bases": [[0, 1], [0, 2], [1, 0]]}, "listed more than once"),
+        ({"n": 3, "bases": [[True, 1], [0, 2], [1, 2]]}, "non-integer element True"),
+        ({"n": 3, "bases": [[0, 1], [0, "2"], [1, 2]]}, "non-integer element '2'"),
     ],
 )
 def test_bad_matroid_files(data, message):
@@ -126,6 +130,17 @@ def test_stored_hyperplane_order_cross_checked(tmp_path, fixture_maps):
     data = adjoint_to_dict(phi)
     data["hyperplane_order"] = list(reversed(data["hyperplane_order"]))
     with pytest.raises(InputError, match="hyperplane_order disagrees"):
+        load_adjoint(data)
+
+
+def test_stored_hyperplane_order_must_list_the_hyperplanes(fixture_maps):
+    # two hyperplanes share a point, so the table gives no order to cross-check
+    data = adjoint_to_dict(fixture_maps["U_2_3"])
+    for entry in data["map"]:
+        if entry["flat"] == [0]:
+            entry["image"] = [1]
+    data["hyperplane_order"] = [[2], [0, 1], [1]]
+    with pytest.raises(InputError, match="not a permutation of the source hyperplanes"):
         load_adjoint(data)
 
 

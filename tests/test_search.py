@@ -10,13 +10,14 @@ from matadj import (
     SearchBudget,
     adjoint_from_representation,
     by_name,
+    catalog,
     minor_adjoint,
     search_adjoint,
     uniform,
     verify_adjoint,
 )
 from matadj.files import adjoint_to_dict, canonical_json
-from oracles import gf_matrix_rank
+from oracles import gf_matrix_rank, isomorphic
 
 
 def es(members, n):
@@ -61,14 +62,18 @@ def test_search_finds_known_adjoints():
 
 
 def test_search_matches_representation_route():
-    # the searched target must look like the covector target: same rank,
-    # same number of points
-    for name in ("U_2_3", "U_2_4", "U_3_4"):
-        entry = by_name(name)
+    # on every source within the default hyperplane cap, the searched target
+    # is isomorphic to the covector target
+    cap = SearchBudget().max_hyperplanes
+    searched = []
+    for entry in catalog():
+        if len(entry.matroid.hyperplanes()) > cap:
+            continue
         built = adjoint_from_representation(entry.matroid, entry.representation)
         found = search_adjoint(entry.matroid).found
-        assert found.target.full_rank == built.target.full_rank
-        assert found.target.n == built.target.n
+        assert isomorphic(found.target, built.target), entry.name
+        searched.append(entry.name)
+    assert sorted(searched) == ["U_1_1", "U_1_2", "U_2_3", "U_2_4", "U_2_5", "U_3_4"]
 
 
 def test_search_is_deterministic():
@@ -78,15 +83,6 @@ def test_search_is_deterministic():
     assert a.candidates_examined == b.candidates_examined
     assert canonical_json(adjoint_to_dict(a.found)) == canonical_json(
         adjoint_to_dict(b.found)
-    )
-
-
-def test_isomorphism_dedup_returns_the_same_map():
-    M = by_name("U_2_3").matroid
-    plain = search_adjoint(M)
-    deduped = search_adjoint(M, isomorphism_dedup=True)
-    assert canonical_json(adjoint_to_dict(plain.found)) == canonical_json(
-        adjoint_to_dict(deduped.found)
     )
 
 
