@@ -83,30 +83,41 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_elements(values: list, what: str) -> None:
+    """Refuse what a frozenset would silently collapse or accept: repeated
+    elements, and bools or other non-int labels."""
+    bad = [e for e in values if not _is_int(e)]
+    if bad:
+        raise InputError(f"{what} {values!r} has non-integer element {bad[0]!r}")
+    if len(set(values)) != len(values):
+        raise InputError(f"{what} {values!r} repeats an element")
+
+
 def _check_bases(bases) -> None:
     """Refuse what Matroid would silently collapse: repeated elements or bases."""
     if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
         raise InputError("'bases' must be a list of lists")
     seen = set()
     for b in bases:
-        bad = [e for e in b if not _is_int(e)]
-        if bad:
-            raise InputError(f"basis {b!r} has non-integer element {bad[0]!r}")
-        if len(set(b)) != len(b):
-            raise InputError(f"basis {b!r} repeats an element")
+        _check_elements(b, "basis")
         key = frozenset(b)
         if key in seen:
             raise InputError(f"basis {sorted(key)} is listed more than once")
         seen.add(key)
 
 
+def _read_n(data: dict) -> int:
+    n = data.get("n")
+    if not _is_int(n):
+        raise InputError("matroid file needs an integer 'n'")
+    return n
+
+
 def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Optional[str]]:
     """Returns (matroid, representation-or-None, name-or-None)."""
     data = _read(source)
     name = data.get("name")
-    n = data.get("n")
-    if not _is_int(n):
-        raise InputError("matroid file needs an integer 'n'")
+    n = _read_n(data)
     if "bases" in data:
         bases = data["bases"]
         _check_bases(bases)
@@ -172,6 +183,25 @@ def _resolve_matroid(spec, role: str) -> Matroid:
     raise InputError(f"adjoint file: '{role}' must be a matroid object or a catalog name")
 
 
+def _describes(spec, M: Matroid, role: str) -> bool:
+    """Whether an embedded matroid is M.  A bases list is validated and
+    compared as a set, without a Matroid built from it: M passed the
+    exchange check when it was built, so equal bases pass it too.  A matrix
+    is compared through its column matroid, a name through the catalog."""
+    if isinstance(spec, dict) and "bases" in spec:
+        n = _read_n(spec)
+        _check_bases(spec["bases"])
+        return n == M.n and {frozenset(b) for b in spec["bases"]} == M.bases
+    return _resolve_matroid(spec, role) == M
+
+
+def _element_set(values, n: int, what: str) -> ElementSet:
+    if not isinstance(values, list):
+        raise InputError(f"{what} must be a list of integers, got {values!r}")
+    _check_elements(values, what)
+    return ElementSet.of(values, n)
+
+
 def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
                  target_matroid: Optional[Matroid] = None) -> AdjointMap:
     """Load a map file; explicit matroids override (and are checked against)
@@ -182,14 +212,13 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
 
     def pick(key: str, override: Optional[Matroid]) -> Matroid:
         embedded = data.get(key)
-        if embedded is None:
-            if override is None:
+        if override is None:
+            if embedded is None:
                 raise InputError(f"adjoint file has no '{key}' and none was supplied")
-            return override
-        m = _resolve_matroid(embedded, key)
-        if override is not None and m != override:
+            return _resolve_matroid(embedded, key)
+        if embedded is not None and not _describes(embedded, override, key):
             raise InputError(f"embedded '{key}' matroid disagrees with the supplied one")
-        return override if override is not None else m
+        return override
 
     M = pick("source", source_matroid)
     Mp = pick("target", target_matroid)
@@ -197,16 +226,16 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
     for entry in data["map"]:
         if not isinstance(entry, dict) or "flat" not in entry or "image" not in entry:
             raise InputError("each map entry needs 'flat' and 'image' arrays")
-        F = ElementSet.of(entry["flat"], M.n)
+        F = _element_set(entry["flat"], M.n, "map flat")
         if F in table:
             raise InputError(f"duplicate map entry for flat {F!r}")
-        table[F] = ElementSet.of(entry["image"], Mp.n)
+        table[F] = _element_set(entry["image"], Mp.n, "map image")
     stored = data.get("hyperplane_order")
     order = None
     if stored is not None:
         if not isinstance(stored, list) or not all(isinstance(h, list) for h in stored):
             raise InputError("'hyperplane_order' must be a list of lists")
-        order = tuple(ElementSet.of(h, M.n) for h in stored)
+        order = tuple(_element_set(h, M.n, "hyperplane_order entry") for h in stored)
         hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
         if sorted(order, key=lambda h: h.key) != list(hyperplanes):
             raise InputError("stored hyperplane_order is not a permutation of the source hyperplanes")

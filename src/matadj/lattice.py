@@ -2,8 +2,17 @@
 
 Flats are enumerated level by level: the rank-0 flat is cl(empty), and the
 flats covering a flat F are exactly the closures cl(F u {e}) for e outside F.
-This avoids closing all 2^n subsets; the exhaustive version lives in the test
+The sets G - F, for G covering F, partition E - F, so each cover is closed
+once: an element that already lies in a cover found for F is skipped.  This
+avoids closing all 2^n subsets; the exhaustive version lives in the test
 suite as an independent oracle.
+
+The build relies on M being a matroid, since only a matroid's closure gives
+a geometric lattice, but it does not check the exchange axiom itself.  That
+is checked once, where bases enter from outside the package: the public
+``Matroid`` constructor, which bases files and search candidates go through.
+Column matroids and the minors, duals and simplifications of a ``Matroid``
+are matroids by a theorem and skip the check; see the ``Matroid`` docstring.
 """
 from __future__ import annotations
 
@@ -35,9 +44,12 @@ class FlatLattice:
             nxt = set()
             for F in current:
                 cov = set()
+                reached = set(F.members)
                 for e in range(M.n):
-                    if e not in F:
-                        cov.add(M.closure(F.add(e)))
+                    if e not in reached:
+                        G = M.closure(F.add(e))
+                        cov.add(G)
+                        reached |= G.members
                 covers[F] = frozenset(cov)
                 nxt |= cov
             current = sorted(nxt, key=lambda f: f.key)

@@ -123,7 +123,24 @@ def rref(rows, fld):
 
 
 def matrix_rank(rows, fld) -> int:
-    return len(rref(rows, fld)[1])
+    """Rank by forward elimination: row echelon form, with no back substitution."""
+    mat = [list(map(fld.coerce, row)) for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != fld.zero), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        inv = fld.inv(top[c])
+        for i in range(rank + 1, len(mat)):
+            if mat[i][c] != fld.zero:
+                factor = fld.mul(mat[i][c], inv)
+                mat[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[i], top)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def nullspace(rows, fld):

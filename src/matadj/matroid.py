@@ -36,12 +36,34 @@ def max_ground_size() -> int:
 class Matroid:
     """A matroid on ground set {0, ..., n-1} given by its bases.
 
-    The constructor validates the basis-exchange axiom (feasible at the
-    ground-set sizes this package targets) and rejects families that fail it,
-    naming a violating pair.
+    The public constructor is the trust boundary: it validates the
+    basis-exchange axiom, which costs O(|B|^2 r^2), and rejects families that
+    fail it, naming a violating pair.  Every family from outside the package
+    goes through it: the caller's bases, bases read from a file, and search
+    candidates.  Constructions whose output is a matroid by a theorem use
+    ``_unchecked``, which keeps the cheap shape checks and skips only the
+    exchange check: the column matroid of a matrix (``Representation.matroid``,
+    matrix files included), by the Steinitz exchange lemma, and the
+    contraction, deletion, dual and simplification of an existing
+    ``Matroid``, because these operations take matroids to matroids.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
+        self._setup(n, bases, provenance)
+        self._check_exchange()
+
+    @classmethod
+    def _unchecked(cls, n: int, bases: Iterable, provenance: Optional[dict] = None) -> "Matroid":
+        """A matroid whose bases satisfy the exchange axiom by a theorem.
+
+        Bases from outside the package never come here; they go through the
+        public constructor.
+        """
+        matroid = cls.__new__(cls)
+        matroid._setup(n, bases, provenance)
+        return matroid
+
+    def _setup(self, n: int, bases: Iterable, provenance: Optional[dict]) -> None:
         cap = max_ground_size()
         if n < 0:
             raise InputError(f"ground-set size must be non-negative, got {n}")
@@ -67,7 +89,6 @@ class Matroid:
         self._rank_cache: dict = {}
         self._minor_cache: dict = {}
         self._lattice = None
-        self._check_exchange()
 
     @staticmethod
     def _mask(elements) -> int:
@@ -126,7 +147,14 @@ class Matroid:
         r = self._rank_cache.get(fs)
         if r is None:
             m = self._mask(fs)
-            r = max((m & b).bit_count() for b in self._basis_masks)
+            bound = min(len(fs), self.full_rank)
+            r = 0
+            for b in self._basis_masks:
+                k = (m & b).bit_count()
+                if k > r:
+                    r = k
+                    if r == bound:  # no basis meets S in more elements
+                        break
             self._rank_cache[fs] = r
         return r
 
@@ -135,14 +163,25 @@ class Matroid:
         return self._rank(self._members(S))
 
     def closure(self, S: ElementSet) -> ElementSet:
-        """cl(S): all elements whose addition leaves the rank of S unchanged."""
+        """cl(S): all elements whose addition leaves the rank of S unchanged.
+
+        One pass over the bases: e outside S raises the rank exactly when it
+        lies in a basis B with |B n S| = r(S), so
+        cl(S) = E - U{B - S : |B n S| = r(S)}.
+        """
         fs = self._members(S)
-        r0 = self._rank(fs)
-        closed = set(fs)
-        for e in range(self.n):
-            if e not in fs and self._rank(fs | {e}) == r0:
-                closed.add(e)
-        return ElementSet.of(closed, self.n)
+        m = self._mask(fs)
+        best = -1
+        spanned = 0  # union of the bases that meet S in r(S) elements
+        for b in self._basis_masks:
+            k = (m & b).bit_count()
+            if k > best:
+                best, spanned = k, b
+            elif k == best:
+                spanned |= b
+        self._rank_cache[fs] = best
+        outside = spanned & ~m
+        return ElementSet(frozenset(e for e in range(self.n) if not outside >> e & 1), self.n)
 
     def is_independent(self, S: ElementSet) -> bool:
         fs = self._members(S)
@@ -206,7 +245,7 @@ class Matroid:
                 new_bases.add(frozenset(relabel[e] for e in b - basis_of_c))
         if not new_bases:
             new_bases = {frozenset()}
-        result = Matroid(
+        result = Matroid._unchecked(
             self.n - len(cfs),
             new_bases,
             provenance={"op": "contract", "removed": sorted(cfs), "relabel": relabel, "parent": self},
@@ -229,7 +268,7 @@ class Matroid:
                 new_bases.add(frozenset(relabel[e] for e in comb))
         if not new_bases:
             new_bases = {frozenset()}
-        result = Matroid(
+        result = Matroid._unchecked(
             len(keep),
             new_bases,
             provenance={"op": "delete", "removed": sorted(dfs), "relabel": relabel, "parent": self},
@@ -243,7 +282,7 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         ground = frozenset(range(self.n))
-        return Matroid(
+        return Matroid._unchecked(
             self.n,
             {ground - b for b in self.bases},
             provenance={"op": "dual", "parent": self},
@@ -270,7 +309,7 @@ class Matroid:
                 class_map[e] = e
         drop = frozenset(range(self.n)) - frozenset(reps)
         m = self.delete(ElementSet(drop, self.n))
-        return Matroid(
+        return Matroid._unchecked(
             m.n,
             m.bases,
             provenance={

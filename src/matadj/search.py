@@ -54,7 +54,7 @@ class Representation:
     def matroid(self, provenance: Optional[dict] = None) -> Matroid:
         r = self.rank_of(range(self.n))
         bases = [c for c in combinations(range(self.n), r) if self.rank_of(c) == r]
-        return Matroid(self.n, bases, provenance=provenance)
+        return Matroid._unchecked(self.n, bases, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
         """The canonical linear functional vanishing on the columns of H.

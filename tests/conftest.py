@@ -1,6 +1,6 @@
 import pytest
 
-from matadj import adjoint_from_representation, catalog
+from matadj import Matroid, adjoint_from_representation, catalog
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,17 @@ def fixture_maps(entries):
         e.name: adjoint_from_representation(e.matroid, e.representation)
         for e in entries
     }
+
+
+@pytest.fixture
+def exchange_checks(monkeypatch):
+    """A list that gains one entry per call of the exchange-axiom check."""
+    calls = []
+    check = Matroid._check_exchange
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(Matroid, "_check_exchange", counted)
+    return calls

@@ -33,6 +33,18 @@ def brute_flats(M):
     return {ElementSet.of(brute_closure(M, sub), M.n) for sub in powerset(range(M.n))}
 
 
+def brute_covers(M):
+    """Flat F -> {cl(F u e) : e not in F}: one closure per element outside F,
+    over the flats of brute_flats."""
+    return {
+        F: frozenset(
+            ElementSet.of(brute_closure(M, F.members | {e}), M.n)
+            for e in range(M.n) if e not in F
+        )
+        for F in brute_flats(M)
+    }
+
+
 def vanishing_by_codependence(M, D):
     """Hyperplanes H with H n D codependent in the restriction M|H, checked
     through the dual of the restriction; the library uses the rank drop."""

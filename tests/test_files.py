@@ -151,6 +151,89 @@ def test_duplicate_map_entry_rejected(fixture_maps):
         load_adjoint(data)
 
 
+def _set_entry(key, flat, value):
+    def edit(data):
+        for entry in data["map"]:
+            if entry["flat"] == flat:
+                entry[key] = value
+    return edit
+
+
+def _set_order(index, value):
+    def edit(data):
+        data["hyperplane_order"][index] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set_entry("flat", [0], [0, 0, 0]), r"map flat \[0, 0, 0\] repeats an element"),
+        (_set_entry("flat", [1], [True]), "map flat .* has non-integer element True"),
+        (_set_entry("flat", [1], "1"), "map flat must be a list of integers"),
+        (_set_entry("image", [1], [True]), "map image .* has non-integer element True"),
+        (_set_entry("image", [1], [1, 1]), r"map image \[1, 1\] repeats an element"),
+        (_set_entry("image", [2], [2.0]), "map image .* has non-integer element 2.0"),
+        (_set_order(0, [0, 0]), r"hyperplane_order entry \[0, 0\] repeats an element"),
+        (_set_order(0, [False]), "hyperplane_order entry .* has non-integer element False"),
+    ],
+    ids=["flat-repeat", "flat-bool", "flat-not-list", "image-bool", "image-repeat",
+         "image-float", "order-repeat", "order-bool"],
+)
+def test_map_entries_are_not_normalised(fixture_maps, edit, message):
+    data = adjoint_to_dict(fixture_maps["U_2_3"])
+    edit(data)
+    with pytest.raises(InputError, match=message):
+        load_adjoint(data)
+
+
+def test_override_compared_without_rebuilding(fixture_maps, exchange_checks):
+    phi = fixture_maps["U_3_4"]
+    data = adjoint_to_dict(phi)
+    loaded = load_adjoint(data, source_matroid=phi.source, target_matroid=phi.target)
+    assert exchange_checks == []
+    assert loaded.source is phi.source and loaded.target is phi.target
+    load_adjoint(data)  # without overrides the embedded bases are checked
+    assert len(exchange_checks) == 2
+
+
+@pytest.mark.parametrize(
+    "embedded,agrees",
+    [
+        ({"n": 3, "bases": [[0, 1], [0, 2]]}, False),  # a basis short
+        ({"n": 4, "bases": [[0, 1], [0, 2], [1, 2]]}, False),  # another ground set
+        ({"n": 3, "field": {"prime": 2}, "matrix": [[1, 0, 1], [0, 1, 1]]}, True),
+        ({"n": 3, "field": {"prime": 2}, "matrix": [[1, 0, 1], [0, 1, 0]]}, False),  # 0 and 2 parallel
+        ("U_2_3", True),
+        ("U_2_4", False),
+    ],
+)
+def test_override_compared_with_every_kind_of_embedding(fixture_maps, embedded, agrees):
+    phi = fixture_maps["U_2_3"]
+    data = adjoint_to_dict(phi)
+    data["source"] = embedded
+    if agrees:
+        assert load_adjoint(data, source_matroid=phi.source).table == phi.table
+    else:
+        with pytest.raises(InputError, match="embedded 'source' matroid disagrees"):
+            load_adjoint(data, source_matroid=phi.source)
+
+
+@pytest.mark.parametrize(
+    "embedded,message",
+    [
+        ({"n": 3, "bases": [[0, 1], [0, 1, 1]]}, "repeats an element"),
+        ({"n": True, "bases": [[0, 1], [0, 2], [1, 2]]}, "integer 'n'"),
+    ],
+)
+def test_malformed_embedding_refused_with_an_override(fixture_maps, embedded, message):
+    phi = fixture_maps["U_2_3"]
+    data = adjoint_to_dict(phi)
+    data["source"] = embedded
+    with pytest.raises(InputError, match=message):
+        load_adjoint(data, source_matroid=phi.source)
+
+
 def test_map_without_embedded_matroids(fixture_maps):
     phi = fixture_maps["U_2_3"]
     data = adjoint_to_dict(phi)

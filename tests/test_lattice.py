@@ -10,7 +10,7 @@ from matadj import (
     hyperplane_chain,
     uniform,
 )
-from oracles import brute_flats
+from oracles import brute_covers, brute_flats
 
 
 def es(members, n):
@@ -61,6 +61,14 @@ def test_covers_are_rank_plus_one():
         for g in covers:
             assert f <= g
             assert lattice.rank_of(g) == lattice.rank_of(f) + 1
+
+
+@pytest.mark.parametrize("name", ["U_1_2", "U_2_4", "U_3_5", "U_3_6", "M_K4", "fano", "nonfano"])
+def test_covers_match_one_closure_per_element(name):
+    # the lattice closes one element per cover; the oracle closes every element
+    M = by_name(name).matroid
+    for N in (M, M.contract(es([0], M.n)), M.delete(es([0], M.n))):
+        assert N.flats().covers == brute_covers(N)
 
 
 def test_hyperplanes():

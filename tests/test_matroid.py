@@ -11,10 +11,11 @@ from matadj import (
     MinorSpec,
     apply_minor,
     by_name,
+    catalog,
     minor_normal_form,
     uniform,
 )
-from oracles import brute_rank, gf_matrix_rank, greedy_rank
+from oracles import brute_closure, brute_rank, gf_matrix_rank, greedy_rank, powerset
 
 
 def es(members, n):
@@ -69,6 +70,24 @@ def test_closure_examples():
     assert u23.closure(es([0, 1, 2], 3)) == es([0, 1, 2], 3)
     fano = by_name("fano").matroid
     assert fano.closure(es([0, 1], 7)) == es([0, 1, 2], 7)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_closure_matches_brute_force_on_every_subset(name):
+    # the one-pass closure against n + 1 rank queries, and the rank with its
+    # early exit against a full scan, on the matroid and on each of its
+    # single-element contractions and deletions
+    M = by_name(name).matroid
+    minors = [M]
+    for e in range(M.n):
+        minors += [M.contract(es([e], M.n)), M.delete(es([e], M.n))]
+    for N in minors:
+        # fresh copies, so that neither query reads what the other cached
+        ranks, closures = Matroid(N.n, N.bases), Matroid(N.n, N.bases)
+        for sub in powerset(range(N.n)):
+            S = es(sub, N.n)
+            assert ranks.rank(S) == brute_rank(N, sub), (name, N, sub)
+            assert closures.closure(S).members == brute_closure(N, sub), (name, N, sub)
 
 
 @settings(max_examples=200, deadline=None)
