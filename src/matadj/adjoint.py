@@ -92,7 +92,7 @@ class AdjointMap:
 
     def pairs(self):
         """Table entries in canonical (lexicographic-by-flat) order."""
-        return sorted(self.table.items(), key=lambda kv: (len(kv[0]), kv[0].key))
+        return [(F, self.table[F]) for F in self.source.flats().canonical_order()]
 
 
 def derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[ElementSet, ...]]:
@@ -103,7 +103,7 @@ def derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[ElementSet, ...]]
         img = phi.table.get(H)
         if img is None or len(img) != 1:
             return None
-        (pt,) = img.members
+        (pt,) = img
         if pt in by_point:
             return None
         by_point[pt] = H
@@ -128,16 +128,16 @@ DEFINITION_CHECKS = (
 
 def _structural_check(phi: AdjointMap) -> None:
     """Raise StructureError unless the table is total on source flats with flat values."""
-    src_flats = list(phi.source.flats().all_flats())
-    missing = [F for F in src_flats if F not in phi.table]
+    src = phi.source.flats()
+    missing = [F for F in src.all_flats() if F not in phi.table]
     if missing:
         raise StructureError(f"table is not total: missing flats {missing[:3]}...")
-    extra = set(phi.table) - set(src_flats)
-    if extra:
+    if len(phi.table) != src.flat_count():  # every flat is a key, so some key is not a flat
+        extra = [F for F in phi.table if not src.is_flat(F)]
         raise StructureError(f"table has keys that are not flats of the source: {sorted(extra, key=lambda f: f.key)[:3]}")
-    tgt = phi.target.flats()
+    n, tgt_flats = phi.target.n, phi.target.flats().rank_by_mask
     for F, img in phi.table.items():
-        if img.universe != phi.target.n or not tgt.is_flat(img):
+        if img.universe != n or img.mask not in tgt_flats:
             raise StructureError(f"image of {F!r} is {img!r}, which is not a flat of the target")
 
 
@@ -149,17 +149,18 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     refused with a StructureError when the map is built, so it never gets here.
     """
     M, Mp = phi.source, phi.target
-    src_flats = list(M.flats().all_flats())
+    table = phi.table
+    lattice = M.flats()
+    src_flats = list(lattice.all_flats())
+    rank = Mp._rank
     violations = []
 
     # target simplicity
     for e in range(Mp.n):
-        if Mp.rank(ElementSet.of([e], Mp.n)) == 0:
+        if rank(1 << e) == 0:
             violations.append(Violation("target_simple", (e,), "no loops", f"element {e} is a loop"))
     for e, f in combinations(range(Mp.n), 2):
-        pair = ElementSet.of([e, f], Mp.n)
-        if (Mp.rank(pair) == 1 and Mp.rank(ElementSet.of([e], Mp.n)) == 1
-                and Mp.rank(ElementSet.of([f], Mp.n)) == 1):
+        if rank(1 << e | 1 << f) == 1 and rank(1 << e) == 1 and rank(1 << f) == 1:
             violations.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
 
     # rank equality
@@ -167,33 +168,40 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
         violations.append(Violation("rank_match", (), f"target rank {M.full_rank}", str(Mp.full_rank)))
 
     # injectivity
-    seen: dict = {}
-    for F in sorted(src_flats, key=lambda f: (len(f), f.key)):
-        img = phi.table[F]
-        if img in seen:
-            violations.append(Violation("injectivity", (seen[img], F), "distinct images", f"both map to {img!r}"))
+    seen: dict = {}  # image mask -> first flat with that image
+    for F in lattice.canonical_order():
+        img = table[F]
+        if img.mask in seen:
+            violations.append(Violation("injectivity", (seen[img.mask], F), "distinct images", f"both map to {img!r}"))
         else:
-            seen[img] = F
+            seen[img.mask] = F
 
-    # inclusion reversal
-    for F1 in src_flats:
-        for F2 in src_flats:
-            if F1 != F2 and F1 <= F2 and not phi.table[F2] <= phi.table[F1]:
-                violations.append(Violation(
-                    "inclusion_reversal", (F1, F2),
-                    f"phi({F2!r}) within phi({F1!r})",
-                    f"{phi.table[F2]!r} is not within {phi.table[F1]!r}",
-                ))
+    # inclusion reversal, for every pair F1 < F2 of flats.  src_flats runs
+    # layer by layer and a flat strictly above F1 has a higher rank, so only
+    # the flats after F1's layer can contain it.
+    entries = [(F, F.mask, table[F].mask) for F in src_flats]
+    start = 0
+    for layer in lattice.flats_by_rank:
+        start += len(layer)
+        above = entries[start:]
+        for F1, f1, i1 in entries[start - len(layer):start]:
+            for F2, f2, i2 in above:
+                if not f1 & ~f2 and i2 & ~i1:
+                    violations.append(Violation(
+                        "inclusion_reversal", (F1, F2),
+                        f"phi({F2!r}) within phi({F1!r})",
+                        f"{table[F2]!r} is not within {table[F1]!r}",
+                    ))
 
     # hyperplanes -> points bijectively
-    points = set(Mp.flats().layer(1)) if Mp.full_rank >= 1 else set()
+    points = {P.mask: P for P in Mp.flats().layer(1)} if Mp.full_rank >= 1 else {}
     hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
     images = []
     for H in hyperplanes:
-        img = phi.table[H]
-        if img not in points:
+        img = table[H]
+        if img.mask not in points:
             violations.append(Violation("hyperplane_bijection", (H,), "a point of the target", repr(img)))
-        images.append(img)
+        images.append(img.mask)
     img_set = set(images)
     if len(img_set) != len(images):
         seen_pts: dict = {}
@@ -201,22 +209,23 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
             if img in seen_pts:
                 violations.append(Violation(
                     "hyperplane_bijection", (seen_pts[img], H),
-                    "distinct point images", f"both map to {img!r}",
+                    "distinct point images", f"both map to {table[H]!r}",
                 ))
             else:
                 seen_pts[img] = H
-    uncovered = points - img_set
+    uncovered = [P for p, P in points.items() if p not in img_set]
     if uncovered:
         violations.append(Violation(
             "hyperplane_bijection", tuple(sorted(uncovered, key=lambda f: f.key)),
             "every point covered by a hyperplane image", "uncovered points remain",
         ))
 
-    # phi(E) = cl'(empty) (forced for valid maps; checked explicitly)
-    top = M.closure(M.groundset())
-    want = Mp.closure(ElementSet.empty(Mp.n))
-    if phi.table[top] != want:
-        violations.append(Violation("ground_to_empty", (top,), repr(want), repr(phi.table[top])))
+    # phi(E) = cl'(empty) (forced for valid maps; checked explicitly): the
+    # top flat of M and the bottom flat of M', read from the cached lattices
+    top = lattice.layer(M.full_rank)[0]
+    want = Mp.flats().layer(0)[0]
+    if table[top] != want:
+        violations.append(Violation("ground_to_empty", (top,), repr(want), repr(table[top])))
 
     return VerificationReport(DEFINITION_CHECKS, tuple(violations))
 
@@ -229,65 +238,66 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
     violation text says so.
     """
     r = phi.source.full_rank
+    rank = phi.target._rank
     violations = []
-    for F in phi.source.flats().all_flats():
-        k = phi.source.rank(F)
-        got = phi.target.rank(phi.table[F])
-        if got != r - k:
-            violations.append(Violation(
-                "rank_complement", (F,), f"target rank {r - k}",
-                f"{got} (a theorem violation: implementation bug, not bad input)",
-            ))
+    for k, layer in enumerate(phi.source.flats().flats_by_rank):
+        for F in layer:
+            got = rank(phi.table[F].mask)
+            if got != r - k:
+                violations.append(Violation(
+                    "rank_complement", (F,), f"target rank {r - k}",
+                    f"{got} (a theorem violation: implementation bug, not bad input)",
+                ))
     return VerificationReport(("rank_complement",), tuple(violations))
 
 
 def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
     """Images of a strictly-decreasing hyperplane chain are independent in the target."""
-    hp = set(phi.source.hyperplanes()) if phi.source.full_rank >= 1 else set()
-    running = phi.source.groundset()
+    M = phi.source
+    lattice = M.flats()
+    running = M.groundset().mask
     for H in chain:
-        if H not in hp:
+        if not lattice.is_flat(H) or lattice.rank_of(H) != M.full_rank - 1:
             raise PreconditionError(f"{H!r} is not a hyperplane of the source")
-        nxt = running & H
+        nxt = running & H.mask
         if nxt == running:
             raise PreconditionError("chain violates the strict running-intersection condition")
         running = nxt
     violations = []
-    images = []
+    union = 0
+    images = set()
     for H in chain:
         img = phi.table[H]
         if len(img) != 1:
             violations.append(Violation("chain_independence", (H,), "a point image", repr(img)))
-        images.append(img)
-    pts = set()
-    for img in images:
-        pts |= img.members
-    union = ElementSet.of(pts, phi.target.n)
-    distinct = len(set(images))
-    if not violations and phi.target.rank(union) != distinct:
+        union |= img.mask
+        images.add(img.mask)
+    distinct = len(images)
+    if not violations and phi.target._rank(union) != distinct:
         violations.append(Violation(
             "chain_independence", tuple(chain),
             f"independent image set of size {distinct}",
-            f"rank {phi.target.rank(union)}",
+            f"rank {phi.target._rank(union)}",
         ))
     return VerificationReport(("chain_independence",), tuple(violations))
 
 
 def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
     """phi(X), phi(Y) form a modular pair in the target, for all flats X, Y."""
-    Mp = phi.target
-    flats = sorted(phi.source.flats().all_flats(), key=lambda f: (len(f), f.key))
+    rank = phi.target._rank
+    flats = phi.source.flats().canonical_order()
+    images = [(phi.table[X].mask, rank(phi.table[X].mask)) for X in flats]
     violations = []
-    for i, X in enumerate(flats):
-        for Y in flats[i:]:
-            a, b = phi.table[X], phi.table[Y]
-            join = a | b  # r(cl S) = r(S), so the join's rank needs no closure
-            meet = a & b
-            if Mp.rank(a) + Mp.rank(b) != Mp.rank(join) + Mp.rank(meet):
+    for i, (a, ra) in enumerate(images):
+        for j in range(i, len(images)):
+            b, rb = images[j]
+            # r(cl S) = r(S), so the join's rank needs no closure
+            rj, rm = rank(a | b), rank(a & b)
+            if ra + rb != rj + rm:
                 violations.append(Violation(
-                    "modular_pairs", (X, Y),
+                    "modular_pairs", (flats[i], flats[j]),
                     "r(phi X) + r(phi Y) = r(join) + r(meet)",
-                    f"{Mp.rank(a)}+{Mp.rank(b)} != {Mp.rank(join)}+{Mp.rank(meet)}",
+                    f"{ra}+{rb} != {rj}+{rm}",
                 ))
     return VerificationReport(("modular_pairs",), tuple(violations))
 
@@ -329,16 +339,13 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
         raise InputError("bijection is not total on the source hyperplanes")
     if sorted(bij.values()) != list(range(Mp.n)):
         raise InputError("bijection is not onto the points of the target")
+    labelled = [(H.mask, bij[H]) for H in hyperplanes]
     table = {}
     for F in M.flats().all_flats():
-        pts = {bij[H] for H in hyperplanes if F <= H}
-        table[F] = Mp.closure(ElementSet.of(pts, Mp.n))
+        f = F.mask
+        table[F] = Mp.closure(ElementSet.of([i for h, i in labelled if not f & ~h], Mp.n))
     order = tuple(sorted(bij, key=bij.__getitem__))
     return AdjointMap(M, Mp, table, order)
-
-
-def _relabeled_image(img: ElementSet, relabel: Mapping[int, int], new_n: int) -> ElementSet:
-    return ElementSet.of((relabel[e] for e in img.members), new_n)
 
 
 def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
@@ -352,9 +359,9 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     tgt_relabel = new_target.provenance["relabel"]
     table = {}
     for F in new_source.flats().all_flats():
-        F_old = ElementSet.of((src_inverse[e] for e in F.members), M.n)
-        img = phi.image(M.closure(F_old | C))  # F_old u C is already a flat; closure is a no-op
-        table[F] = _relabeled_image(img, tgt_relabel, new_target.n)
+        # F is a flat of M/C exactly when F u C is a flat of M, so no closure
+        img = phi.image(F.relabel(src_inverse, M.n) | C)
+        table[F] = img.relabel(tgt_relabel, new_target.n)
     result = AdjointMap(new_source, new_target, table)
     report = verify_adjoint(result)
     if not report.valid:
@@ -365,10 +372,10 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
 def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
     """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H),
     in canonical order."""
-    M._members(D)
+    d = M._mask_of(D)
     if M.full_rank == 0:
         return ()
-    return tuple(H for H in M.hyperplanes() if M.rank(H - D) < M.rank(H))
+    return tuple(H for H in M.hyperplanes() if M._rank(H.mask & ~d) < M._rank(H.mask))
 
 
 def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
@@ -383,19 +390,17 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
             f"deletion set {D!r} is not coindependent; use minor_adjoint for general minors"
         )
     vanished = vanishing_hyperplanes(M, D)
-    removed_points: set = set()
+    removed = ElementSet.empty(Mp.n)
     for H in vanished:
-        removed_points |= phi.image(H).members
-    removed = ElementSet.of(removed_points, Mp.n)
+        removed = removed | phi.image(H)
     new_source = M.delete(D)
     src_inverse = {v: k for k, v in new_source.provenance["relabel"].items()}
     new_target = Mp.delete(removed)
     tgt_relabel = new_target.provenance["relabel"]
     table = {}
     for F in new_source.flats().all_flats():
-        F_old = ElementSet.of((src_inverse[e] for e in F.members), M.n)
-        img = phi.image(M.closure(F_old)) - removed
-        table[F] = _relabeled_image(img, tgt_relabel, new_target.n)
+        img = phi.image(M.closure(F.relabel(src_inverse, M.n))) - removed
+        table[F] = img.relabel(tgt_relabel, new_target.n)
     result = AdjointMap(new_source, new_target, table)
     report = verify_adjoint(result)
     if not report.valid:

@@ -212,8 +212,8 @@ def cmd_export_dot(args) -> int:
             lines.append(f'  {node} [label="{label}"];')
             names.append(node)
         lines.append("  { rank=same; " + "; ".join(names) + "; }")
-    for f, covers in sorted(lattice.covers.items(), key=lambda kv: (len(kv[0]), kv[0].key)):
-        for g in sorted(covers, key=lambda x: x.key):
+    for f in lattice.canonical_order():
+        for g in sorted(lattice.covers[f], key=lambda x: x.key):
             lines.append(f"  {ids[f]} -- {ids[g]};")
     lines.append("}")
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from .errors import ConstructionError, InputError
-from .sets import ElementSet
+from .sets import ElementSet, bits
 
 
 class FlatLattice:
@@ -30,9 +30,11 @@ class FlatLattice:
         self.owner = owner
         self.flats_by_rank = flats_by_rank
         self.covers = covers
-        self._rank_of = {
-            f: k for k, layer in enumerate(flats_by_rank) for f in layer
+        # flat mask -> rank; the flats all live on the owner's ground set
+        self.rank_by_mask = {
+            f.mask: k for k, layer in enumerate(flats_by_rank) for f in layer
         }
+        self._canonical = None
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
@@ -44,12 +46,12 @@ class FlatLattice:
             nxt = set()
             for F in current:
                 cov = set()
-                reached = set(F.members)
+                reached = F.mask
                 for e in range(M.n):
-                    if e not in reached:
+                    if not reached >> e & 1:
                         G = M.closure(F.add(e))
                         cov.add(G)
-                        reached |= G.members
+                        reached |= G.mask
                 covers[F] = frozenset(cov)
                 nxt |= cov
             current = sorted(nxt, key=lambda f: f.key)
@@ -71,17 +73,24 @@ class FlatLattice:
         for layer in self.flats_by_rank:
             yield from layer
 
+    def canonical_order(self) -> Tuple[ElementSet, ...]:
+        """All flats by size, then lexicographically (cached).  Map files and
+        the injectivity and modular-pair witnesses follow this order."""
+        if self._canonical is None:
+            self._canonical = tuple(sorted(self.all_flats(), key=lambda f: (len(f), f.key)))
+        return self._canonical
+
     def flat_count(self) -> int:
         return sum(len(layer) for layer in self.flats_by_rank)
 
     def is_flat(self, F: ElementSet) -> bool:
-        return F in self._rank_of
+        return (F.__class__ is ElementSet and F.universe == self.owner.n
+                and F.mask in self.rank_by_mask)
 
     def rank_of(self, F: ElementSet) -> int:
-        try:
-            return self._rank_of[F]
-        except KeyError:
-            raise InputError(f"{F!r} is not a flat") from None
+        if not self.is_flat(F):
+            raise InputError(f"{F!r} is not a flat")
+        return self.rank_by_mask[F.mask]
 
     def cover_count(self) -> int:
         return sum(len(c) for c in self.covers.values())
@@ -103,15 +112,19 @@ def hyperplane_chain(M, X: ElementSet) -> list:
         return []
     hyperplanes = M.hyperplanes()
     chain = []
-    running = M.groundset()
-    while running != X:
+    x = X.mask
+    running = M.groundset().mask
+    while running != x:
         for H in hyperplanes:
-            if X <= H and not running <= H:
+            h = H.mask
+            if not x & ~h and running & ~h:
                 chain.append(H)
-                running = running & H
+                running &= h
                 break
         else:
-            raise ConstructionError(f"no hyperplane separates {running!r} from {X!r}")
+            raise ConstructionError(
+                f"no hyperplane separates {ElementSet.of(bits(running), M.n)!r} from {X!r}"
+            )
     if len(chain) != M.full_rank - k:
         raise ConstructionError("hyperplane chain has the wrong length")
     return chain

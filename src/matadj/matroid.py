@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import ConstructionError, InputError
-from .sets import ElementSet
+from .sets import ElementSet, bits
 
 DEFAULT_MAX_N = 16
 _ENV_MAX_N = "MATADJ_MAX_N"
@@ -35,6 +35,14 @@ def max_ground_size() -> int:
 
 class Matroid:
     """A matroid on ground set {0, ..., n-1} given by its bases.
+
+    Inside, every set is an int bitmask, the one representation that
+    ``ElementSet`` also uses: the bases are scanned as masks, and the one
+    rank cache maps a subset's mask to its rank.  ``rank``, ``closure`` and
+    the minor constructions check that a query set lives on this ground set
+    and then read its mask; its members were validated when it was made.
+    Both constructors refuse basis elements that are not ints in range,
+    bools included.
 
     The public constructor is the trust boundary: it validates the
     basis-exchange axiom, which costs O(|B|^2 r^2), and rejects families that
@@ -75,27 +83,26 @@ class Matroid:
         sizes = {len(b) for b in bset}
         if len(sizes) != 1:
             raise InputError(f"bases have unequal sizes {sorted(sizes)}")
+        masks = []
         for b in bset:
+            m = 0
             for e in b:
-                if not isinstance(e, int) or e < 0 or e >= n:
+                if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
+                    raise InputError(f"basis element {e!r} is not an integer")
+                if e < 0 or e >= n:
                     raise InputError(f"basis element {e!r} out of range for n={n}")
+                m |= 1 << e
+            masks.append(m)
         self.n = n
         self.bases = bset
         self.full_rank = next(iter(sizes))
         self.provenance = provenance
-        # bitmask mirrors of the bases for the hot paths (rank, exchange)
-        self._basis_masks = [self._mask(b) for b in bset]
-        self._basis_mask_set = frozenset(self._basis_masks)
-        self._rank_cache: dict = {}
+        self._full = (1 << n) - 1
+        self._basis_masks = masks
+        self._basis_mask_set = frozenset(masks)
+        self._rank_cache: dict = {}  # subset mask -> rank
         self._minor_cache: dict = {}
         self._lattice = None
-
-    @staticmethod
-    def _mask(elements) -> int:
-        m = 0
-        for e in elements:
-            m |= 1 << e
-        return m
 
     def _check_exchange(self) -> None:
         masks = self._basis_masks
@@ -120,34 +127,28 @@ class Matroid:
                     else:
                         raise InputError(
                             "basis exchange fails for pair "
-                            f"B1={sorted(self._bits(b1))}, B2={sorted(self._bits(b2))} "
+                            f"B1={bits(b1)}, B2={bits(b2)} "
                             f"at element {ebit.bit_length() - 1}"
                         )
-
-    @staticmethod
-    def _bits(mask: int):
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            yield bit.bit_length() - 1
 
     # -- basic queries ------------------------------------------------------
 
     def groundset(self) -> ElementSet:
         return ElementSet.full(self.n)
 
-    def _members(self, S: ElementSet) -> frozenset:
-        if not isinstance(S, ElementSet):
+    def _mask_of(self, S: ElementSet) -> int:
+        """The mask of S, after checking that S lives on this ground set."""
+        if S.__class__ is not ElementSet:
             raise InputError(f"expected ElementSet, got {type(S).__name__}")
         if S.universe != self.n:
             raise InputError(f"set universe {S.universe} does not match ground-set size {self.n}")
-        return S.members
+        return S.mask
 
-    def _rank(self, fs: frozenset) -> int:
-        r = self._rank_cache.get(fs)
+    def _rank(self, m: int) -> int:
+        """Rank of the subset with mask m, through the rank cache."""
+        r = self._rank_cache.get(m)
         if r is None:
-            m = self._mask(fs)
-            bound = min(len(fs), self.full_rank)
+            bound = min(m.bit_count(), self.full_rank)
             r = 0
             for b in self._basis_masks:
                 k = (m & b).bit_count()
@@ -155,12 +156,21 @@ class Matroid:
                     r = k
                     if r == bound:  # no basis meets S in more elements
                         break
-            self._rank_cache[fs] = r
+            self._rank_cache[m] = r
         return r
+
+    def _independent_part(self, m: int) -> int:
+        """A maximal independent subset of m, grown greedily by label."""
+        ind = size = 0
+        for e in bits(m):
+            if self._rank(ind | 1 << e) == size + 1:
+                ind |= 1 << e
+                size += 1
+        return ind
 
     def rank(self, S: ElementSet) -> int:
         """Rank of S: the size of a largest independent subset of S."""
-        return self._rank(self._members(S))
+        return self._rank(self._mask_of(S))
 
     def closure(self, S: ElementSet) -> ElementSet:
         """cl(S): all elements whose addition leaves the rank of S unchanged.
@@ -169,8 +179,7 @@ class Matroid:
         lies in a basis B with |B n S| = r(S), so
         cl(S) = E - U{B - S : |B n S| = r(S)}.
         """
-        fs = self._members(S)
-        m = self._mask(fs)
+        m = self._mask_of(S)
         best = -1
         spanned = 0  # union of the bases that meet S in r(S) elements
         for b in self._basis_masks:
@@ -179,26 +188,24 @@ class Matroid:
                 best, spanned = k, b
             elif k == best:
                 spanned |= b
-        self._rank_cache[fs] = best
-        outside = spanned & ~m
-        return ElementSet(frozenset(e for e in range(self.n) if not outside >> e & 1), self.n)
+        self._rank_cache[m] = best
+        return ElementSet._trusted(self._full & ~spanned | m, self.n)
 
     def is_independent(self, S: ElementSet) -> bool:
-        fs = self._members(S)
-        return self._rank(fs) == len(fs)
+        m = self._mask_of(S)
+        return self._rank(m) == m.bit_count()
 
     def is_coindependent(self, S: ElementSet) -> bool:
         """True when removing S does not lower the matroid's rank."""
-        fs = self._members(S)
-        return self._rank(frozenset(range(self.n)) - fs) == self.full_rank
+        return self._rank(self._full & ~self._mask_of(S)) == self.full_rank
 
     def is_simple(self) -> bool:
         """No loops, no parallel pairs."""
         for e in range(self.n):
-            if self._rank(frozenset([e])) == 0:
+            if self._rank(1 << e) == 0:
                 return False
         for e, f in combinations(range(self.n), 2):
-            if self._rank(frozenset([e, f])) == 1:
+            if self._rank(1 << e | 1 << f) == 1:
                 return False
         return True
 
@@ -224,56 +231,51 @@ class Matroid:
 
     # -- minors -------------------------------------------------------------
 
-    def _relabel_out(self, removed: frozenset) -> dict:
-        """Order-preserving dense relabeling of the surviving elements."""
-        return {e: i for i, e in enumerate(sorted(frozenset(range(self.n)) - removed))}
+    def _relabel_out(self, removed: int) -> dict:
+        """Order-preserving dense relabeling of the elements outside the mask."""
+        return {e: i for i, e in enumerate(bits(self._full & ~removed))}
 
     def contract(self, C: ElementSet) -> "Matroid":
-        """M/C on ground set E-C, relabeled densely (map recorded in provenance)."""
-        cfs = self._members(C)
-        cached = self._minor_cache.get(("contract", cfs))
+        """M/C on ground set E-C, relabeled densely (map recorded in provenance).
+
+        With I a maximal independent subset of C, the bases of M/C are the
+        sets B - I for the bases B of M that meet C exactly in I.
+        """
+        cm = self._mask_of(C)
+        cached = self._minor_cache.get(("contract", cm))
         if cached is not None:
             return cached
-        basis_of_c: set = set()
-        for e in sorted(cfs):
-            if self._rank(frozenset(basis_of_c | {e})) == len(basis_of_c) + 1:
-                basis_of_c.add(e)
-        relabel = self._relabel_out(cfs)
-        new_bases = set()
-        for b in self.bases:
-            if basis_of_c <= b and not (b - basis_of_c) & cfs:
-                new_bases.add(frozenset(relabel[e] for e in b - basis_of_c))
-        if not new_bases:
-            new_bases = {frozenset()}
+        ind = self._independent_part(cm)
+        relabel = self._relabel_out(cm)
+        rest = {b & ~ind for b in self._basis_masks if b & cm == ind}
         result = Matroid._unchecked(
-            self.n - len(cfs),
-            new_bases,
-            provenance={"op": "contract", "removed": sorted(cfs), "relabel": relabel, "parent": self},
+            self.n - cm.bit_count(),
+            [[relabel[e] for e in bits(b)] for b in rest],
+            provenance={"op": "contract", "removed": bits(cm), "relabel": relabel, "parent": self},
         )
-        self._minor_cache[("contract", cfs)] = result
+        self._minor_cache[("contract", cm)] = result
         return result
 
     def delete(self, D: ElementSet) -> "Matroid":
-        """M\\D: the restriction to E-D, relabeled densely."""
-        dfs = self._members(D)
-        cached = self._minor_cache.get(("delete", dfs))
+        """M\\D: the restriction to E-D, relabeled densely.
+
+        Every independent subset of E-D extends to a basis of M, so the bases
+        of M\\D are the sets B n (E-D) of r(E-D) elements, for bases B of M.
+        """
+        dm = self._mask_of(D)
+        cached = self._minor_cache.get(("delete", dm))
         if cached is not None:
             return cached
-        keep = sorted(frozenset(range(self.n)) - dfs)
-        relabel = self._relabel_out(dfs)
-        r2 = self._rank(frozenset(keep))
-        new_bases = set()
-        for comb in combinations(keep, r2):
-            if self._rank(frozenset(comb)) == r2:
-                new_bases.add(frozenset(relabel[e] for e in comb))
-        if not new_bases:
-            new_bases = {frozenset()}
+        keep = self._full & ~dm
+        r2 = self._rank(keep)
+        relabel = self._relabel_out(dm)
+        kept = {b & keep for b in self._basis_masks if (b & keep).bit_count() == r2}
         result = Matroid._unchecked(
-            len(keep),
-            new_bases,
-            provenance={"op": "delete", "removed": sorted(dfs), "relabel": relabel, "parent": self},
+            self.n - dm.bit_count(),
+            [[relabel[e] for e in bits(b)] for b in kept],
+            provenance={"op": "delete", "removed": bits(dm), "relabel": relabel, "parent": self},
         )
-        self._minor_cache[("delete", dfs)] = result
+        self._minor_cache[("delete", dm)] = result
         return result
 
     def restrict(self, S: ElementSet) -> "Matroid":
@@ -281,10 +283,9 @@ class Matroid:
         return self.delete(S.complement())
 
     def dual(self) -> "Matroid":
-        ground = frozenset(range(self.n))
         return Matroid._unchecked(
             self.n,
-            {ground - b for b in self.bases},
+            [bits(self._full & ~b) for b in self._basis_masks],
             provenance={"op": "dual", "parent": self},
         )
 
@@ -294,27 +295,26 @@ class Matroid:
         The class map (element -> surviving representative) is recorded in
         provenance alongside the dense relabeling.
         """
-        loops = {e for e in range(self.n) if self._rank(frozenset([e])) == 0}
+        loops = [e for e in range(self.n) if self._rank(1 << e) == 0]
         class_map: dict = {}
         reps: list = []
         for e in range(self.n):
             if e in loops:
                 continue
             for rep in reps:
-                if self._rank(frozenset([rep, e])) == 1:
+                if self._rank(1 << rep | 1 << e) == 1:
                     class_map[e] = rep
                     break
             else:
                 reps.append(e)
                 class_map[e] = e
-        drop = frozenset(range(self.n)) - frozenset(reps)
-        m = self.delete(ElementSet(drop, self.n))
+        m = self.delete(ElementSet.of(reps, self.n).complement())
         return Matroid._unchecked(
             m.n,
             m.bases,
             provenance={
                 "op": "simplify",
-                "loops": sorted(loops),
+                "loops": loops,
                 "class_map": class_map,
                 "relabel": m.provenance["relabel"],
                 "parent": self,
@@ -348,7 +348,7 @@ class MinorSpec:
             raise InputError("contract and delete sets live on different ground sets")
         if not self.contract.isdisjoint(self.delete):
             raise InputError(
-                f"contract and delete sets overlap on {sorted(self.contract.members & self.delete.members)}"
+                f"contract and delete sets overlap on {(self.contract & self.delete).sorted()}"
             )
 
 
@@ -362,27 +362,23 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
     contraction side.  The moved-back elements are coloops of the partial
     deletion, where contraction and deletion agree, so the minor is unchanged.
     """
-    C = M._members(spec.contract)
-    D = M._members(spec.delete)
-    ground = frozenset(range(M.n))
+    C = M._mask_of(spec.contract)
+    D = M._mask_of(spec.delete)
 
-    c_ind: set = set()
-    for e in sorted(C):
-        if M._rank(frozenset(c_ind | {e})) == len(c_ind) + 1:
-            c_ind.add(e)
-    d0 = D | (C - c_ind)
+    c_ind = M._independent_part(C)
+    d0 = D | C & ~c_ind
 
-    d_coind: set = set()
-    for e in sorted(d0):
-        if M._rank(ground - d_coind - {e}) == M.full_rank:
-            d_coind.add(e)
-    c_final = c_ind | (d0 - d_coind)
+    d_coind = 0
+    for e in bits(d0):
+        if M._rank(M._full & ~(d_coind | 1 << e)) == M.full_rank:
+            d_coind |= 1 << e
+    c_final = c_ind | d0 & ~d_coind
 
-    result = MinorSpec(ElementSet(frozenset(c_final), M.n), ElementSet(frozenset(d_coind), M.n))
+    result = MinorSpec(ElementSet.of(bits(c_final), M.n), ElementSet.of(bits(d_coind), M.n))
     if not M.is_independent(result.contract):
-        raise ConstructionError(f"normal form produced dependent contraction set {sorted(c_final)}")
+        raise ConstructionError(f"normal form produced dependent contraction set {bits(c_final)}")
     if not M.is_coindependent(result.delete):
-        raise ConstructionError(f"normal form produced codependent deletion set {sorted(d_coind)}")
+        raise ConstructionError(f"normal form produced codependent deletion set {bits(d_coind)}")
     return result
 
 

@@ -199,11 +199,12 @@ def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchR
             f"{m} hyperplanes exceeds the budget cap of {budget.max_hyperplanes}",
         )
 
-    # an adjoint must satisfy r'(P(F)) = r - r(F), where P(F) holds the labels
-    # of the hyperplanes containing F; small P(F) first, as they fail soonest
+    # an adjoint must satisfy r'(P(F)) = r - r(F), where P(F) is the mask of
+    # the labels of the hyperplanes containing F; small P(F) first, as they
+    # fail soonest
     forced = sorted(
-        ((r - M.rank(F), frozenset(i for i, H in enumerate(hyperplanes) if F <= H))
-         for F in M.flats().all_flats()),
+        ((r - k, sum(1 << i for i, H in enumerate(hyperplanes) if F <= H))
+         for k, layer in enumerate(M.flats().flats_by_rank) for F in layer),
         key=lambda t: t[0],
     )
     bij = {H: i for i, H in enumerate(hyperplanes)}

@@ -1,114 +1,182 @@
 """Subsets of a fixed ground set {0, ..., n-1}.
 
 ElementSet is the universal currency of the package: flats, bases, contraction
-and deletion sets are all ElementSets.  Instances are immutable and hashable.
+and deletion sets are all ElementSets.  Each one is an int bitmask (bit e set
+when e is a member) plus the universe size n, and the mask is the one internal
+representation: set algebra, subset tests, hashing and rank queries all work
+on it.  ``members`` is derived from the mask on demand.
+
+Membership is validated once, where a set is made from caller-supplied
+elements: the constructor, ``of``, ``empty``, ``add`` and ``relabel`` refuse
+anything but an int in range (bools included).  Set algebra, ``complement``,
+``full`` and ``Matroid.closure`` build their results through a private path
+that skips the check, since those results lie in the same universe by
+construction.  Instances are immutable and hashable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _validated_mask(members: Iterable, universe: int) -> int:
+    """The bitmask of ``members``, refusing anything but an int in range."""
+    mask = 0
+    for e in members:
+        if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
+            raise InputError(f"element {e!r} is not an integer")
+        if e < 0 or e >= universe:
+            raise InputError(f"element {e!r} out of range for ground set of size {universe}")
+        mask |= 1 << e
+    return mask
+
+
+def bits(mask: int) -> list:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class ElementSet:
-    members: frozenset
-    universe: int
+    """A subset of {0, ..., universe-1}: bit e of ``mask`` is set when e is a member."""
 
-    def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        if self.universe < 0:
-            raise InputError(f"universe size must be non-negative, got {self.universe}")
-        for e in self.members:
-            if not isinstance(e, int) or e < 0 or e >= self.universe:
-                raise InputError(
-                    f"element {e!r} out of range for ground set of size {self.universe}"
-                )
+    __slots__ = ("mask", "universe")
+
+    def __init__(self, members: Iterable[int], universe: int):
+        if type(universe) is not int or universe < 0:
+            raise InputError(f"universe size must be a non-negative integer, got {universe!r}")
+        _set(self, "mask", _validated_mask(members, universe))
+        _set(self, "universe", universe)
+
+    @classmethod
+    def _trusted(cls, mask: int, universe: int) -> "ElementSet":
+        """A set from a mask known to lie in the universe; nothing is checked."""
+        s = _new(cls)
+        _set(s, "mask", mask)
+        _set(s, "universe", universe)
+        return s
 
     @classmethod
     def of(cls, members: Iterable[int], universe: int) -> "ElementSet":
-        return cls(frozenset(members), universe)
+        return cls(members, universe)
 
     @classmethod
     def empty(cls, universe: int) -> "ElementSet":
-        return cls(frozenset(), universe)
+        return cls((), universe)
 
     @classmethod
     def full(cls, universe: int) -> "ElementSet":
-        return cls(frozenset(range(universe)), universe)
+        return cls.empty(universe).complement()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ElementSet is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (ElementSet, (self.sorted(), self.universe))
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(bits(self.mask))
+
+    # -- identity -----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ElementSet:
+            return NotImplemented
+        return self.mask == other.mask and self.universe == other.universe
+
+    def __hash__(self) -> int:
+        # the mask itself: equal sets share it, and it costs nothing to compute
+        return self.mask
 
     # -- container protocol -------------------------------------------------
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return iter(bits(self.mask))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
-    def __contains__(self, e: int) -> bool:
-        return e in self.members
+    def __contains__(self, e) -> bool:
+        return isinstance(e, int) and e >= 0 and bool(self.mask >> e & 1)
 
     def __bool__(self) -> bool:
-        return bool(self.members)
+        return self.mask != 0
 
     # -- set algebra (same universe required) -------------------------------
 
-    def _coerce(self, other: "ElementSet") -> frozenset:
-        if not isinstance(other, ElementSet):
+    def _check(self, other) -> None:
+        """Refuse an operand that is not an ElementSet on the same universe."""
+        if other.__class__ is not ElementSet:
             raise InputError(f"expected ElementSet, got {type(other).__name__}")
         if other.universe != self.universe:
-            raise InputError(
-                f"universe mismatch: {self.universe} vs {other.universe}"
-            )
-        return other.members
+            raise InputError(f"universe mismatch: {self.universe} vs {other.universe}")
 
     def __or__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.members | self._coerce(other), self.universe)
+        self._check(other)
+        return _trusted(self.mask | other.mask, self.universe)
 
     def __and__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.members & self._coerce(other), self.universe)
+        self._check(other)
+        return _trusted(self.mask & other.mask, self.universe)
 
     def __sub__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.members - self._coerce(other), self.universe)
+        self._check(other)
+        return _trusted(self.mask & ~other.mask, self.universe)
 
     def __le__(self, other: "ElementSet") -> bool:
         """Subset test."""
-        return self.members <= self._coerce(other)
+        self._check(other)
+        return not self.mask & ~other.mask
 
     def issubset(self, other: "ElementSet") -> bool:
         return self <= other
 
     def isdisjoint(self, other: "ElementSet") -> bool:
-        return self.members.isdisjoint(self._coerce(other))
+        self._check(other)
+        return not self.mask & other.mask
 
     def complement(self) -> "ElementSet":
-        return ElementSet(frozenset(range(self.universe)) - self.members, self.universe)
+        return _trusted(((1 << self.universe) - 1) & ~self.mask, self.universe)
 
     def add(self, e: int) -> "ElementSet":
-        return ElementSet.of(self.members | {e}, self.universe)
+        return _trusted(self.mask | _validated_mask((e,), self.universe), self.universe)
 
     def remove(self, e: int) -> "ElementSet":
-        return ElementSet(self.members - {e}, self.universe)
+        if isinstance(e, int) and 0 <= e < self.universe:
+            return _trusted(self.mask & ~(1 << e), self.universe)
+        return self
 
     # -- ordering and relabeling --------------------------------------------
 
     @property
     def key(self) -> tuple:
         """Canonical sort key: the sorted member tuple (lexicographic order)."""
-        return tuple(sorted(self.members))
+        return tuple(bits(self.mask))
 
     def sorted(self) -> list:
-        return sorted(self.members)
+        return bits(self.mask)
 
     def relabel(self, mapping: Mapping[int, int], new_universe: int) -> "ElementSet":
         """Push the set through an element relabeling (must be defined on all members)."""
         try:
-            return ElementSet(frozenset(mapping[e] for e in self.members), new_universe)
+            return ElementSet(map(mapping.__getitem__, bits(self.mask)), new_universe)
         except KeyError as exc:
             raise InputError(f"relabeling undefined on element {exc.args[0]}") from exc
 
     def __repr__(self) -> str:
-        inner = ",".join(str(e) for e in sorted(self.members))
+        inner = ",".join(map(str, bits(self.mask)))
         return f"{{{inner}}}/{self.universe}"
+
+
+_trusted = ElementSet._trusted

@@ -28,6 +28,12 @@ def brute_closure(M, subset):
     return set(subset) | {e for e in range(M.n) if brute_rank(M, set(subset) | {e}) == r0}
 
 
+def brute_restriction_bases(M, keep):
+    """Bases of M|keep: the r(keep)-subsets of keep of full rank, by brute_rank."""
+    r = brute_rank(M, keep)
+    return {frozenset(c) for c in combinations(sorted(keep), r) if brute_rank(M, c) == r}
+
+
 def brute_flats(M):
     """Close every one of the 2^n subsets and deduplicate."""
     return {ElementSet.of(brute_closure(M, sub), M.n) for sub in powerset(range(M.n))}
@@ -106,3 +112,40 @@ def greedy_rank(M, subset):
         if any(cand <= b for b in M.bases):
             picked = cand
     return len(picked)
+
+
+def by_size_then_lex(flats):
+    return sorted(flats, key=lambda f: (len(f.members), sorted(f.members)))
+
+
+def brute_inclusion_reversal(phi):
+    """Witness pairs (F1, F2), F1 a proper subset of F2 with phi(F2) not
+    within phi(F1), over all ordered pairs of source flats, in lattice order."""
+    flats = list(phi.source.flats().all_flats())
+    return [
+        (F1, F2) for F1 in flats for F2 in flats
+        if F1.members < F2.members and not phi.table[F2].members <= phi.table[F1].members
+    ]
+
+
+def brute_modular_pairs(phi):
+    """Witness pairs (X, Y) whose images are not a modular pair under brute_rank."""
+    Mp = phi.target
+    flats = by_size_then_lex(phi.source.flats().all_flats())
+    out = []
+    for i, X in enumerate(flats):
+        for Y in flats[i:]:
+            a, b = phi.table[X].members, phi.table[Y].members
+            if (brute_rank(Mp, a) + brute_rank(Mp, b)
+                    != brute_rank(Mp, a | b) + brute_rank(Mp, a & b)):
+                out.append((X, Y))
+    return out
+
+
+def brute_rank_complement(phi):
+    """Source flats F with r'(phi(F)) != r - r(F), under brute_rank."""
+    M, Mp = phi.source, phi.target
+    return [
+        F for F in phi.source.flats().all_flats()
+        if brute_rank(Mp, phi.table[F].members) != M.full_rank - brute_rank(M, F.members)
+    ]

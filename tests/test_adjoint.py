@@ -1,6 +1,8 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matadj import (
     AdjointMap,
@@ -10,6 +12,7 @@ from matadj import (
     PreconditionError,
     StructureError,
     by_name,
+    catalog,
     check_chain_independence,
     check_modular_pairs,
     check_rank_complement,
@@ -24,6 +27,7 @@ from matadj import (
     verify_adjoint,
 )
 from matadj.files import adjoint_to_dict, canonical_json
+from oracles import brute_inclusion_reversal, brute_modular_pairs, brute_rank_complement
 
 
 def es(members, n):
@@ -123,6 +127,29 @@ def test_modular_pairs():
     assert check_modular_pairs(fano_map()).valid
 
 
+def _witnesses(report, check):
+    return [v.witness for v in report.violations if v.check == check]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["U_2_3", "U_2_4", "U_3_4", "U_3_5", "M_K4", "fano", "nonfano"]),
+       st.data())
+def test_mask_checks_match_brute_force_witnesses(fixture_maps, name, data):
+    # a valid map with one to three entries sent to other target flats: the
+    # mask loops report the witnesses, in the order, that the oracles find
+    phi = fixture_maps[name]
+    flats = list(phi.source.flats().all_flats())
+    targets = list(phi.target.flats().all_flats())
+    table = dict(phi.table)
+    for _ in range(data.draw(st.integers(1, 3))):
+        table[data.draw(st.sampled_from(flats))] = data.draw(st.sampled_from(targets))
+    bad = AdjointMap(phi.source, phi.target, table)
+    assert _witnesses(verify_adjoint(bad), "inclusion_reversal") == brute_inclusion_reversal(bad)
+    assert _witnesses(check_modular_pairs(bad), "modular_pairs") == brute_modular_pairs(bad)
+    assert [F for (F,) in _witnesses(check_rank_complement(bad), "rank_complement")] \
+        == brute_rank_complement(bad)
+
+
 def test_induced_map_all_six_bijections_valid():
     u23 = uniform(2, 3)
     hps = u23.hyperplanes()
@@ -177,6 +204,23 @@ def test_contract_adjoint_fano():
     assert (psi.source.n, psi.source.full_rank) == (6, 2)
     assert psi.target.n == 3  # the three lines through the contracted point
     assert verify_adjoint(psi).valid
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_contraction_flats_lift_to_flats(name):
+    # contract_adjoint reads phi(F u C) with no closure, because F u C is
+    # already a flat of M for every flat F of M/C
+    M = by_name(name).matroid
+    lattice = M.flats()
+    for size in range(3):
+        for C in combinations(range(M.n), size):
+            Cset = es(C, M.n)
+            if not M.is_independent(Cset):
+                continue
+            minor = M.contract(Cset)
+            inverse = {v: k for k, v in minor.provenance["relabel"].items()}
+            for F in minor.flats().all_flats():
+                assert lattice.is_flat(F.relabel(inverse, M.n) | Cset), (name, C, F)
 
 
 def test_vanishing_hyperplanes():

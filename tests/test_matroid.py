@@ -15,7 +15,14 @@ from matadj import (
     minor_normal_form,
     uniform,
 )
-from oracles import brute_closure, brute_rank, gf_matrix_rank, greedy_rank, powerset
+from oracles import (
+    brute_closure,
+    brute_rank,
+    brute_restriction_bases,
+    gf_matrix_rank,
+    greedy_rank,
+    powerset,
+)
 
 
 def es(members, n):
@@ -90,6 +97,20 @@ def test_closure_matches_brute_force_on_every_subset(name):
             assert closures.closure(S).members == brute_closure(N, sub), (name, N, sub)
 
 
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_rank_and_closure_match_brute_force_through_the_cache(name):
+    # rank and closure share the one mask-keyed rank cache; the second sweep
+    # answers every query from it
+    M = by_name(name).matroid
+    M = Matroid(M.n, M.bases)
+    subsets = [(sub, es(sub, M.n)) for sub in powerset(range(M.n))]
+    for sweep in range(2):
+        for sub, S in subsets:
+            assert M.rank(S) == brute_rank(M, sub), (name, sweep, sub)
+            assert M.closure(S).members == brute_closure(M, sub), (name, sweep, sub)
+        assert len(M._rank_cache) == 2 ** M.n
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["U_2_4", "U_3_5", "M_K4", "fano"]), st.data())
 def test_closure_is_a_closure_operator(name, data):
@@ -154,6 +175,19 @@ def test_delete_examples():
     assert (fd.n, fd.full_rank) == (6, 3)
     lines = fd.flats().layer(2)
     assert sum(1 for f in lines if len(f) == 3) == 4
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_delete_bases_match_brute_force(name):
+    # M\D takes the bases B n (E-D) of size r(E-D); the oracle lists the
+    # full-rank subsets of E-D instead
+    M = by_name(name).matroid
+    for size in range(min(3, M.n) + 1):
+        for D in combinations(range(M.n), size):
+            minor = M.delete(es(D, M.n))
+            inverse = {v: k for k, v in minor.provenance["relabel"].items()}
+            got = {frozenset(inverse[e] for e in b) for b in minor.bases}
+            assert got == brute_restriction_bases(M, set(range(M.n)) - set(D)), (name, D)
 
 
 def test_delete_flat_correspondence():

@@ -1,6 +1,11 @@
-import pytest
+import operator
+import pickle
 
-from matadj import ElementSet, InputError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matadj import ElementSet, InputError, Matroid
 
 
 def test_out_of_range_rejected():
@@ -37,3 +42,102 @@ def test_relabel():
     assert a.relabel({1: 0, 3: 1}, 2) == ElementSet.of([0, 1], 2)
     with pytest.raises(InputError):
         a.relabel({1: 0}, 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ElementSet.of([True, 0], 3),
+        lambda: ElementSet([0, False], 3),
+        lambda: ElementSet.of([1.0], 3),
+        lambda: ElementSet.of(["1"], 3),
+        lambda: ElementSet.of([0], 3).add(True),
+        lambda: ElementSet.of([1], 3).relabel({1: True}, 3),
+        lambda: ElementSet.empty(True),
+        lambda: Matroid(2, [[True, 0]]),
+        lambda: Matroid(3, [[0, False], [0, 2]]),
+        lambda: Matroid(2, [[0, 1.0]]),
+    ],
+    ids=["of", "constructor", "float", "str", "add", "relabel", "universe",
+         "matroid", "matroid-false", "matroid-float"],
+)
+def test_non_int_labels_refused(make):
+    # a bool would otherwise become the element it equals as a bit position
+    with pytest.raises(InputError):
+        make()
+
+
+def test_immutable():
+    a = ElementSet.of([0], 2)
+    with pytest.raises(AttributeError):
+        a.mask = 3
+    assert a == ElementSet.of([0], 2)
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+@st.composite
+def set_pairs(draw):
+    """A universe size and two subsets of it, as plain frozensets."""
+    u = draw(st.integers(0, 40))
+    subsets = st.frozensets(st.integers(0, u - 1)) if u else st.just(frozenset())
+    return u, draw(subsets), draw(subsets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(set_pairs(), st.data())
+def test_matches_a_frozenset_model(pair, data):
+    u, a, b = pair
+    A, B = ElementSet.of(a, u), ElementSet.of(b, u)
+    ground = frozenset(range(u))
+
+    def same(S, model):
+        assert isinstance(S, ElementSet) and S.universe == u
+        assert S.members == model
+        assert list(S) == S.sorted() == sorted(model)
+        assert S.key == tuple(sorted(model))
+        assert len(S) == len(model) and bool(S) == bool(model)
+        assert repr(S) == "{" + ",".join(map(str, sorted(model))) + "}/" + str(u)
+
+    same(A, a)
+    for op in (operator.or_, operator.and_, operator.sub):
+        same(op(A, B), op(a, b))
+    assert (A <= B) == (a <= b) == A.issubset(B)
+    assert A.isdisjoint(B) == a.isdisjoint(b)
+    same(A.complement(), ground - a)
+    same(ElementSet.full(u), ground)
+    same(ElementSet.empty(u), frozenset())
+
+    e = data.draw(st.integers(-3, u + 3))
+    assert (e in A) == (e in a)
+    same(A.remove(e), a - {e})
+    if 0 <= e < u:
+        same(A.add(e), a | {e})
+    else:
+        with pytest.raises(InputError):
+            A.add(e)
+
+    v = data.draw(st.integers(u, u + 4))
+    image = data.draw(st.permutations(range(v)))[:u]
+    mapping = dict(enumerate(image))
+    R = A.relabel(mapping, v)
+    assert R.universe == v and R.members == frozenset(mapping[x] for x in a)
+
+    # equal sets are equal and hash alike, however they were made
+    assert (A == B) == (a == b)
+    for S, model in ((A, a), (B, b)):
+        for twin in (ElementSet(sorted(model, reverse=True), u), (A | B) & S, S - (S - S)):
+            assert twin == S and hash(twin) == hash(S)
+            assert {twin: 1}[S] == 1
+    assert A != ElementSet.of(a, u + 1)
+    assert A != a  # not equal to a plain set
+
+    other = ElementSet.of(a, u + 1)
+    for op in (operator.or_, operator.and_, operator.sub, operator.le):
+        with pytest.raises(InputError, match="universe mismatch"):
+            op(A, other)
+    with pytest.raises(InputError):
+        A | a
+    with pytest.raises(InputError, match="out of range"):
+        ElementSet.of(sorted(a) + [u], u)
+    with pytest.raises(InputError, match="out of range"):
+        ElementSet.of([-1 - e % 3], u)
