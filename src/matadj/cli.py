@@ -22,7 +22,7 @@ from .errors import InputError, MatadjError, PreconditionError, StructureError
 from .files import canonical_json, load_adjoint, load_matroid, save_adjoint
 from .matroid import Matroid, MinorSpec
 from .search import SearchBudget, adjoint_from_representation, search_adjoint
-from .sets import ElementSet
+from .sets import ElementSet, label_mask
 
 
 def _parse_elements(raw: str, n: int) -> ElementSet:
@@ -33,6 +33,7 @@ def _parse_elements(raw: str, n: int) -> ElementSet:
         members = [int(x) for x in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"element list {raw!r} is not comma-separated integers") from exc
+    label_mask(members, n, "element list")
     return ElementSet.of(members, n)
 
 

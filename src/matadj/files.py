@@ -30,9 +30,9 @@ from .adjoint import AdjointMap, derive_hyperplane_order
 from .catalog import by_name
 from .errors import InputError
 from .linalg import PrimeField
-from .matroid import Matroid
+from .matroid import Matroid, checked_basis_masks
 from .search import Representation
-from .sets import ElementSet
+from .sets import ElementSet, bits, label_mask
 
 Source = Union[str, Path, dict]
 
@@ -73,42 +73,21 @@ def matroid_to_dict(M: Matroid, name: Optional[str] = None,
             matrix = [[int(col[i]) for col in rep.columns] for i in range(rep.dim)]
         out = {"n": M.n, "field": field, "matrix": matrix}
     else:
-        out = {"n": M.n, "bases": sorted(sorted(b) for b in M.bases)}
+        out = {"n": M.n, "bases": sorted(bits(b) for b in M._basis_masks)}
     if name is not None:
         out["name"] = name
     return out
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_elements(values: list, what: str) -> None:
-    """Refuse what a frozenset would silently collapse or accept: repeated
-    elements, and bools or other non-int labels."""
-    bad = [e for e in values if not _is_int(e)]
-    if bad:
-        raise InputError(f"{what} {values!r} has non-integer element {bad[0]!r}")
-    if len(set(values)) != len(values):
-        raise InputError(f"{what} {values!r} repeats an element")
-
-
 def _check_bases(bases) -> None:
-    """Refuse what Matroid would silently collapse: repeated elements or bases."""
+    """Refuse a 'bases' value that is not a list of lists."""
     if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
         raise InputError("'bases' must be a list of lists")
-    seen = set()
-    for b in bases:
-        _check_elements(b, "basis")
-        key = frozenset(b)
-        if key in seen:
-            raise InputError(f"basis {sorted(key)} is listed more than once")
-        seen.add(key)
 
 
 def _read_n(data: dict) -> int:
     n = data.get("n")
-    if not _is_int(n):
+    if type(n) is not int:
         raise InputError("matroid file needs an integer 'n'")
     return n
 
@@ -191,14 +170,14 @@ def _describes(spec, M: Matroid, role: str) -> bool:
     if isinstance(spec, dict) and "bases" in spec:
         n = _read_n(spec)
         _check_bases(spec["bases"])
-        return n == M.n and {frozenset(b) for b in spec["bases"]} == M.bases
+        return n == M.n and set(checked_basis_masks(spec["bases"], n)) == set(M._basis_masks)
     return _resolve_matroid(spec, role) == M
 
 
 def _element_set(values, n: int, what: str) -> ElementSet:
     if not isinstance(values, list):
         raise InputError(f"{what} must be a list of integers, got {values!r}")
-    _check_elements(values, what)
+    label_mask(values, n, what)
     return ElementSet.of(values, n)
 
 

@@ -9,10 +9,10 @@ suite as an independent oracle.
 
 The build relies on M being a matroid, since only a matroid's closure gives
 a geometric lattice, but it does not check the exchange axiom itself.  That
-is checked once, where bases enter from outside the package: the public
-``Matroid`` constructor, which bases files and search candidates go through.
-Column matroids and the minors, duals and simplifications of a ``Matroid``
-are matroids by a theorem and skip the check; see the ``Matroid`` docstring.
+is checked where bases enter from outside the package: by the public
+``Matroid`` constructor (bases files too), and by an explicit call on each
+search candidate.  Column matroids and the minors, duals and simplifications
+of a ``Matroid`` are matroids by a theorem and skip it; see ``Matroid``.
 """
 from __future__ import annotations
 

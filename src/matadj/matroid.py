@@ -1,9 +1,9 @@
 """Matroids backed by explicit bases lists.
 
-A matroid is stored as its ground-set size plus the set of bases; every rank
-or closure query reduces to intersections with bases.  Matrices and other
-input formats are converted to bases at load time, so there is a single
-source of truth for rank.
+A matroid is stored as its ground-set size plus its bases, as int bitmasks;
+every rank or closure query reduces to intersections with bases.  Matrices
+and other input formats are converted to bases at load time, so there is a
+single source of truth for rank.
 
 All instances are immutable after construction (internal caches aside) and
 every operation is a pure function of its inputs.
@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import ConstructionError, InputError
-from .sets import ElementSet, bits
+from .sets import ElementSet, bits, label_mask
 
 DEFAULT_MAX_N = 16
 _ENV_MAX_N = "MATADJ_MAX_N"
@@ -33,81 +33,82 @@ def max_ground_size() -> int:
         raise InputError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
 
 
+def checked_basis_masks(bases: Iterable, n: int) -> tuple:
+    """The masks of a caller's bases, in order: label-checked, none listed twice."""
+    masks: dict = {}
+    for b in bases:
+        mask = label_mask(b, n, "basis")
+        if mask in masks:
+            raise InputError(f"basis {bits(mask)} is listed more than once")
+        masks[mask] = None
+    return tuple(masks)
+
+
 class Matroid:
     """A matroid on ground set {0, ..., n-1} given by its bases.
 
-    Inside, every set is an int bitmask, the one representation that
-    ``ElementSet`` also uses: the bases are scanned as masks, and the one
-    rank cache maps a subset's mask to its rank.  ``rank``, ``closure`` and
-    the minor constructions check that a query set lives on this ground set
-    and then read its mask; its members were validated when it was made.
-    Both constructors refuse basis elements that are not ints in range,
-    bools included.
+    Every set is an int bitmask, as in ``ElementSet``.  The bases are stored
+    once, as the mask tuple ``_basis_masks``; ``bases`` (frozensets) is derived
+    on demand.  The one rank cache maps a subset's mask to its rank.
 
-    The public constructor is the trust boundary: it validates the
-    basis-exchange axiom, which costs O(|B|^2 r^2), and rejects families that
-    fail it, naming a violating pair.  Every family from outside the package
-    goes through it: the caller's bases, bases read from a file, and search
-    candidates.  Constructions whose output is a matroid by a theorem use
-    ``_unchecked``, which keeps the cheap shape checks and skips only the
-    exchange check: the column matroid of a matrix (``Representation.matroid``,
-    matrix files included), by the Steinitz exchange lemma, and the
-    contraction, deletion, dual and simplification of an existing
-    ``Matroid``, because these operations take matroids to matroids.
+    The public constructor is the trust boundary.  It refuses a non-int or
+    bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
+    repeated basis, and a family that fails the basis-exchange axiom, which
+    costs O(|B|^2 r^2), naming a violating pair; user code and bases files go
+    through it.  ``_unchecked`` takes masks and skips only the exchange check,
+    for outputs that are matroids by a theorem: the column matroid of a
+    matrix (``Representation.matroid``), by the Steinitz exchange lemma, and
+    the contraction, deletion, dual and simplification of a ``Matroid``.
+    Search builds each candidate with ``_unchecked`` and then calls
+    ``_check_exchange`` on it explicitly.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
-        self._setup(n, bases, provenance)
+        if type(n) is not int:
+            raise InputError(f"ground-set size must be an integer, got {n!r}")
+        self._setup(n, checked_basis_masks(bases, n), provenance)
         self._check_exchange()
 
     @classmethod
-    def _unchecked(cls, n: int, bases: Iterable, provenance: Optional[dict] = None) -> "Matroid":
-        """A matroid whose bases satisfy the exchange axiom by a theorem.
+    def _unchecked(cls, n: int, masks: Iterable, provenance: Optional[dict] = None) -> "Matroid":
+        """A matroid whose distinct basis masks pass the exchange axiom by a theorem.
 
         Bases from outside the package never come here; they go through the
         public constructor.
         """
         matroid = cls.__new__(cls)
-        matroid._setup(n, bases, provenance)
+        matroid._setup(n, tuple(masks), provenance)
         return matroid
 
-    def _setup(self, n: int, bases: Iterable, provenance: Optional[dict]) -> None:
+    def _setup(self, n: int, masks: tuple, provenance: Optional[dict]) -> None:
         cap = max_ground_size()
         if n < 0:
             raise InputError(f"ground-set size must be non-negative, got {n}")
         if n > cap:
             raise InputError(f"ground-set size {n} exceeds cap {cap} (set {_ENV_MAX_N} to raise)")
-        bset = frozenset(frozenset(b) for b in bases)
-        if not bset:
+        if not masks:
             raise InputError("a matroid needs at least one basis (use [[]] for rank 0)")
-        sizes = {len(b) for b in bset}
+        sizes = {b.bit_count() for b in masks}
         if len(sizes) != 1:
             raise InputError(f"bases have unequal sizes {sorted(sizes)}")
-        masks = []
-        for b in bset:
-            m = 0
-            for e in b:
-                if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
-                    raise InputError(f"basis element {e!r} is not an integer")
-                if e < 0 or e >= n:
-                    raise InputError(f"basis element {e!r} out of range for n={n}")
-                m |= 1 << e
-            masks.append(m)
         self.n = n
-        self.bases = bset
-        self.full_rank = next(iter(sizes))
+        self.full_rank = sizes.pop()
         self.provenance = provenance
         self._full = (1 << n) - 1
         self._basis_masks = masks
-        self._basis_mask_set = frozenset(masks)
         self._rank_cache: dict = {}  # subset mask -> rank
         self._minor_cache: dict = {}
         self._lattice = None
 
+    @property
+    def bases(self) -> frozenset:
+        """The bases as a frozenset of frozensets, derived from the masks."""
+        return frozenset(frozenset(bits(b)) for b in self._basis_masks)
+
     def _check_exchange(self) -> None:
         masks = self._basis_masks
-        mask_set = self._basis_mask_set
-        for i, b1 in enumerate(masks):
+        mask_set = frozenset(masks)
+        for b1 in masks:
             for b2 in masks:
                 if b1 == b2:
                     continue
@@ -247,10 +248,9 @@ class Matroid:
             return cached
         ind = self._independent_part(cm)
         relabel = self._relabel_out(cm)
-        rest = {b & ~ind for b in self._basis_masks if b & cm == ind}
         result = Matroid._unchecked(
             self.n - cm.bit_count(),
-            [[relabel[e] for e in bits(b)] for b in rest],
+            _squeeze([b & ~ind for b in self._basis_masks if b & cm == ind], cm),
             provenance={"op": "contract", "removed": bits(cm), "relabel": relabel, "parent": self},
         )
         self._minor_cache[("contract", cm)] = result
@@ -269,10 +269,10 @@ class Matroid:
         keep = self._full & ~dm
         r2 = self._rank(keep)
         relabel = self._relabel_out(dm)
-        kept = {b & keep for b in self._basis_masks if (b & keep).bit_count() == r2}
+        kept = dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
         result = Matroid._unchecked(
             self.n - dm.bit_count(),
-            [[relabel[e] for e in bits(b)] for b in kept],
+            _squeeze(kept, dm),
             provenance={"op": "delete", "removed": bits(dm), "relabel": relabel, "parent": self},
         )
         self._minor_cache[("delete", dm)] = result
@@ -285,7 +285,7 @@ class Matroid:
     def dual(self) -> "Matroid":
         return Matroid._unchecked(
             self.n,
-            [bits(self._full & ~b) for b in self._basis_masks],
+            [self._full & ~b for b in self._basis_masks],
             provenance={"op": "dual", "parent": self},
         )
 
@@ -311,7 +311,7 @@ class Matroid:
         m = self.delete(ElementSet.of(reps, self.n).complement())
         return Matroid._unchecked(
             m.n,
-            m.bases,
+            m._basis_masks,
             provenance={
                 "op": "simplify",
                 "loops": loops,
@@ -327,13 +327,22 @@ class Matroid:
         """Labeled equality: same ground-set size, same bases."""
         if not isinstance(other, Matroid):
             return NotImplemented
-        return self.n == other.n and self.bases == other.bases
+        return self.n == other.n and frozenset(self._basis_masks) == frozenset(other._basis_masks)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.bases))
+        return hash((self.n, frozenset(self._basis_masks)))
 
     def __repr__(self) -> str:
-        return f"Matroid(n={self.n}, rank={self.full_rank}, bases={len(self.bases)})"
+        return f"Matroid(n={self.n}, rank={self.full_rank}, bases={len(self._basis_masks)})"
+
+
+def _squeeze(masks: Iterable[int], removed: int) -> list:
+    """``_relabel_out`` on masks that miss ``removed``: cut out its bits, shift the rest down."""
+    out = list(masks)
+    for p in reversed(bits(removed)):
+        low = (1 << p) - 1
+        out = [b & low | b >> 1 & ~low for b in out]
+    return out
 
 
 @dataclass(frozen=True)

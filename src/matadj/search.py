@@ -53,8 +53,8 @@ class Representation:
 
     def matroid(self, provenance: Optional[dict] = None) -> Matroid:
         r = self.rank_of(range(self.n))
-        bases = [c for c in combinations(range(self.n), r) if self.rank_of(c) == r]
-        return Matroid._unchecked(self.n, bases, provenance=provenance)
+        masks = [sum(1 << e for e in c) for c in combinations(range(self.n), r) if self.rank_of(c) == r]
+        return Matroid._unchecked(self.n, masks, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
         """The canonical linear functional vanishing on the columns of H.
@@ -159,30 +159,21 @@ class SearchResult:
     diagnostic: Optional[str] = None
 
 
-def _family_is_simple(family, m: int, r: int) -> bool:
-    """Every element, and (for r >= 2) every pair, lies in some member."""
-    covered = set()
-    for b in family:
-        covered.update(b)
-    if len(covered) != m:
-        return False
-    if r >= 2:
-        pair_cover = {p for b in family for p in combinations(b, 2)}
-        if len(pair_cover) != m * (m - 1) // 2:
-            return False
-    elif m != 1:
-        return False  # a simple rank-1 matroid has exactly one point
-    return True
+def _cover_mask(labels, m: int) -> int:
+    """Bit i*m + j for each pair i < j of labels.  A family that covers every
+    pair is simple: it covers every label too, and for r = 1 forces m = 1."""
+    return sum(1 << i * m + j for i, j in combinations(labels, 2))
 
 
 def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Find an adjoint of M by exhausting candidate targets.
 
     Candidates are simple rank-r matroids on the hyperplane labels, ordered
-    by number of bases descending and then lexicographically.  Each is tried
-    once, under the identity bijection H_i -> i: every relabelling of a
-    candidate is itself a candidate, so no other bijection can succeed where
-    all identities fail.  ``exhausted`` is True only when the whole space was
+    by number of bases descending and then lexicographically.  Each is built
+    from masks, exchange-checked by an explicit call, and tried once, under
+    the identity bijection H_i -> i: every relabelling of a candidate is
+    itself a candidate, so no other bijection can succeed where all
+    identities fail.  ``exhausted`` is True only when the whole space was
     covered, so a budget refusal can never be read as non-existence.
     """
     r = M.full_rank
@@ -209,15 +200,20 @@ def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchR
     )
     bij = {H: i for i, H in enumerate(hyperplanes)}
 
-    all_subsets = sorted(combinations(range(m), r))
+    # (basis mask, cover mask) of each r-subset of labels, in lexicographic order
+    members = [(sum(1 << i for i in c), _cover_mask(c, m)) for c in combinations(range(m), r)]
+    all_pairs = _cover_mask(range(m), m)
     examined = 0
-    for size in range(len(all_subsets), 0, -1):
-        for chosen in combinations(all_subsets, size):
-            family = [frozenset(b) for b in chosen]
-            if not _family_is_simple(family, m, r):
+    for size in range(len(members), 0, -1):
+        for chosen in combinations(members, size):
+            covered = 0
+            for _, cover in chosen:
+                covered |= cover
+            if covered != all_pairs:
                 continue
+            candidate = Matroid._unchecked(m, [b for b, _ in chosen])
             try:
-                candidate = Matroid(m, family)
+                candidate._check_exchange()
             except InputError:
                 continue
             examined += 1

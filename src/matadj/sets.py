@@ -1,10 +1,10 @@
 """Subsets of a fixed ground set {0, ..., n-1}.
 
-ElementSet is the universal currency of the package: flats, bases, contraction
-and deletion sets are all ElementSets.  Each one is an int bitmask (bit e set
+ElementSet is the universal currency of the package: flats, contraction and
+deletion sets are all ElementSets.  Each one is an int bitmask (bit e set
 when e is a member) plus the universe size n, and the mask is the one internal
-representation: set algebra, subset tests, hashing and rank queries all work
-on it.  ``members`` is derived from the mask on demand.
+representation: set algebra, subset tests, hashing, rank queries and the
+bases of a ``Matroid`` all use it.  ``members`` is derived on demand.
 
 Membership is validated once, where a set is made from caller-supplied
 elements: the constructor, ``of``, ``empty``, ``add`` and ``relabel`` refuse
@@ -12,10 +12,14 @@ anything but an int in range (bools included).  Set algebra, ``complement``,
 ``full`` and ``Matroid.closure`` build their results through a private path
 that skips the check, since those results lie in the same universe by
 construction.  Instances are immutable and hashable.
+
+``label_mask`` holds the one rule for a caller's list of element labels (a
+basis, a map entry, a CLI element list): each is a non-bool int in range, and
+none repeats, where a set would merge it.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import InputError
 
@@ -24,14 +28,25 @@ _set = object.__setattr__
 
 
 def _validated_mask(members: Iterable, universe: int) -> int:
-    """The bitmask of ``members``, refusing anything but an int in range."""
+    """The bitmask of ``members``, refusing anything but an int in range; repeats merge."""
     mask = 0
     for e in members:
         if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
-            raise InputError(f"element {e!r} is not an integer")
+            raise InputError(f"non-integer element {e!r}")
         if e < 0 or e >= universe:
             raise InputError(f"element {e!r} out of range for ground set of size {universe}")
         mask |= 1 << e
+    return mask
+
+
+def label_mask(labels: Collection, universe: int, what: str) -> int:
+    """The mask of a caller's list of labels, each a non-bool int in range, none repeated."""
+    try:
+        mask = _validated_mask(labels, universe)
+    except InputError as exc:
+        raise InputError(f"{what} {labels!r} has {exc}") from None
+    if mask.bit_count() != len(labels):
+        raise InputError(f"{what} {labels!r} repeats an element")
     return mask
 
 

@@ -76,6 +76,18 @@ def isomorphic(A, B):
     )
 
 
+def family_is_simple(family, m, r):
+    """Whether a family of r-subsets of range(m), as frozensets, gives a simple
+    matroid's bases: every label, and for r >= 2 every pair of labels, lies in
+    some member, and rank 1 needs m = 1."""
+    if set().union(*family) != set(range(m)):
+        return False
+    if r == 1:
+        return m == 1
+    pairs = {frozenset(p) for b in family for p in combinations(sorted(b), 2)}
+    return len(pairs) == m * (m - 1) // 2
+
+
 def gf_matrix_rank(rows, p):
     """Row-reduction rank over GF(p), written independently of matadj.linalg."""
     mat = [list(r) for r in rows]

@@ -154,6 +154,25 @@ def test_export_dot(tmp_path, capsys):
     assert text.count(" -- ") == M.flats().cover_count()
 
 
+@pytest.mark.parametrize(
+    "verb,flag,value",
+    [
+        ("minor-adjoint", "--contract", "0,0"),
+        ("minor-adjoint", "--delete", "3,3"),
+        ("contract-adjoint", "--contract", "1,1"),
+        ("delete-adjoint", "--delete", "2,2"),
+    ],
+)
+def test_repeated_element_refused(tmp_path, capsys, verb, flag, value):
+    # a repeat is refused, not merged into the set it would make
+    fano = str(FIXTURES / "fano.json")
+    phi, out = tmp_path / "fano_map.json", tmp_path / "out.json"
+    assert main(["from-rep", fano, "-o", str(phi)]) == 0
+    assert main([verb, fano, str(phi), flag, value, "-o", str(out)]) == 2
+    assert f"element list [{value.replace(',', ', ')}] repeats an element" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_element_list(u23_files, tmp_path, capsys):
     m, t, p = u23_files
     rc = main(["contract-adjoint", str(m), str(p), "--contract", "a,b",

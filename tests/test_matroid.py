@@ -39,6 +39,21 @@ def test_unequal_basis_sizes_rejected():
         Matroid(3, [[0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "n,bases,message",
+    [
+        (3, [[0, 1, 1], [0, 2], [1, 2]], r"basis \[0, 1, 1\] repeats an element"),
+        (2, [[1, True]], r"basis \[1, True\] has non-integer element True"),
+        (3, [[0, 1], [0, 1], [0, 2], [1, 2]], r"basis \[0, 1\] is listed more than once"),
+        (True, [[0]], "ground-set size must be an integer"),
+    ],
+    ids=["repeated-element", "bool-element", "repeated-basis", "bool-n"],
+)
+def test_constructor_refuses_what_a_set_would_collapse(n, bases, message):
+    with pytest.raises(InputError, match=message):
+        Matroid(n, bases)
+
+
 def test_exchange_failure_names_the_pair():
     # {0,1} and {2,3} with no intermediate bases cannot satisfy exchange
     with pytest.raises(InputError, match="basis exchange fails for pair"):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,8 @@ from matadj import (
     verify_adjoint,
 )
 from matadj.files import adjoint_to_dict, canonical_json
-from oracles import gf_matrix_rank, isomorphic
+from matadj.search import _cover_mask
+from oracles import family_is_simple, gf_matrix_rank, isomorphic
 
 
 def es(members, n):
@@ -86,6 +88,43 @@ def test_search_is_deterministic():
     )
 
 
+@pytest.mark.parametrize(
+    "name,examined,digest",
+    [
+        ("U_1_1", 1, "237267f668f0879876be70d43468f10b603d7e6e85c8601d74ad241c33dd3bba"),
+        ("U_1_2", 1, "04a1e4e66224a6bd32764c1d2f1bf810a115b89e1be2493a5374cca8ed0f605a"),
+        ("U_2_3", 1, "94d2c08186f4b8c2e73b7886fbeed5353142bdde062e83c11b039b2e26d5ba01"),
+        ("U_2_4", 1, "790aef7e4b199fc01cdeee28d06f4034c66c37d4ac2068e401355104d2d9f63b"),
+        ("U_2_5", 1, "4011b3b470e51c3988b5e2d312d64ccc678f8243ede5caa40bb6c64ba7137b27"),
+        ("U_3_4", 283, "6083f3c1dcee931e70b4ec2abb2d54927614030aac9ba56b0228638ead569860"),
+    ],
+)
+def test_search_enumeration_is_pinned(name, examined, digest):
+    # the candidate order decides which adjoint is found first, and after how many
+    result = search_adjoint(by_name(name).matroid)
+    assert result.candidates_examined == examined
+    text = canonical_json(adjoint_to_dict(result.found))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "m,r", [(m, r) for m in range(1, 6) for r in (1, 2, 3) if r <= m] + [(6, 2)]
+)
+def test_family_cover_masks_match_the_simplicity_oracle(m, r):
+    # search keeps a family of r-subsets when the OR of their cover masks
+    # equals the cover mask of all labels
+    subsets = list(combinations(range(m), r))
+    covers = [_cover_mask(c, m) for c in subsets]
+    all_pairs = _cover_mask(range(m), m)
+    for size in range(1, len(subsets) + 1):
+        for chosen in combinations(range(len(subsets)), size):
+            covered = 0
+            for i in chosen:
+                covered |= covers[i]
+            family = [frozenset(subsets[i]) for i in chosen]
+            assert (covered == all_pairs) == family_is_simple(family, m, r), family
+
+
 def test_budget_refusal_is_not_a_negative_answer():
     M = by_name("U_3_4").matroid
     result = search_adjoint(M, SearchBudget(max_candidates=10))
@@ -98,6 +137,14 @@ def test_budget_refusal_is_not_a_negative_answer():
     assert result.found is None
     assert not result.exhausted
     assert "hyperplanes" in result.diagnostic
+
+
+def test_cap_refusal_is_not_a_negative_answer(monkeypatch):
+    # U_3_4 has an adjoint on its six hyperplanes; a ground-size cap of five
+    # refuses every candidate, which must not read as an exhausted search
+    monkeypatch.setenv("MATADJ_MAX_N", "5")
+    with pytest.raises(InputError, match="exceeds cap"):
+        search_adjoint(uniform(3, 4))
 
 
 def test_search_rank_zero_and_point():
