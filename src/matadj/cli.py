@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_minor_adjoint)
 
-    p = sub.add_parser("search", help="exhaustive adjoint search")
+    p = sub.add_parser(
+        "search", help="adjoint from the bases: built in rank <= 3, enumerated above"
+    )
     p.add_argument("matroid")
     p.add_argument("--max-hyperplanes", type=int, default=6)
     p.add_argument("--max-candidates", type=int, default=200_000)

@@ -57,9 +57,10 @@ class Matroid:
     costs O(|B|^2 r^2), naming a violating pair; user code and bases files go
     through it.  ``_unchecked`` takes masks and skips only the exchange check,
     for outputs that are matroids by a theorem: the column matroid of a
-    matrix (``Representation.matroid``), by the Steinitz exchange lemma, and
-    the contraction, deletion, dual and simplification of a ``Matroid``.
-    Search builds each candidate with ``_unchecked`` and then calls
+    matrix (``Representation.matroid``), by the Steinitz exchange lemma, the
+    contraction, deletion, dual and simplification of a ``Matroid``, and the
+    adjoint target that search builds in rank at most 3.  Search in rank 4
+    and above builds each candidate with ``_unchecked`` and then calls
     ``_check_exchange`` on it explicitly.
     """
 

@@ -1,4 +1,4 @@
-"""Adjoint fixtures: construction from matrix representations, and exhaustive search.
+"""Adjoint fixtures: construction from matrix representations, and search.
 
 Two independent routes to an adjoint:
 
@@ -6,11 +6,12 @@ Two independent routes to an adjoint:
   representable matroid: each hyperplane's covector is the (1-dimensional)
   space of linear functionals vanishing on its columns, and the target is
   the matroid of those covectors.
-* ``search_adjoint`` enumerates simple rank-r candidate targets on the
-  hyperplane label set, in a fixed order, and returns the first one whose
-  map, induced by the identity bijection from hyperplanes to labels,
-  verifies.  A budget refusal is reported as not-exhausted, never as a
-  negative answer.
+* ``search_adjoint`` needs only the bases.  In rank at most 3 it builds the
+  target directly from the hyperplanes through each point of M.  In rank 4
+  and above it enumerates simple rank-r candidate targets on the hyperplane
+  label set, in a fixed order, and returns the first one whose map, induced
+  by the identity bijection from hyperplanes to labels, verifies.  A budget
+  refusal is reported as not-exhausted, never as a negative answer.
 """
 from __future__ import annotations
 
@@ -142,13 +143,21 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive search
+# search
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Caps on the family enumeration that ``search_adjoint`` runs in rank 4 and above."""
+
     max_hyperplanes: int = 6
     max_candidates: int = 200_000
+
+    def __post_init__(self):
+        for name in ("max_hyperplanes", "max_candidates"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise InputError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,64 @@ def _cover_mask(labels, m: int) -> int:
 
 
 def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """Find an adjoint of M by exhausting candidate targets.
+    """Find an adjoint of M: by construction in rank at most 3, by enumeration above.
+
+    A rank-0 matroid has the empty adjoint, and the search is exhausted.  In
+    rank 1 to 3 the adjoint is built without search (``_low_rank_adjoint``)
+    and counts as one candidate.  In rank 4 and above the candidate families
+    are enumerated (``_enumerate_families``) within ``budget``, which caps
+    only that enumeration.
+    """
+    r = M.full_rank
+    if r == 0:
+        target = Matroid(0, [()])
+        phi = AdjointMap(M, target, {M.closure(M.groundset()): ElementSet.empty(0)})
+        return SearchResult(phi, True, 1)
+    if r <= 3:
+        return SearchResult(_low_rank_adjoint(M), False, 1)
+    return _enumerate_families(M, budget)
+
+
+def _low_rank_adjoint(M: Matroid) -> AdjointMap:
+    """The adjoint of a matroid of rank 1 to 3, built directly; verified before returning.
+
+    Label the hyperplanes H_i in canonical order.  For each point p (rank-1
+    flat) of M the block P(p) is the set of labels i with p inside H_i.  The
+    target's bases are the r-subsets of labels that lie inside no block.
+
+    The target is a simple rank-r matroid by a theorem, so it is built
+    with ``_unchecked``.  In rank 1 the one label gives U_1_1.  In rank 2 each
+    block is the one label of p itself, which gives U_2_m.  In rank 3 the H_i
+    are lines, and two distinct lines meet in at most one point, so two
+    labels share at most one block.  The blocks of two or more labels, with
+    every pair of labels that shares no block, are then the lines of a
+    linear space on the labels, and the triples off its lines are the bases
+    of a simple rank-3 matroid.  The lines of M meet only in cl(0), so no
+    block holds every label and the rank is 3.  Every rank-3 matroid thus has
+    an adjoint (Cheung, "Adjoints of a geometry", Canad. Math. Bull. 17, 1974).
+
+    Each point lies on at least two lines, and an adjoint must give P(p)
+    rank r - 1 = 2, so in every adjoint on these labels each triple inside a
+    block is dependent.  Here exactly those triples are, so this target has
+    the most bases of all of them: it is the first that an enumeration by
+    number of bases descending would accept.
+    """
+    r = M.full_rank
+    hyperplanes = M.hyperplanes()
+    blocks = [sum(1 << i for i, H in enumerate(hyperplanes) if p <= H) for p in M.flats().layer(1)]
+    subsets = [sum(1 << i for i in c) for c in combinations(range(len(hyperplanes)), r)]
+    target = Matroid._unchecked(
+        len(hyperplanes), [s for s in subsets if all(s & ~block for block in blocks)]
+    )
+    phi = induced_map(M, target, {H: i for i, H in enumerate(hyperplanes)})
+    report = verify_adjoint(phi)
+    if not report.valid:
+        raise ConstructionError(f"rank-{r} construction failed verification:\n{report.summary()}")
+    return phi
+
+
+def _enumerate_families(M: Matroid, budget: SearchBudget) -> SearchResult:
+    """Find an adjoint of M of rank r >= 1 by exhausting candidate targets.
 
     Candidates are simple rank-r matroids on the hyperplane labels, ordered
     by number of bases descending and then lexicographically.  Each is built
@@ -177,11 +243,6 @@ def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchR
     covered, so a budget refusal can never be read as non-existence.
     """
     r = M.full_rank
-    if r == 0:
-        target = Matroid(0, [()])
-        phi = AdjointMap(M, target, {M.closure(M.groundset()): ElementSet.empty(0)})
-        return SearchResult(phi, True, 1)
-
     hyperplanes = M.hyperplanes()
     m = len(hyperplanes)
     if m > budget.max_hyperplanes:

@@ -2,7 +2,9 @@
 
 Deliberately naive and kept separate from the package: no bitmasks, no
 level-by-level enumeration, its own GF(p) rank.  Tests compare library
-output against these.
+output against these.  Each public oracle reads ``M.bases`` (frozensets)
+once and hands them to the ``_in`` helpers below it, since that property is
+rebuilt on every read.
 """
 from itertools import chain, combinations, permutations
 
@@ -14,40 +16,53 @@ def powerset(iterable):
     return chain.from_iterable(combinations(s, k) for k in range(len(s) + 1))
 
 
+def _rank_in(bases, subset):
+    """The largest intersection of subset with one of the bases."""
+    s = set(subset)
+    return max((len(s & b) for b in bases), default=0)
+
+
+def _closure_in(bases, n, subset):
+    r0 = _rank_in(bases, subset)
+    return set(subset) | {e for e in range(n) if _rank_in(bases, set(subset) | {e}) == r0}
+
+
+def _flats_in(bases, n):
+    return {ElementSet.of(_closure_in(bases, n, sub), n) for sub in powerset(range(n))}
+
+
 def brute_rank(M, subset):
     """Rank via exhaustive independent-subset enumeration over the bases."""
-    best = 0
-    for b in M.bases:
-        best = max(best, len(set(subset) & b))
-    return best
+    return _rank_in(M.bases, subset)
 
 
 def brute_closure(M, subset):
     """Every element whose addition leaves brute_rank unchanged."""
-    r0 = brute_rank(M, subset)
-    return set(subset) | {e for e in range(M.n) if brute_rank(M, set(subset) | {e}) == r0}
+    return _closure_in(M.bases, M.n, subset)
 
 
 def brute_restriction_bases(M, keep):
     """Bases of M|keep: the r(keep)-subsets of keep of full rank, by brute_rank."""
-    r = brute_rank(M, keep)
-    return {frozenset(c) for c in combinations(sorted(keep), r) if brute_rank(M, c) == r}
+    bases = M.bases
+    r = _rank_in(bases, keep)
+    return {frozenset(c) for c in combinations(sorted(keep), r) if _rank_in(bases, c) == r}
 
 
 def brute_flats(M):
     """Close every one of the 2^n subsets and deduplicate."""
-    return {ElementSet.of(brute_closure(M, sub), M.n) for sub in powerset(range(M.n))}
+    return _flats_in(M.bases, M.n)
 
 
 def brute_covers(M):
     """Flat F -> {cl(F u e) : e not in F}: one closure per element outside F,
     over the flats of brute_flats."""
+    bases = M.bases
     return {
         F: frozenset(
-            ElementSet.of(brute_closure(M, F.members | {e}), M.n)
+            ElementSet.of(_closure_in(bases, M.n, F.members | {e}), M.n)
             for e in range(M.n) if e not in F
         )
-        for F in brute_flats(M)
+        for F in _flats_in(bases, M.n)
     }
 
 
@@ -68,10 +83,11 @@ def vanishing_by_codependence(M, D):
 
 def isomorphic(A, B):
     """Some relabelling of A's ground set carries its bases onto B's."""
-    if A.n != B.n or len(A.bases) != len(B.bases):
+    a_bases, b_bases = A.bases, B.bases
+    if A.n != B.n or len(a_bases) != len(b_bases):
         return False
     return any(
-        all(frozenset(perm[e] for e in b) in B.bases for b in A.bases)
+        all(frozenset(perm[e] for e in b) in b_bases for b in a_bases)
         for perm in permutations(range(A.n))
     )
 
@@ -118,10 +134,11 @@ def greedy_rank(M, subset):
     Uses only basis membership questions, via the fact that a set is
     independent iff it is contained in some basis.
     """
+    bases = M.bases
     picked = set()
     for e in sorted(subset):
         cand = picked | {e}
-        if any(cand <= b for b in M.bases):
+        if any(cand <= b for b in bases):
             picked = cand
     return len(picked)
 
@@ -142,22 +159,24 @@ def brute_inclusion_reversal(phi):
 
 def brute_modular_pairs(phi):
     """Witness pairs (X, Y) whose images are not a modular pair under brute_rank."""
-    Mp = phi.target
+    bases = phi.target.bases
     flats = by_size_then_lex(phi.source.flats().all_flats())
     out = []
     for i, X in enumerate(flats):
         for Y in flats[i:]:
             a, b = phi.table[X].members, phi.table[Y].members
-            if (brute_rank(Mp, a) + brute_rank(Mp, b)
-                    != brute_rank(Mp, a | b) + brute_rank(Mp, a & b)):
+            if (_rank_in(bases, a) + _rank_in(bases, b)
+                    != _rank_in(bases, a | b) + _rank_in(bases, a & b)):
                 out.append((X, Y))
     return out
 
 
 def brute_rank_complement(phi):
     """Source flats F with r'(phi(F)) != r - r(F), under brute_rank."""
-    M, Mp = phi.source, phi.target
+    M = phi.source
+    source_bases, target_bases = M.bases, phi.target.bases
     return [
-        F for F in phi.source.flats().all_flats()
-        if brute_rank(Mp, phi.table[F].members) != M.full_rank - brute_rank(M, F.members)
+        F for F in M.flats().all_flats()
+        if _rank_in(target_bases, phi.table[F].members)
+        != M.full_rank - _rank_in(source_bases, F.members)
     ]

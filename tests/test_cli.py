@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from matadj import by_name, save_adjoint, save_matroid
+from matadj import by_name, save_adjoint, save_matroid, uniform
 from matadj.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -127,9 +127,28 @@ def test_search_with_log(tmp_path, capsys):
     assert out.exists()
 
 
-def test_search_budget_refusal_exit_2(capsys):
-    assert main(["search", str(FIXTURES / "fano.json")]) == 2
+def test_search_budget_refusal_exit_2(tmp_path, capsys):
+    u45 = tmp_path / "U_4_5.json"  # rank 4, 10 hyperplanes: over the default cap
+    save_matroid(uniform(4, 5), u45)
+    assert main(["search", str(u45)]) == 2
     assert "hyperplanes" in capsys.readouterr().err
+
+
+def test_search_fano_then_verify(tmp_path, capsys):
+    found = tmp_path / "found.json"
+    target = tmp_path / "target.json"
+    assert main(["search", str(FIXTURES / "fano.json"), "-o", str(found)]) == 0
+    assert "found after 1 candidate(s)" in capsys.readouterr().out
+    target.write_text(json.dumps(json.loads(found.read_text())["target"]), encoding="utf-8")
+    assert main(["verify", str(FIXTURES / "fano.json"), str(target), str(found)]) == 0
+    assert capsys.readouterr().out.strip().endswith("VALID")
+
+
+@pytest.mark.parametrize("flag", ["--max-candidates", "--max-hyperplanes"])
+def test_search_negative_budget_exit_2(capsys, flag):
+    assert main(["search", str(FIXTURES / "U_2_4.json"), flag, "-1"]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be a non-negative integer, got -1\n"
 
 
 def test_from_rep(tmp_path, capsys):

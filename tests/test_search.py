@@ -2,6 +2,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from matadj import (
     ElementSet,
@@ -12,14 +13,16 @@ from matadj import (
     adjoint_from_representation,
     by_name,
     catalog,
+    full_verification,
     minor_adjoint,
     search_adjoint,
     uniform,
     verify_adjoint,
 )
 from matadj.files import adjoint_to_dict, canonical_json
-from matadj.search import _cover_mask
+from matadj.search import _cover_mask, _enumerate_families
 from oracles import family_is_simple, gf_matrix_rank, isomorphic
+from test_trust_boundaries import assert_checked_constructor_agrees, representations
 
 
 def es(members, n):
@@ -101,7 +104,7 @@ def test_search_is_deterministic():
 )
 def test_search_enumeration_is_pinned(name, examined, digest):
     # the candidate order decides which adjoint is found first, and after how many
-    result = search_adjoint(by_name(name).matroid)
+    result = _enumerate_families(by_name(name).matroid, SearchBudget())
     assert result.candidates_examined == examined
     text = canonical_json(adjoint_to_dict(result.found))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
@@ -127,16 +130,66 @@ def test_family_cover_masks_match_the_simplicity_oracle(m, r):
 
 def test_budget_refusal_is_not_a_negative_answer():
     M = by_name("U_3_4").matroid
-    result = search_adjoint(M, SearchBudget(max_candidates=10))
+    result = _enumerate_families(M, SearchBudget(max_candidates=10))
     assert result.found is None
     assert not result.exhausted
     assert "budget" in result.diagnostic
 
-    fano = by_name("fano").matroid  # 7 hyperplanes exceeds the default cap
-    result = search_adjoint(fano)
+    result = search_adjoint(uniform(4, 5))  # 10 hyperplanes exceeds the default cap
     assert result.found is None
     assert not result.exhausted
     assert "hyperplanes" in result.diagnostic
+
+
+@pytest.mark.parametrize("field", ["max_hyperplanes", "max_candidates"])
+@pytest.mark.parametrize("value", [True, False, "x", 2.0, None, -1])
+def test_budget_refuses_bad_caps(field, value):
+    # a bool would pass as a cap of 0 or 1, and a negative candidate cap
+    # would be reported as an exhausted budget
+    with pytest.raises(InputError) as info:
+        SearchBudget(**{field: value})
+    assert str(info.value) == f"{field} must be a non-negative integer, got {value!r}"
+
+
+def test_budget_accepts_zero_caps():
+    result = _enumerate_families(uniform(3, 4), SearchBudget(max_candidates=0))
+    assert result.found is None and not result.exhausted
+    assert result.diagnostic == "candidate budget of 0 exhausted"
+    assert search_adjoint(uniform(2, 3), SearchBudget(0, 0)).found is not None
+
+
+def _canonical(phi):
+    return canonical_json(adjoint_to_dict(phi))
+
+
+def assert_constructed_adjoint(M):
+    """search_adjoint's answer on a rank 1-3 source: one candidate, fully
+    verified, a target the checked constructor accepts, and the same map as
+    the enumerator's first find wherever the enumeration is within its cap."""
+    result = search_adjoint(M)
+    assert result.found is not None and result.candidates_examined == 1
+    assert all(report.valid for report in full_verification(result.found).values())
+    assert_checked_constructor_agrees(result.found.target)
+    if len(M.hyperplanes()) <= SearchBudget().max_hyperplanes:
+        enumerated = _enumerate_families(M, SearchBudget())
+        assert _canonical(enumerated.found) == _canonical(result.found)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog() if 1 <= e.matroid.full_rank <= 3])
+def test_catalog_search_is_constructed(name):
+    # all of them, U_3_5, U_3_6, M_K4, fano and nonfano included, within the
+    # default budget
+    assert_constructed_adjoint(by_name(name).matroid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(representations(min_dim=3))
+def test_drawn_search_is_constructed(rep):
+    # three rows, so most draws have rank 3; zero and parallel columns give
+    # loops, parallel classes and lower ranks, and rank 0 has its own path
+    M = rep.matroid()
+    if M.full_rank >= 1:
+        assert_constructed_adjoint(M)
 
 
 def test_cap_refusal_is_not_a_negative_answer(monkeypatch):

@@ -19,14 +19,15 @@ from matadj import (
     Matroid,
     MinorSpec,
     Representation,
+    SearchBudget,
     adjoint_from_representation,
     by_name,
     catalog,
     load_matroid,
     minor_adjoint,
-    search_adjoint,
     uniform,
 )
+from matadj.search import _enumerate_families
 
 
 def es(members, n):
@@ -58,9 +59,9 @@ def test_catalog_constructions_pass_the_exchange_check(name):
 
 
 @st.composite
-def representations(draw):
+def representations(draw, min_dim=1):
     field = draw(st.sampled_from([2, 3, 5, "rational"]))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(min_dim, 3))
     n = draw(st.integers(1, 6))
     if field == "rational":
         entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
@@ -114,6 +115,6 @@ def test_bases_files_are_checked_and_matrix_files_are_not(tmp_path, exchange_che
 def test_every_search_candidate_is_checked(exchange_checks):
     M = Matroid(4, by_name("U_3_4").matroid.bases)
     before = len(exchange_checks)
-    result = search_adjoint(M)
+    result = _enumerate_families(M, SearchBudget())
     assert result.found is not None
     assert len(exchange_checks) - before >= result.candidates_examined > 0
