@@ -1,13 +1,18 @@
 """Exact linear algebra over GF(p) and the rationals.
 
-Floating point is useless for deciding matroid independence, so elimination
-is done with Python ints mod p or with fractions.Fraction.  Matrices are
-lists of row tuples.
+Floating point is useless for deciding matroid independence, so everything
+is exact.  Rank and the bases of a column matroid come from one
+forward-elimination kernel, ``eliminate``, on Python ints: mod p over GF(p),
+and fraction-free over the rationals, after ``integer_vector`` has scaled
+each vector by the lcm of its denominators.  ``rref``, ``nullspace`` and
+covector normalisation, which need the reduced form itself, work in
+``fractions.Fraction`` over the rationals.  Matrices are lists of row tuples.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from typing import Optional
 
 from .errors import InputError
 
@@ -26,6 +31,7 @@ class PrimeField:
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
+        self.characteristic = p
 
     def coerce(self, x) -> int:
         return int(x) % self.p
@@ -53,6 +59,8 @@ class PrimeField:
 
 
 class RationalField:
+    characteristic = 0
+
     @staticmethod
     def coerce(x) -> Fraction:
         return Fraction(x)
@@ -122,25 +130,59 @@ def rref(rows, fld):
     return mat, pivots
 
 
+def integer_vector(vec, fld) -> list:
+    """``vec`` as Python ints, up to a nonzero scalar: over GF(p) each entry
+    coerced into 0..p-1, over the rationals scaled by the lcm of the
+    denominators.  Scaling a vector changes neither its span nor which sets
+    of vectors are independent."""
+    if fld.characteristic:
+        return [fld.coerce(x) for x in vec]
+    fracs = [Fraction(x) for x in vec]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs]
+
+
+def eliminate(vec: list, echelon, char: int) -> list:
+    """Forward elimination of the int vector ``vec`` against ``echelon``.
+
+    ``echelon`` is a sequence of (pivot, row) pairs in the order they were
+    found, each row zero at the pivots of the rows before it, as the vectors
+    this function returns are.  Each step is v <- a*v - x*e, with a = e[pivot]
+    and x = v[pivot], which zeroes v[pivot] and keeps the earlier pivots zero.
+    Over GF(p) (``char`` = p) the entries are then taken mod p; over the
+    rationals (``char`` = 0) v is divided by the gcd of its entries, so the
+    ints stay small and no fraction is ever formed.  The result is zero
+    exactly when ``vec`` lies in the span of the rows.
+    """
+    for pivot, row in echelon:
+        x = vec[pivot]
+        if x:
+            a = row[pivot]
+            vec = [a * v - x * e for v, e in zip(vec, row)]
+            if char:
+                vec = [v % char for v in vec]
+            else:
+                g = gcd(*vec)
+                if g > 1:
+                    vec = [v // g for v in vec]
+    return vec
+
+
+def leading_index(vec) -> Optional[int]:
+    """The index of the first nonzero entry, or None for the zero vector."""
+    return next((i for i, x in enumerate(vec) if x), None)
+
+
 def matrix_rank(rows, fld) -> int:
-    """Rank by forward elimination: row echelon form, with no back substitution."""
-    mat = [list(map(fld.coerce, row)) for row in rows]
-    rank = 0
-    for c in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != fld.zero), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        inv = fld.inv(top[c])
-        for i in range(rank + 1, len(mat)):
-            if mat[i][c] != fld.zero:
-                factor = fld.mul(mat[i][c], inv)
-                mat[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[i], top)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank by forward elimination: each row reduced against the echelon rows kept so far."""
+    char = fld.characteristic
+    echelon = []
+    for row in rows:
+        vec = eliminate(integer_vector(row, fld), echelon, char)
+        pivot = leading_index(vec)
+        if pivot is not None:
+            echelon.append((pivot, vec))
+    return len(echelon)
 
 
 def nullspace(rows, fld):

@@ -61,14 +61,18 @@ class Matroid:
     contraction, deletion, dual and simplification of a ``Matroid``, and the
     adjoint target that search builds in rank at most 3.  Search in rank 4
     and above builds each candidate with ``_unchecked`` and then calls
-    ``_check_exchange`` on it explicitly.
+    ``_check_exchange`` on it explicitly, which returns the violating pair
+    unformatted, so a rejected candidate costs no message.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
         if type(n) is not int:
             raise InputError(f"ground-set size must be an integer, got {n!r}")
         self._setup(n, checked_basis_masks(bases, n), provenance)
-        self._check_exchange()
+        violation = self._check_exchange()
+        if violation is not None:
+            b1, b2, e = violation
+            raise InputError(f"basis exchange fails for pair B1={bits(b1)}, B2={bits(b2)} at element {e}")
 
     @classmethod
     def _unchecked(cls, n: int, masks: Iterable, provenance: Optional[dict] = None) -> "Matroid":
@@ -106,7 +110,13 @@ class Matroid:
         """The bases as a frozenset of frozensets, derived from the masks."""
         return frozenset(frozenset(bits(b)) for b in self._basis_masks)
 
-    def _check_exchange(self) -> None:
+    def _check_exchange(self) -> Optional[tuple]:
+        """The first violation of the basis-exchange axiom, or None if there is none.
+
+        A violation is (B1, B2, e): bases B1 != B2 and e in B1 - B2 such that
+        no f in B2 - B1 makes B1 - e + f a basis.  The masks are returned as
+        they are; only the public constructor formats them into a message.
+        """
         masks = self._basis_masks
         mask_set = frozenset(masks)
         for b1 in masks:
@@ -127,11 +137,8 @@ class Matroid:
                         if base | fbit in mask_set:
                             break
                     else:
-                        raise InputError(
-                            "basis exchange fails for pair "
-                            f"B1={bits(b1)}, B2={bits(b2)} "
-                            f"at element {ebit.bit_length() - 1}"
-                        )
+                        return b1, b2, ebit.bit_length() - 1
+        return None
 
     # -- basic queries ------------------------------------------------------
 

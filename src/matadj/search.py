@@ -21,7 +21,16 @@ from typing import Optional, Tuple
 
 from .adjoint import AdjointMap, induced_map, verify_adjoint
 from .errors import ConstructionError, InputError
-from .linalg import field_for, matrix_rank, normalize_covector, nullspace, rref
+from .linalg import (
+    eliminate,
+    field_for,
+    integer_vector,
+    leading_index,
+    matrix_rank,
+    normalize_covector,
+    nullspace,
+    rref,
+)
 from .matroid import Matroid
 from .sets import ElementSet
 
@@ -53,8 +62,46 @@ class Representation:
         return matrix_rank(rows, self._fld())
 
     def matroid(self, provenance: Optional[dict] = None) -> Matroid:
-        r = self.rank_of(range(self.n))
-        masks = [sum(1 << e for e in c) for c in combinations(range(self.n), r) if self.rank_of(c) == r]
+        """The column matroid: its bases are the r-sets of independent columns.
+
+        The bases are listed by one depth-first walk over the columns, which
+        extends a prefix of chosen columns by each later column in turn.  Every
+        column after the prefix is kept reduced against the prefix's echelon
+        rows, so extending the prefix by one column costs one ``eliminate``
+        step per later column.  A column that reduces to zero depends on the
+        prefix, and every set holding both is dependent, so the walk never
+        enters that subtree.  The walk emits the r-subsets in lexicographic
+        order, the order of ``itertools.combinations``.
+
+        Each column is first made an int vector by ``integer_vector``: over
+        the rationals it is scaled by the lcm of its denominators.  Scaling a
+        column by a nonzero scalar changes no set's independence, so the
+        matroid is the same, and the fraction-free elimination on ints that
+        follows is exact.
+        """
+        fld = self._fld()
+        char = fld.characteristic
+        columns = [integer_vector(col, fld) for col in self.columns]
+        masks = []
+
+        def walk(mask: int, need: int, rest: list) -> None:
+            # rest: (label, column reduced against the prefix) after the prefix
+            for k in range(len(rest) - need + 1):
+                j, vec = rest[k]
+                pivot = leading_index(vec)
+                if pivot is None:
+                    continue
+                if need == 1:
+                    masks.append(mask | 1 << j)
+                    continue
+                row = ((pivot, vec),)
+                walk(mask | 1 << j, need - 1, [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]])
+
+        r = matrix_rank(columns, fld)
+        if r == 0:
+            masks.append(0)
+        else:
+            walk(0, r, list(enumerate(columns)))
         return Matroid._unchecked(self.n, masks, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
@@ -273,9 +320,7 @@ def _enumerate_families(M: Matroid, budget: SearchBudget) -> SearchResult:
             if covered != all_pairs:
                 continue
             candidate = Matroid._unchecked(m, [b for b, _ in chosen])
-            try:
-                candidate._check_exchange()
-            except InputError:
+            if candidate._check_exchange() is not None:
                 continue
             examined += 1
             if examined > budget.max_candidates:

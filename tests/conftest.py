@@ -25,7 +25,7 @@ def exchange_checks(monkeypatch):
 
     def counted(self):
         calls.append(self)
-        check(self)
+        return check(self)
 
     monkeypatch.setattr(Matroid, "_check_exchange", counted)
     return calls

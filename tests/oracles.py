@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Deliberately naive and kept separate from the package: no bitmasks, no
-level-by-level enumeration, its own GF(p) rank.  Tests compare library
-output against these.  Each public oracle reads ``M.bases`` (frozensets)
+level-by-level enumeration, its own GF(p) rank.  ``brute_column_bases``
+ranks with the package's ``rref``, which shares no code with the
+elimination kernel that ``Representation.matroid`` uses.  Tests compare
+library output against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
 """
 from itertools import chain, combinations, permutations
 
+from matadj.linalg import field_for, rref
 from matadj.sets import ElementSet
 
 
@@ -102,6 +105,19 @@ def family_is_simple(family, m, r):
         return m == 1
     pairs = {frozenset(p) for b in family for p in combinations(sorted(b), 2)}
     return len(pairs) == m * (m - 1) // 2
+
+
+def brute_column_bases(rep):
+    """The bases of a representation's column matroid, as sorted label tuples
+    in lexicographic order: every r-subset of columns whose RREF has r
+    pivots, r being the number of pivots of all the columns."""
+    fld = field_for(rep.field)
+
+    def rank(labels):
+        return len(rref([rep.columns[i] for i in labels], fld)[1])
+
+    r = rank(range(rep.n))
+    return tuple(c for c in combinations(range(rep.n), r) if rank(c) == r)
 
 
 def gf_matrix_rank(rows, p):

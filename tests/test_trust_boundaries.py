@@ -59,10 +59,13 @@ def test_catalog_constructions_pass_the_exchange_check(name):
 
 
 @st.composite
-def representations(draw, min_dim=1):
+def representations(draw, min_dim=3, max_dim=4, max_n=7):
+    """Columns over a drawn field: ``min_dim`` to ``max_dim`` rows, and at
+    least as many columns as rows, up to ``max_n``, so that most draws reach
+    the full rank; zero and repeated columns still lower it."""
     field = draw(st.sampled_from([2, 3, 5, "rational"]))
-    dim = draw(st.integers(min_dim, 3))
-    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(min_dim, max_dim))
+    n = draw(st.integers(dim, max(dim, max_n)))
     if field == "rational":
         entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
     else:
