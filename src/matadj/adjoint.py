@@ -17,7 +17,7 @@ silently wrong map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Tuple
 

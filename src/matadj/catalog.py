@@ -7,7 +7,6 @@ rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Tuple
@@ -36,7 +35,7 @@ def uniform(r: int, n: int, name: Optional[str] = None) -> Matroid:
 
 
 def _vandermonde(r: int, n: int) -> Representation:
-    cols = tuple(tuple(Fraction(t) ** k for k in range(r)) for t in range(n))
+    cols = tuple(tuple(t ** k for k in range(r)) for t in range(n))
     return Representation("rational", cols, r)
 
 
@@ -50,11 +49,11 @@ def _k4_columns() -> Tuple[tuple, ...]:
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     cols = []
     for u, v in edges:
-        w = [Fraction(0)] * 3
+        w = [0] * 3
         if u < 3:
-            w[u] = Fraction(1)
+            w[u] = 1
         if v < 3:
-            w[v] = Fraction(-1)
+            w[v] = -1
         cols.append(tuple(w))
     return tuple(cols)
 
@@ -63,37 +62,26 @@ def _k4_columns() -> Tuple[tuple, ...]:
 def catalog() -> Tuple[CatalogEntry, ...]:
     entries = []
 
-    def add(name: str, matroid: Matroid, rep: Representation):
-        if rep.matroid() != matroid:
+    def add(name: str, rep: Representation, matroid: Optional[Matroid] = None):
+        """Without ``matroid``, the entry's matroid is the column matroid of
+        ``rep``; with it, ``rep`` must represent it."""
+        if matroid is None:
+            matroid = rep.matroid(provenance={"op": "named", "name": name})
+        elif rep.matroid() != matroid:
             raise InputError(f"catalog entry {name}: representation does not match bases")
         entries.append(CatalogEntry(name, matroid, rep))
 
-    add("U_1_1", uniform(1, 1), _vandermonde(1, 1))
-    add(
-        "U_1_2",
-        uniform(1, 2),
-        Representation("rational", ((Fraction(1),), (Fraction(1),)), 1),
-    )
-    add("U_2_3", uniform(2, 3), Representation(2, ((1, 0), (0, 1), (1, 1)), 2))
-    add("U_2_4", uniform(2, 4), _vandermonde(2, 4))
-    add("U_2_5", uniform(2, 5), _vandermonde(2, 5))
-    add("U_3_4", uniform(3, 4), _vandermonde(3, 4))
-    add("U_3_5", uniform(3, 5), _vandermonde(3, 5))
-    add("U_3_6", uniform(3, 6), _vandermonde(3, 6))
-
-    k4_rep = Representation("rational", _k4_columns(), 3)
-    add("M_K4", k4_rep.matroid(provenance={"op": "named", "name": "M_K4"}), k4_rep)
-
-    fano_rep = Representation(2, _fano_columns(), 3)
-    add("fano", fano_rep.matroid(provenance={"op": "named", "name": "fano"}), fano_rep)
-
-    nonfano_cols = tuple(tuple(Fraction(x) for x in col) for col in _fano_columns())
-    nonfano_rep = Representation("rational", nonfano_cols, 3)
-    add(
-        "nonfano",
-        nonfano_rep.matroid(provenance={"op": "named", "name": "nonfano"}),
-        nonfano_rep,
-    )
+    add("U_1_1", _vandermonde(1, 1), uniform(1, 1))
+    add("U_1_2", Representation("rational", ((1,), (1,)), 1), uniform(1, 2))
+    add("U_2_3", Representation(2, ((1, 0), (0, 1), (1, 1)), 2), uniform(2, 3))
+    add("U_2_4", _vandermonde(2, 4), uniform(2, 4))
+    add("U_2_5", _vandermonde(2, 5), uniform(2, 5))
+    add("U_3_4", _vandermonde(3, 4), uniform(3, 4))
+    add("U_3_5", _vandermonde(3, 5), uniform(3, 5))
+    add("U_3_6", _vandermonde(3, 6), uniform(3, 6))
+    add("M_K4", Representation("rational", _k4_columns(), 3))
+    add("fano", Representation(2, _fano_columns(), 3))
+    add("nonfano", Representation("rational", _fano_columns(), 3))
     return tuple(entries)
 
 

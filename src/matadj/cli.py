@@ -74,7 +74,7 @@ def cmd_info(args) -> int:
     M, _, name = load_matroid(args.matroid)
     if name:
         print(f"name={name}")
-    hp = len(M.flats().layer(M.full_rank - 1)) if M.full_rank >= 1 else 0
+    hp = len(M.hyperplanes()) if M.full_rank >= 1 else 0
     counts = ",".join(str(c) for c in _flat_counts(M))
     print(f"n={M.n} rank={M.full_rank} bases={len(M.bases)} flats=[{counts}] hyperplanes={hp}")
     return 0
@@ -275,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "search", help="adjoint from the bases: built in rank <= 3, enumerated above"
     )
     p.add_argument("matroid")
-    p.add_argument("--max-hyperplanes", type=int, default=6)
-    p.add_argument("--max-candidates", type=int, default=200_000)
+    defaults = SearchBudget()
+    p.add_argument("--max-hyperplanes", type=int, default=defaults.max_hyperplanes)
+    p.add_argument("--max-candidates", type=int, default=defaults.max_candidates)
     p.add_argument("-o", "--output")
     p.add_argument("--log")
     p.set_defaults(func=cmd_search)

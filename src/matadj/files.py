@@ -6,9 +6,10 @@ Matroid files (UTF-8 JSON), three variants:
     {"name": ..., "n": 7, "field": {"prime": 2}, "matrix": [[...], ...]}
     {"name": ..., "n": 4, "field": "rational", "matrix": [["1","0",...], ...]}
 
-Matrix rows are coordinates; columns are elements.  Rational entries are
-"numerator/denominator" strings.  Element sets serialize as sorted integer
-arrays.
+Matrix rows are coordinates; columns are elements.  GF(p) entries are
+integers; rational entries are integers or strings that ``Fraction`` parses,
+such as "1/2".  ``Representation`` checks them, and refuses floats and
+booleans.  Element sets serialize as sorted integer arrays.
 
 Adjoint map files:
 
@@ -22,14 +23,12 @@ re-derivation; the loader cross-checks it against the table.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from .adjoint import AdjointMap, derive_hyperplane_order
 from .catalog import by_name
 from .errors import InputError
-from .linalg import PrimeField
 from .matroid import Matroid, checked_basis_masks
 from .search import Representation
 from .sets import ElementSet, bits, label_mask
@@ -67,10 +66,10 @@ def matroid_to_dict(M: Matroid, name: Optional[str] = None,
     if rep is not None:
         if rep.field == "rational":
             field = "rational"
-            matrix = [[str(Fraction(col[i])) for col in rep.columns] for i in range(rep.dim)]
+            matrix = [[str(col[i]) for col in rep.columns] for i in range(rep.dim)]
         else:
-            field = {"prime": int(rep.field)}
-            matrix = [[int(col[i]) for col in rep.columns] for i in range(rep.dim)]
+            field = {"prime": rep.field}
+            matrix = [[col[i] for col in rep.columns] for i in range(rep.dim)]
         out = {"n": M.n, "field": field, "matrix": matrix}
     else:
         out = {"n": M.n, "bases": sorted(bits(b) for b in M._basis_masks)}
@@ -103,30 +102,22 @@ def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Opt
         matroid = Matroid(n, bases, provenance={"op": "file", "name": name})
         return matroid, None, name
     if "matrix" in data:
-        field_spec = data.get("field")
-        if field_spec == "rational":
-            field = "rational"
-            parse = Fraction
-        elif isinstance(field_spec, dict) and "prime" in field_spec:
-            p = field_spec["prime"]
-            PrimeField(p)  # validates primality
-            field = p
-            parse = lambda x: int(x) % p
-        else:
+        field = data.get("field")
+        if isinstance(field, dict) and "prime" in field:
+            field = field["prime"]
+            if isinstance(field, bool) or not isinstance(field, int):
+                raise InputError(f"'prime' must be an integer, got {field!r}")
+        elif field != "rational":
             raise InputError("'field' must be \"rational\" or {\"prime\": p}")
         matrix = data["matrix"]
         if not isinstance(matrix, list) or not matrix:
             raise InputError("'matrix' must be a non-empty list of rows")
-        rows = []
         for row in matrix:
             if not isinstance(row, list) or len(row) != n:
                 raise InputError(f"each matrix row needs exactly n={n} entries")
-            try:
-                rows.append([parse(x) for x in row])
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise InputError(f"bad matrix entry in row {row!r}: {exc}") from exc
-        columns = tuple(tuple(r[j] for r in rows) for j in range(n))
-        rep = Representation(field, columns, len(rows))
+        # the entries are checked, and parsed, by Representation
+        columns = tuple(tuple(row[j] for row in matrix) for j in range(n))
+        rep = Representation(field, columns, len(matrix))
         matroid = rep.matroid(provenance={"op": "file", "name": name})
         return matroid, rep, name
     raise InputError("matroid file needs either 'bases' or 'matrix'")

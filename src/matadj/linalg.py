@@ -1,12 +1,16 @@
-"""Exact linear algebra over GF(p) and the rationals.
+"""Exact linear algebra over GF(p) and the rationals, on one kernel.
 
 Floating point is useless for deciding matroid independence, so everything
-is exact.  Rank and the bases of a column matroid come from one
-forward-elimination kernel, ``eliminate``, on Python ints: mod p over GF(p),
-and fraction-free over the rationals, after ``integer_vector`` has scaled
-each vector by the lcm of its denominators.  ``rref``, ``nullspace`` and
-covector normalisation, which need the reduced form itself, work in
-``fractions.Fraction`` over the rationals.  Matrices are lists of row tuples.
+is exact.  A field is named by its characteristic ``char``: p for GF(p), 0
+for the rationals; ``characteristic`` checks a field spec and returns it.
+Vectors are lists of Python ints, and every row operation is a step of one
+forward-elimination kernel, ``eliminate``: mod p over GF(p), fraction-free
+over the rationals.  ``echelon`` runs it over a list of vectors, and rank
+and the one null vector of a hyperplane (``null_vector``) are read off its
+rows.  ``Fraction`` appears only at the rational boundary: ``integer_vector``
+scales a rational vector by the lcm of its denominators on the way in, and
+``Representation.covector`` returns a primitive int vector as ``Fraction``
+values on the way out.
 """
 from __future__ import annotations
 
@@ -26,117 +30,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-
-    def coerce(self, x) -> int:
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    zero = 0
-    one = 1
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class RationalField:
-    characteristic = 0
-
-    @staticmethod
-    def coerce(x) -> Fraction:
-        return Fraction(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def __repr__(self):
-        return "QQ"
-
-
-RATIONALS = RationalField()
-
-
-def field_for(spec):
-    """'rational' or a prime integer -> field object."""
+def characteristic(spec) -> int:
+    """The characteristic of a field spec: p for a prime int p, 0 for 'rational'."""
     if spec == "rational":
-        return RATIONALS
-    if isinstance(spec, int):
-        return PrimeField(spec)
-    raise InputError(f"unknown field specification {spec!r}")
+        return 0
+    if isinstance(spec, bool) or not isinstance(spec, int):
+        raise InputError(f"unknown field specification {spec!r}")
+    if not is_prime(spec):
+        raise InputError(f"{spec} is not prime")
+    return spec
 
 
-def rref(rows, fld):
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    mat = [list(map(fld.coerce, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != fld.zero), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = fld.inv(mat[r][c])
-        mat[r] = [fld.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != fld.zero:
-                factor = mat[i][c]
-                mat[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def integer_vector(vec, fld) -> list:
+def integer_vector(vec, char: int) -> list:
     """``vec`` as Python ints, up to a nonzero scalar: over GF(p) each entry
-    coerced into 0..p-1, over the rationals scaled by the lcm of the
+    reduced into 0..p-1, over the rationals scaled by the lcm of the
     denominators.  Scaling a vector changes neither its span nor which sets
     of vectors are independent."""
-    if fld.characteristic:
-        return [fld.coerce(x) for x in vec]
+    if char:
+        return [x % char for x in vec]
     fracs = [Fraction(x) for x in vec]
     scale = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs]
@@ -173,54 +84,50 @@ def leading_index(vec) -> Optional[int]:
     return next((i for i, x in enumerate(vec) if x), None)
 
 
-def matrix_rank(rows, fld) -> int:
-    """Rank by forward elimination: each row reduced against the echelon rows kept so far."""
-    char = fld.characteristic
-    echelon = []
-    for row in rows:
-        vec = eliminate(integer_vector(row, fld), echelon, char)
+def echelon(vectors, char: int) -> list:
+    """The (pivot, row) pairs of forward elimination on int vectors: each
+    vector reduced by ``eliminate`` against the rows kept so far, and kept,
+    pivoted at its first nonzero entry, unless it reduces to zero.  The rows
+    span what ``vectors`` span, and their number is its rank."""
+    rows = []
+    for vec in vectors:
+        vec = eliminate(vec, rows, char)
         pivot = leading_index(vec)
         if pivot is not None:
-            echelon.append((pivot, vec))
-    return len(echelon)
+            rows.append((pivot, vec))
+    return rows
 
 
-def nullspace(rows, fld):
-    """Basis of {x : rows @ x = 0}, one vector per free column of the RREF."""
-    if not rows:
-        raise InputError("nullspace of an empty matrix is ambiguous; pass the dimension explicitly")
-    ncols = len(rows[0])
-    mat, pivots = rref(rows, fld)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [fld.zero] * ncols
-        vec[fc] = fld.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = fld.neg(mat[r][fc])
-        basis.append(tuple(vec))
-    return basis
+def matrix_rank(rows, char: int) -> int:
+    """Rank of a matrix given as rows of field elements."""
+    return len(echelon([integer_vector(row, char) for row in rows], char))
 
 
-def normalize_covector(vec, fld):
-    """Canonical scaling: over GF(p) the first nonzero entry becomes 1; over
-    the rationals, clear denominators, divide by the gcd, positive leading entry."""
-    if all(x == fld.zero for x in vec):
-        raise InputError("cannot normalize the zero vector")
-    if isinstance(fld, PrimeField):
-        lead = next(x for x in vec if x != fld.zero)
-        inv = fld.inv(lead)
-        return tuple(fld.mul(inv, x) for x in vec)
-    fracs = [Fraction(x) for x in vec]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def null_vector(rows, dim: int, char: int) -> list:
+    """The normal form of the nonzero x with row . x = 0 for every echelon row.
+
+    ``rows`` come from ``echelon`` on vectors of length ``dim`` and have
+    rank dim - 1, so the solutions form a line and exactly one coordinate is
+    no row's pivot.  That coordinate is set to 1.  Each row is zero at the
+    pivots of the rows found before it, so, taken in reverse order, every
+    row's equation a*x[pivot] + s = 0, with a = row[pivot] and s the sum
+    over the coordinates already set, is solved fraction-free: x <- a*x,
+    then x[pivot] = -s.  The result is then scaled to the line's normal form:
+    over GF(p) the first nonzero entry is 1, over the rationals the vector
+    is primitive with a positive first nonzero entry.
+    """
+    pivots = {pivot for pivot, _ in rows}
+    x = [0] * dim
+    x[next(i for i in range(dim) if i not in pivots)] = 1
+    for pivot, row in reversed(rows):
+        s = sum(e * v for e, v in zip(row, x))
+        x = [row[pivot] * v for v in x]
+        x[pivot] = -s
+    if char:
+        x = [v % char for v in x]
+        inv = pow(x[leading_index(x)], -1, char)
+        return [v * inv % char for v in x]
+    g = gcd(*x)
+    if x[leading_index(x)] < 0:
+        g = -g
+    return [v // g for v in x]

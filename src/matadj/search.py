@@ -16,50 +16,67 @@ Two independent routes to an adjoint:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Tuple
 
 from .adjoint import AdjointMap, induced_map, verify_adjoint
 from .errors import ConstructionError, InputError
-from .linalg import (
-    eliminate,
-    field_for,
-    integer_vector,
-    leading_index,
-    matrix_rank,
-    normalize_covector,
-    nullspace,
-    rref,
-)
+from .linalg import characteristic, echelon, eliminate, integer_vector, leading_index, null_vector
 from .matroid import Matroid
 from .sets import ElementSet
 
 
+def _entry(x, char: int):
+    """One matrix entry as a field element: over GF(p) an int reduced into
+    0..p-1, over the rationals a ``Fraction``."""
+    exact = not isinstance(x, bool)
+    if char:
+        if exact and isinstance(x, int):
+            return x % char
+        raise InputError(f"bad matrix entry {x!r}: over GF({char}) an entry must be an integer")
+    if exact and isinstance(x, (int, Fraction, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad matrix entry {x!r}: {exc}") from exc
+    raise InputError(f"bad matrix entry {x!r}: over the rationals an entry must be "
+                     "an integer, a Fraction or a string such as '1/2'")
+
+
 @dataclass(frozen=True)
 class Representation:
-    """Columns over GF(p) (``field`` an int) or the rationals (``field='rational'``)."""
+    """Columns over GF(p) (``field`` a prime int) or the rationals (``field='rational'``).
+
+    The field and every entry are checked once, here.  Over GF(p) an entry
+    must be an int, and is stored reduced into 0..p-1.  Over the rationals
+    it must be an int, a ``Fraction`` or a string that ``Fraction`` parses,
+    such as "1/2" or "0.1", and is stored as a ``Fraction``.  Bools and
+    floats are refused over every field: a float has usually already lost
+    the value that was meant.  Each column is also kept as an int vector
+    (``integer_vector``) for the elimination kernel of ``matadj.linalg``.
+    """
 
     field: object
     columns: Tuple[tuple, ...]
     dim: int
 
     def __post_init__(self):
+        char = characteristic(self.field)
         for col in self.columns:
             if len(col) != self.dim:
                 raise InputError(f"column {col!r} does not have dimension {self.dim}")
+        columns = tuple(tuple(_entry(x, char) for x in col) for col in self.columns)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_char", char)
+        object.__setattr__(self, "_vectors", [integer_vector(col, char) for col in columns])
 
     @property
     def n(self) -> int:
         return len(self.columns)
 
-    def _fld(self):
-        return field_for(self.field)
-
     def rank_of(self, indices) -> int:
-        rows = [self.columns[i] for i in indices]
-        if not rows:
-            return 0
-        return matrix_rank(rows, self._fld())
+        return len(echelon([self._vectors[i] for i in indices], self._char))
 
     def matroid(self, provenance: Optional[dict] = None) -> Matroid:
         """The column matroid: its bases are the r-sets of independent columns.
@@ -73,15 +90,13 @@ class Representation:
         enters that subtree.  The walk emits the r-subsets in lexicographic
         order, the order of ``itertools.combinations``.
 
-        Each column is first made an int vector by ``integer_vector``: over
-        the rationals it is scaled by the lcm of its denominators.  Scaling a
+        The walk runs on the int vectors of the columns: over the rationals
+        each column is scaled by the lcm of its denominators.  Scaling a
         column by a nonzero scalar changes no set's independence, so the
         matroid is the same, and the fraction-free elimination on ints that
         follows is exact.
         """
-        fld = self._fld()
-        char = fld.characteristic
-        columns = [integer_vector(col, fld) for col in self.columns]
+        char = self._char
         masks = []
 
         def walk(mask: int, need: int, rest: list) -> None:
@@ -97,76 +112,31 @@ class Representation:
                 row = ((pivot, vec),)
                 walk(mask | 1 << j, need - 1, [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]])
 
-        r = matrix_rank(columns, fld)
+        r = len(echelon(self._vectors, char))
         if r == 0:
             masks.append(0)
         else:
-            walk(0, r, list(enumerate(columns)))
+            walk(0, r, list(enumerate(self._vectors)))
         return Matroid._unchecked(self.n, masks, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
         """The canonical linear functional vanishing on the columns of H.
 
         The solution space must be 1-dimensional, which holds exactly when H
-        spans a hyperplane of the column space.
+        spans a hyperplane of the column space.  Its one line is spanned by
+        ``null_vector`` of the echelon rows of H's columns, in normal form:
+        over GF(p) ints with first nonzero entry 1, over the rationals a
+        primitive integer vector, as ``Fraction`` values, with positive first
+        nonzero entry.
         """
-        fld = self._fld()
-        rows = [self.columns[e] for e in H]
-        if not rows:
-            if self.dim != 1:
+        rows = echelon([self._vectors[e] for e in H], self._char)
+        free = self.dim - len(rows)
+        if free != 1:
+            if not H:
                 raise InputError("covector space of the empty set is not 1-dimensional")
-            return normalize_covector((fld.one,), fld)
-        basis = nullspace(rows, fld)
-        if len(basis) != 1:
-            raise InputError(
-                f"covector space of {H!r} has dimension {len(basis)}, expected 1"
-            )
-        return normalize_covector(basis[0], fld)
-
-    # -- minors of representations ------------------------------------------
-
-    def _contract_one(self, cols, label_index):
-        fld = self._fld()
-        col = cols[label_index]
-        pivot = next((i for i, x in enumerate(col) if x != fld.zero), None)
-        rest = [c for i, c in enumerate(cols) if i != label_index]
-        if pivot is None:  # a loop: contraction equals deletion
-            return rest
-        out = []
-        inv = fld.inv(col[pivot])
-        for v in rest:
-            factor = fld.mul(inv, v[pivot])
-            w = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(v, col)]
-            del w[pivot]
-            out.append(tuple(w))
-        return out
-
-    def minor(self, C: ElementSet, D: ElementSet) -> "Representation":
-        """Representation of M/C\\D with the same dense relabeling as Matroid minors."""
-        if not C.isdisjoint(D):
-            raise InputError("contract and delete sets overlap")
-        fld = self._fld()
-        cols = [tuple(map(fld.coerce, c)) for c in self.columns]
-        labels = list(range(self.n))
-        for e in sorted(C.members):
-            idx = labels.index(e)
-            cols = self._contract_one(cols, idx)
-            del labels[idx]
-        for e in sorted(D.members):
-            idx = labels.index(e)
-            del cols[idx]
-            del labels[idx]
-        # drop dependent rows so the dimension equals the rank again
-        if cols:
-            dim = len(cols[0])
-            rows = [tuple(c[i] for c in cols) for i in range(dim)]
-            reduced, pivots = rref(rows, fld)
-            kept = reduced[: len(pivots)]
-            cols = [tuple(row[j] for row in kept) for j in range(len(cols))]
-            new_dim = len(pivots)
-        else:
-            new_dim = 0
-        return Representation(self.field, tuple(cols), new_dim)
+            raise InputError(f"covector space of {H!r} has dimension {free}, expected 1")
+        x = null_vector(rows, self.dim, self._char)
+        return tuple(x) if self._char else tuple(map(Fraction, x))
 
 
 def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:

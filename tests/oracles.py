@@ -1,16 +1,20 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Deliberately naive and kept separate from the package: no bitmasks, no
-level-by-level enumeration, its own GF(p) rank.  ``brute_column_bases``
-ranks with the package's ``rref``, which shares no code with the
-elimination kernel that ``Representation.matroid`` uses.  Tests compare
-library output against these.  Each public oracle reads ``M.bases`` (frozensets)
+level-by-level enumeration, its own linear algebra.  ``rref`` reduces in
+``Fraction`` arithmetic over the rationals and with modular inverses over
+GF(p), and shares no code with the package's fraction-free elimination
+kernel; ``brute_column_bases``, ``null_covector`` and
+``representation_minor`` are built on it.  Tests compare library output
+against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
 """
+from fractions import Fraction
 from itertools import chain, combinations, permutations
+from math import gcd, lcm
 
-from matadj.linalg import field_for, rref
+from matadj import InputError, Representation
 from matadj.sets import ElementSet
 
 
@@ -107,17 +111,111 @@ def family_is_simple(family, m, r):
     return len(pairs) == m * (m - 1) // 2
 
 
+def _arithmetic(field):
+    """(coerce, inverse) for GF(p) (``field`` = p) or the rationals
+    (``field`` = 'rational'): coerce maps an int or Fraction to the field's
+    elements, Fractions or ints in 0..p-1."""
+    if field == "rational":
+        return Fraction, lambda a: 1 / a
+    return (lambda x: x % field), (lambda a: pow(a, -1, field))
+
+
+def rref(rows, field):
+    """Reduced row-echelon form over GF(p) (``field`` = p) or the rationals
+    (``field`` = 'rational'); returns (rows, pivot_columns)."""
+    coerce, inverse = _arithmetic(field)
+    mat = [[coerce(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        scale = inverse(mat[r][c])
+        mat[r] = [coerce(scale * x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [coerce(x - factor * y) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
 def brute_column_bases(rep):
     """The bases of a representation's column matroid, as sorted label tuples
     in lexicographic order: every r-subset of columns whose RREF has r
     pivots, r being the number of pivots of all the columns."""
-    fld = field_for(rep.field)
 
     def rank(labels):
-        return len(rref([rep.columns[i] for i in labels], fld)[1])
+        return len(rref([rep.columns[i] for i in labels], rep.field)[1])
 
     r = rank(range(rep.n))
     return tuple(c for c in combinations(range(rep.n), r) if rank(c) == r)
+
+
+def null_covector(rep, labels):
+    """(dimension, vector): the dimension of the space of functionals that
+    vanish on the given columns, read off the free columns of their RREF,
+    and, when it is 1, the null vector of that RREF in normal form, else
+    None.  The normal form: over GF(p) the first nonzero entry is 1; over
+    the rationals a primitive integer vector, as Fractions, whose first
+    nonzero entry is positive."""
+    mat, pivots = rref([rep.columns[i] for i in labels], rep.field)
+    free = [c for c in range(rep.dim) if c not in pivots]
+    if len(free) != 1:
+        return len(free), None
+    vec = [0] * rep.dim
+    vec[free[0]] = 1
+    for row, pc in zip(mat, pivots):
+        vec[pc] = -row[free[0]]
+    if rep.field != "rational":
+        p = rep.field
+        lead = next(x for x in vec if x % p)
+        return 1, tuple(x * pow(lead, -1, p) % p for x in vec)
+    scale = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return 1, tuple(Fraction(x // g) for x in ints)
+
+
+def representation_minor(rep, C, D):
+    """A representation of M/C\\D with the same dense relabelling as Matroid
+    minors.  Each element e of C, in increasing order, is contracted: if its
+    column is zero (a loop) it is dropped, else a multiple of it is
+    subtracted from every other column to clear the coordinate of its first
+    nonzero entry, which is then removed.  The columns of D are dropped, and
+    the rows are replaced by the nonzero rows of their RREF, so that the
+    dimension is the rank again."""
+    if not C.isdisjoint(D):
+        raise InputError("contract and delete sets overlap")
+    coerce, inverse = _arithmetic(rep.field)
+    cols = {e: [coerce(x) for x in col] for e, col in enumerate(rep.columns)}
+    for e in sorted(C.members):
+        col = cols.pop(e)
+        pivot = next((i for i, x in enumerate(col) if x != 0), None)
+        if pivot is None:
+            continue
+        scale = inverse(col[pivot])
+        for f, v in cols.items():
+            factor = coerce(scale * v[pivot])
+            w = [coerce(x - factor * y) for x, y in zip(v, col)]
+            del w[pivot]
+            cols[f] = w
+    for e in D.members:
+        del cols[e]
+    kept = [cols[e] for e in sorted(cols)]
+    reduced, pivots = rref(list(zip(*kept)), rep.field)
+    rows = reduced[:len(pivots)]
+    columns = tuple(tuple(row[j] for row in rows) for j in range(len(kept)))
+    return Representation(rep.field, columns, len(rows))
 
 
 def gf_matrix_rank(rows, p):

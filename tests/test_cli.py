@@ -151,6 +151,20 @@ def test_search_negative_budget_exit_2(capsys, flag):
     assert capsys.readouterr().err == f"error: {name} must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "field,entry,message",
+    [
+        ({"prime": 2.0}, 1, "'prime' must be an integer, got 2.0"),
+        ({"prime": 2}, 1.0, "bad matrix entry 1.0"),
+    ],
+)
+def test_info_bad_matrix_file_exit_2(tmp_path, capsys, field, entry, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "field": field, "matrix": [[entry, 0]]}), encoding="utf-8")
+    assert main(["info", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_from_rep(tmp_path, capsys):
     out = tmp_path / "fano_map.json"
     assert main(["from-rep", str(FIXTURES / "fano.json"), "-o", str(out)]) == 0

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,11 @@ from matadj import (
     save_adjoint,
     save_matroid,
     uniform,
+    write_catalog_fixtures,
 )
 from matadj.files import adjoint_to_dict, canonical_json, matroid_to_dict
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def es(members, n):
@@ -82,11 +87,23 @@ def test_loader_reports_exchange_failure():
         ({"n": 3, "bases": [[0, 1], [0, 2], [1, 0]]}, "listed more than once"),
         ({"n": 3, "bases": [[True, 1], [0, 2], [1, 2]]}, "non-integer element True"),
         ({"n": 3, "bases": [[0, 1], [0, "2"], [1, 2]]}, "non-integer element '2'"),
+        # entries and field specs are checked, never truncated or coerced
+        ({"n": 3, "field": {"prime": 2}, "matrix": [[1.7, 0, 1]]}, r"bad matrix entry 1\.7"),
+        ({"n": 3, "field": {"prime": 3}, "matrix": [[True, 0, 1]]}, "bad matrix entry True"),
+        ({"n": 3, "field": "rational", "matrix": [[True, "0", "1"]]}, "bad matrix entry True"),
+        ({"n": 3, "field": "rational", "matrix": [[0.1, "0", "1"]]}, r"bad matrix entry 0\.1"),
+        ({"n": 3, "field": {"prime": 2.0}, "matrix": [[1, 0, 1]]}, r"'prime' must be an integer, got 2\.0"),
+        ({"n": 3, "field": {"prime": "3"}, "matrix": [[1, 0, 1]]}, "'prime' must be an integer, got '3'"),
     ],
 )
 def test_bad_matroid_files(data, message):
     with pytest.raises(InputError, match=message):
         load_matroid(data)
+
+
+def test_rational_strings_are_exact():
+    _, rep, _ = load_matroid({"n": 2, "field": "rational", "matrix": [["0.1", "1/3"], [1, "-2"]]})
+    assert rep.columns == ((Fraction(1, 10), Fraction(1)), (Fraction(1, 3), Fraction(-2)))
 
 
 def test_unreadable_and_malformed_files(tmp_path):
@@ -248,3 +265,18 @@ def test_canonical_json_is_stable():
     a = canonical_json({"b": 1, "a": [2, 3]})
     assert a == '{"a":[2,3],"b":1}\n'
     assert canonical_json(matroid_to_dict(uniform(1, 1))) == '{"bases":[[0]],"n":1}\n'
+
+
+def test_catalog_fixtures_match_the_committed_files(tmp_path):
+    written = write_catalog_fixtures(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
+
+
+def test_catalog_covector_maps_are_pinned(fixture_maps):
+    # the SHA-256 of the canonical JSON of every catalog covector map, keyed by name
+    assert len(fixture_maps) == 11
+    blob = canonical_json({name: adjoint_to_dict(phi) for name, phi in fixture_maps.items()})
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "736509e6141952d644df1a5725cb4fdef57014c33d2e3f3d66027bbe32392451"

@@ -21,7 +21,7 @@ from matadj import (
 )
 from matadj.files import adjoint_to_dict, canonical_json
 from matadj.search import _cover_mask, _enumerate_families
-from oracles import family_is_simple, gf_matrix_rank, isomorphic
+from oracles import family_is_simple, gf_matrix_rank, isomorphic, representation_minor
 from test_trust_boundaries import assert_checked_constructor_agrees, representations
 
 
@@ -223,7 +223,7 @@ def test_minor_triangle_against_representation_minors():
         for e in range(M.n):
             C = es([e], M.n)
             psi = minor_adjoint(phi, MinorSpec(C, empty))
-            rep2 = rep.minor(C, empty)
+            rep2 = representation_minor(rep, C, empty)
             M2 = rep2.matroid()
             assert M2 == psi.source
             phi2 = adjoint_from_representation(M2, rep2)
@@ -239,6 +239,6 @@ def test_representation_minor_matches_matroid_minor():
             if e == f:
                 continue
             C, D = es([e], M.n), es([f], M.n)
-            got = rep.minor(C, D).matroid()
+            got = representation_minor(rep, C, D).matroid()
             want = M.contract(C).delete(es([f - (f > e)], M.n - 1))
             assert got == want
