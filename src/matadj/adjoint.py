@@ -11,20 +11,27 @@ witness) and constructs adjoints of minors from an adjoint of the parent:
   hyperplanes that vanish when D is removed;
 * general minors: normalize the minor spec, contract, then delete.
 
+Neither construction closes a set.  Both read the parent's lattice, which is
+built before any map exists, through ``lattice.least_flats``: the flats F u C
+are the flats of M that contain C, with cl(C) the least of them, and cl(F)
+for a flat F of M\\D is the least flat of M whose trace on E - D is F.  The
+minors' own lattices are read off the same parent lattice.
+
 Constructed maps are re-verified before being returned; a verification
 failure there is a ConstructionError (an implementation bug), never a
-silently wrong map.
+silently wrong map.  Each map keeps the contractions made from it, keyed by
+the contraction set, once they have passed that verification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError
-from .lattice import hyperplane_chain
-from .matroid import Matroid, MinorSpec, minor_normal_form
-from .sets import ElementSet
+from .lattice import hyperplane_chain, least_flats
+from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
+from .sets import ElementSet, bits
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,8 @@ class AdjointMap:
     target: Matroid
     table: Dict[ElementSet, ElementSet]
     hyperplane_order: Optional[Tuple[ElementSet, ...]] = None
+    # contraction-set mask -> verified contract_adjoint result
+    _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _structural_check(self)
@@ -348,24 +357,40 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
     return AdjointMap(M, Mp, table, order)
 
 
+def _relabelled_table(flats, images: list, gone: int, n: int) -> dict:
+    """Each flat to its image mask, with the bits of ``gone`` cut out of the
+    target's labels (as ``Matroid.delete`` relabels them)."""
+    return dict(zip(flats, (ElementSet._trusted(m, n) for m in _squeeze(images, gone))))
+
+
 def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
-    """Adjoint of M/C: F maps to phi(F u C); target restricted to phi(cl(C))."""
+    """Adjoint of M/C: F maps to phi(F u C); target restricted to phi(cl(C)).
+
+    Built once per map and contraction set: later calls with the same C
+    return the map that the first call built and verified.
+    """
     M, Mp = phi.source, phi.target
-    keep = phi.image(M.closure(C))
+    cm = M._mask_of(C)
+    cached = phi._contractions.get(cm)
+    if cached is not None:
+        return cached
+    # G - C -> G for the flats G of M that contain C; the first G is cl(C)
+    lifts = least_flats(M.flats(), M._full & ~cm, cm)
+    keep = phi.table[next(iter(lifts.values()))[0]]
     new_source = M.contract(C)
-    src_relabel = new_source.provenance["relabel"]
-    src_inverse = {v: k for k, v in src_relabel.items()}
     new_target = Mp.restrict(keep)
-    tgt_relabel = new_target.provenance["relabel"]
-    table = {}
-    for F in new_source.flats().all_flats():
-        # F is a flat of M/C exactly when F u C is a flat of M, so no closure
-        img = phi.image(F.relabel(src_inverse, M.n) | C)
-        table[F] = img.relabel(tgt_relabel, new_target.n)
-    result = AdjointMap(new_source, new_target, table)
+    lift = dict(zip(_squeeze(lifts, cm), (G for G, _ in lifts.values())))
+    gone = Mp._full & ~keep.mask
+    flats = list(new_source.flats().all_flats())
+    images = [phi.table[lift[F.mask]].mask for F in flats]
+    for m in images:
+        if m & gone:  # phi is not inclusion-reversing above cl(C)
+            raise InputError(f"relabeling undefined on element {bits(m & gone)[0]}")
+    result = AdjointMap(new_source, new_target, _relabelled_table(flats, images, gone, new_target.n))
     report = verify_adjoint(result)
     if not report.valid:
         raise ConstructionError(f"contraction adjoint failed verification:\n{report.summary()}")
+    phi._contractions[cm] = result
     return result
 
 
@@ -382,26 +407,24 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     """Adjoint of M\\D for coindependent D.
 
     F maps to phi(cl(F)) minus the points of the vanishing hyperplanes; the
-    target is the old target minus those points.
+    target is the old target minus those points.  cl(F) is read off the
+    lattice of M as the least flat of M whose trace on E - D is F.
     """
     M, Mp = phi.source, phi.target
     if not M.is_coindependent(D):
         raise PreconditionError(
             f"deletion set {D!r} is not coindependent; use minor_adjoint for general minors"
         )
-    vanished = vanishing_hyperplanes(M, D)
-    removed = ElementSet.empty(Mp.n)
-    for H in vanished:
-        removed = removed | phi.image(H)
+    removed = 0
+    for H in vanishing_hyperplanes(M, D):
+        removed |= phi.image(H).mask
     new_source = M.delete(D)
-    src_inverse = {v: k for k, v in new_source.provenance["relabel"].items()}
-    new_target = Mp.delete(removed)
-    tgt_relabel = new_target.provenance["relabel"]
-    table = {}
-    for F in new_source.flats().all_flats():
-        img = phi.image(M.closure(F.relabel(src_inverse, M.n))) - removed
-        table[F] = img.relabel(tgt_relabel, new_target.n)
-    result = AdjointMap(new_source, new_target, table)
+    new_target = Mp.delete(ElementSet._trusted(removed, Mp.n))
+    least = least_flats(M.flats(), M._full & ~D.mask)
+    closure = dict(zip(_squeeze(least, D.mask), (G for G, _ in least.values())))
+    flats = list(new_source.flats().all_flats())
+    images = [phi.table[closure[F.mask]].mask & ~removed for F in flats]
+    result = AdjointMap(new_source, new_target, _relabelled_table(flats, images, removed, new_target.n))
     report = verify_adjoint(result)
     if not report.valid:
         raise ConstructionError(f"deletion adjoint failed verification:\n{report.summary()}")

@@ -8,8 +8,10 @@ Matroid files (UTF-8 JSON), three variants:
 
 Matrix rows are coordinates; columns are elements.  GF(p) entries are
 integers; rational entries are integers or strings that ``Fraction`` parses,
-such as "1/2".  ``Representation`` checks them, and refuses floats and
-booleans.  Element sets serialize as sorted integer arrays.
+such as "1/2" or "0.1".  ``Representation`` checks them, and refuses floats,
+booleans and exponent notation such as "1e5", which ``Fraction`` would
+expand into an int as long as the exponent.  Element sets serialize as
+sorted integer arrays.
 
 Adjoint map files:
 
@@ -168,8 +170,7 @@ def _describes(spec, M: Matroid, role: str) -> bool:
 def _element_set(values, n: int, what: str) -> ElementSet:
     if not isinstance(values, list):
         raise InputError(f"{what} must be a list of integers, got {values!r}")
-    label_mask(values, n, what)
-    return ElementSet.of(values, n)
+    return ElementSet._trusted(label_mask(values, n, what), n)
 
 
 def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,

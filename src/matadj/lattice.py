@@ -1,11 +1,26 @@
 """The geometric lattice of flats of a matroid.
 
-Flats are enumerated level by level: the rank-0 flat is cl(empty), and the
-flats covering a flat F are exactly the closures cl(F u {e}) for e outside F.
-The sets G - F, for G covering F, partition E - F, so each cover is closed
-once: an element that already lies in a cover found for F is skipped.  This
-avoids closing all 2^n subsets; the exhaustive version lives in the test
-suite as an independent oracle.
+A lattice is made in one of two ways.
+
+* **By closures** (``FlatLattice.build``).  Flats are enumerated level by
+  level: the rank-0 flat is cl(empty), and the flats covering a flat F are
+  exactly the closures cl(F u {e}) for e outside F.  The sets G - F, for G
+  covering F, partition E - F, so each cover is closed once: an element that
+  already lies in a cover found for F is skipped.  This avoids closing all
+  2^n subsets; the exhaustive version lives in the test suite as an
+  independent oracle.
+* **Off a built parent lattice** (``FlatLattice.of_minor``), for a deletion
+  or a contraction of a matroid whose lattice is already built, with no
+  closure at all.  The flats of M\\D are the traces G - D of the flats G of
+  M, and the flats of M/C are the sets G - C for the flats G that contain C
+  (Oxley, *Matroid Theory*, 2nd ed., ch. 3).  ``least_flats`` walks the
+  parent in rank order and keeps, for each trace T = G n K on the kept set
+  K, the first flat it meets with that trace.  That flat is cl(T): cl(T) is
+  a flat inside every flat G with trace T, and its own trace is T, since
+  T <= cl(T) n K <= G n K = T.  Any other flat with trace T strictly
+  contains cl(T) and so has a higher rank, which is why the first flat met
+  is the least one.  Its rank is the rank of T in M\\D; in M/C the rank of
+  G - C is r(G) - r(cl C).
 
 The build relies on M being a matroid, since only a matroid's closure gives
 a geometric lattice, but it does not check the exchange axiom itself.  That
@@ -19,48 +34,95 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from .errors import ConstructionError, InputError
+from .matroid import _squeeze
 from .sets import ElementSet, bits
 
 
-class FlatLattice:
-    """All flats of a matroid, grouped by rank, with cover (Hasse) structure."""
+def least_flats(lattice: "FlatLattice", keep: int, over: int = 0) -> dict:
+    """Trace -> (least flat, its rank): each trace G & keep of a flat G that
+    contains ``over``, mapped to the first such G met in rank order, which is
+    cl(trace) (see the module docstring).  Entries come in that walk's order,
+    so ranks never decrease; ``over`` = 0 admits every flat."""
+    least: dict = {}
+    for k, layer in enumerate(lattice.flats_by_rank):
+        for G in layer:
+            g = G.mask
+            if not over & ~g:
+                t = g & keep
+                if t not in least:
+                    least[t] = (G, k)
+    return least
 
-    def __init__(self, owner, flats_by_rank: Tuple[Tuple[ElementSet, ...], ...],
-                 covers: Dict[ElementSet, frozenset]):
+
+class FlatLattice:
+    """All flats of a matroid, grouped by rank; covers (the Hasse diagram) on demand."""
+
+    def __init__(self, owner, flats_by_rank: Tuple[Tuple[ElementSet, ...], ...]):
         self.owner = owner
         self.flats_by_rank = flats_by_rank
-        self.covers = covers
         # flat mask -> rank; the flats all live on the owner's ground set
         self.rank_by_mask = {
             f.mask: k for k, layer in enumerate(flats_by_rank) for f in layer
         }
         self._canonical = None
+        self._covers = None
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
         bottom = M.closure(ElementSet.empty(M.n))
         layers = [(bottom,)]
-        covers: Dict[ElementSet, frozenset] = {}
         current = [bottom]
         for _ in range(M.full_rank):
             nxt = set()
             for F in current:
-                cov = set()
                 reached = F.mask
                 for e in range(M.n):
                     if not reached >> e & 1:
                         G = M.closure(F.add(e))
-                        cov.add(G)
+                        nxt.add(G)
                         reached |= G.mask
-                covers[F] = frozenset(cov)
-                nxt |= cov
             current = sorted(nxt, key=lambda f: f.key)
             layers.append(tuple(current))
+        return cls._checked(M, layers)
+
+    @classmethod
+    def of_minor(cls, N, parent: "FlatLattice", removed: int, contracted: bool) -> "FlatLattice":
+        """The lattice of N = M/C (``contracted``) or M\\D, read off the built
+        lattice of M, where ``removed`` is the mask of C or D in M."""
+        least = least_flats(parent, parent.owner._full & ~removed, removed if contracted else 0)
+        base = next(iter(least.values()))[1]  # r(cl C); 0 for a deletion
+        by_rank: list = [[] for _ in range(N.full_rank + 1)]
+        for t, (_, k) in least.items():
+            by_rank[k - base].append(t)
+        n = N.n
+        layers = [
+            tuple(sorted((ElementSet._trusted(m, n) for m in _squeeze(masks, removed)),
+                         key=lambda f: f.key))
+            for masks in by_rank
+        ]
+        return cls._checked(N, layers)
+
+    @classmethod
+    def _checked(cls, M, layers: list) -> "FlatLattice":
         # top layer is the single rank-r flat (the ground set's closure)
         if len(layers[-1]) != 1:
             raise ConstructionError("expected a unique top flat")
-        covers[layers[-1][0]] = frozenset()
-        return cls(M, tuple(layers), covers)
+        return cls(M, tuple(layers))
+
+    @property
+    def covers(self) -> Dict[ElementSet, frozenset]:
+        """Flat -> the flats covering it, computed on first read: the covers
+        of F are the flats one rank up that contain F."""
+        if self._covers is None:
+            layers = self.flats_by_rank
+            covers = {}
+            for lower, upper in zip(layers, layers[1:]):
+                for F in lower:
+                    f = F.mask
+                    covers[F] = frozenset(G for G in upper if not f & ~G.mask)
+            covers[layers[-1][0]] = frozenset()
+            self._covers = covers
+        return self._covers
 
     # -- queries ------------------------------------------------------------
 

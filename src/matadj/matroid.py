@@ -104,6 +104,7 @@ class Matroid:
         self._rank_cache: dict = {}  # subset mask -> rank
         self._minor_cache: dict = {}
         self._lattice = None
+        self._minor_of = None  # (parent, removed mask, contracted), set by contract and delete
 
     @property
     def bases(self) -> frozenset:
@@ -221,11 +222,23 @@ class Matroid:
     # -- flats --------------------------------------------------------------
 
     def flats(self):
-        """The full lattice of flats (cached)."""
+        """The full lattice of flats (cached).
+
+        A contraction or deletion made by ``contract`` or ``delete`` reads its
+        lattice off its parent's, with no closure, when the parent's lattice is
+        already built; every other matroid builds its own by closures.  Both
+        paths give the same lattice, layers in the same order; see
+        ``matadj.lattice``.
+        """
         if self._lattice is None:
             from .lattice import FlatLattice
 
-            self._lattice = FlatLattice.build(self)
+            origin = self._minor_of
+            if origin is not None and origin[0]._lattice is not None:
+                parent, removed, contracted = origin
+                self._lattice = FlatLattice.of_minor(self, parent._lattice, removed, contracted)
+            else:
+                self._lattice = FlatLattice.build(self)
         return self._lattice
 
     def hyperplanes(self) -> tuple:
@@ -261,6 +274,7 @@ class Matroid:
             _squeeze([b & ~ind for b in self._basis_masks if b & cm == ind], cm),
             provenance={"op": "contract", "removed": bits(cm), "relabel": relabel, "parent": self},
         )
+        result._minor_of = (self, cm, True)
         self._minor_cache[("contract", cm)] = result
         return result
 
@@ -283,6 +297,7 @@ class Matroid:
             _squeeze(kept, dm),
             provenance={"op": "delete", "removed": bits(dm), "relabel": relabel, "parent": self},
         )
+        result._minor_of = (self, dm, False)
         self._minor_cache[("delete", dm)] = result
         return result
 

@@ -36,6 +36,10 @@ def _entry(x, char: int):
             return x % char
         raise InputError(f"bad matrix entry {x!r}: over GF({char}) an entry must be an integer")
     if exact and isinstance(x, (int, Fraction, str)):
+        # Fraction expands an exponent into a full int: "1e4000000" is 10 bytes
+        # that take seconds and megabytes to read
+        if isinstance(x, str) and ("e" in x or "E" in x):
+            raise InputError(f"bad matrix entry {x!r}: exponent notation is not accepted")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -51,10 +55,11 @@ class Representation:
     The field and every entry are checked once, here.  Over GF(p) an entry
     must be an int, and is stored reduced into 0..p-1.  Over the rationals
     it must be an int, a ``Fraction`` or a string that ``Fraction`` parses,
-    such as "1/2" or "0.1", and is stored as a ``Fraction``.  Bools and
-    floats are refused over every field: a float has usually already lost
-    the value that was meant.  Each column is also kept as an int vector
-    (``integer_vector``) for the elimination kernel of ``matadj.linalg``.
+    such as "1/2" or "0.1", but not in exponent notation such as "1e5", and
+    is stored as a ``Fraction``.  Bools and floats are refused over every
+    field: a float has usually already lost the value that was meant.  Each
+    column is also kept as an int vector (``integer_vector``) for the
+    elimination kernel of ``matadj.linalg``.
     """
 
     field: object

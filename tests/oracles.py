@@ -88,6 +88,25 @@ def vanishing_by_codependence(M, D):
     return tuple(out)
 
 
+def delete_table_by_closure(phi, D):
+    """The table of the deletion adjoint, phi(cl F) minus the points of the
+    vanishing hyperplanes, with cl F closed by brute_closure for each flat F
+    of brute_flats(M\\D); the library reads cl F off the lattice of M."""
+    M, Mp = phi.source, phi.target
+    vanished = set()
+    for H in vanishing_by_codependence(M, D):
+        vanished |= phi.table[H].members
+    N = M.delete(D)
+    inverse = {v: k for k, v in N.provenance["relabel"].items()}
+    tgt_relabel = Mp.delete(ElementSet.of(vanished, Mp.n)).provenance["relabel"]
+    table = {}
+    for F in brute_flats(N):
+        closed = ElementSet.of(brute_closure(M, [inverse[e] for e in F.members]), M.n)
+        image = phi.table[closed].members - vanished
+        table[F] = ElementSet.of((tgt_relabel[e] for e in image), len(tgt_relabel))
+    return table
+
+
 def isomorphic(A, B):
     """Some relabelling of A's ground set carries its bases onto B's."""
     a_bases, b_bases = A.bases, B.bases

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matadj.adjoint
 from matadj import (
     AdjointMap,
+    ConstructionError,
     ElementSet,
     InputError,
     MinorSpec,
     PreconditionError,
     StructureError,
+    VerificationReport,
+    Violation,
     by_name,
     catalog,
     check_chain_independence,
@@ -27,7 +31,12 @@ from matadj import (
     verify_adjoint,
 )
 from matadj.files import adjoint_to_dict, canonical_json
-from oracles import brute_inclusion_reversal, brute_modular_pairs, brute_rank_complement
+from oracles import (
+    brute_inclusion_reversal,
+    brute_modular_pairs,
+    brute_rank_complement,
+    delete_table_by_closure,
+)
 
 
 def es(members, n):
@@ -279,6 +288,43 @@ def test_delete_adjoint_image_identity():
         expect = phi.table[M.closure(F_old)].members - vanished
         assert expect == phi.table[M.closure(F_old)].members & surviving
         assert img == es([tgt_map[e] for e in expect], psi.target.n)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_delete_table_matches_closures(fixture_maps, name):
+    # delete_adjoint reads cl(F) off the lattice of M; the oracle closes each flat
+    phi = fixture_maps[name]
+    M = phi.source
+    for size in range(3):
+        for D in combinations(range(M.n), size):
+            Dset = es(D, M.n)
+            if M.is_coindependent(Dset):
+                assert delete_adjoint(phi, Dset).table == delete_table_by_closure(phi, Dset), (name, D)
+
+
+def test_contract_adjoint_is_built_once_per_map():
+    phi = fano_map()
+    psi = contract_adjoint(phi, es([0], 7))
+    assert contract_adjoint(phi, es([0], 7)) is psi
+    assert contract_adjoint(phi, es([1], 7)) is not psi
+    assert all(report.valid for report in full_verification(psi).values())
+
+
+def test_failed_contraction_is_not_cached(monkeypatch):
+    phi = fano_map()
+    C = es([0], 7)
+    failed = VerificationReport(
+        ("target_simple",), (Violation("target_simple", (0,), "no loops", "element 0 is a loop"),)
+    )
+    monkeypatch.setattr(matadj.adjoint, "verify_adjoint", lambda psi: failed)
+    for _ in range(2):  # the second call builds again and fails again
+        with pytest.raises(ConstructionError, match="contraction adjoint failed verification"):
+            contract_adjoint(phi, C)
+        assert phi._contractions == {}
+    monkeypatch.undo()
+    psi = contract_adjoint(phi, C)
+    assert verify_adjoint(psi).valid
+    assert contract_adjoint(phi, C) is psi
 
 
 def test_minor_adjoint_examples():

@@ -156,6 +156,7 @@ def test_search_negative_budget_exit_2(capsys, flag):
     [
         ({"prime": 2.0}, 1, "'prime' must be an integer, got 2.0"),
         ({"prime": 2}, 1.0, "bad matrix entry 1.0"),
+        ("rational", "1e4000000", "bad matrix entry '1e4000000': exponent notation is not accepted"),
     ],
 )
 def test_info_bad_matrix_file_exit_2(tmp_path, capsys, field, entry, message):

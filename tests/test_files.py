@@ -94,6 +94,11 @@ def test_loader_reports_exchange_failure():
         ({"n": 3, "field": "rational", "matrix": [[0.1, "0", "1"]]}, r"bad matrix entry 0\.1"),
         ({"n": 3, "field": {"prime": 2.0}, "matrix": [[1, 0, 1]]}, r"'prime' must be an integer, got 2\.0"),
         ({"n": 3, "field": {"prime": "3"}, "matrix": [[1, 0, 1]]}, "'prime' must be an integer, got '3'"),
+        # an exponent would be expanded into a full int before any check
+        ({"n": 3, "field": "rational", "matrix": [["1e4000000", "0", "1"]]},
+         "bad matrix entry '1e4000000': exponent notation is not accepted"),
+        ({"n": 3, "field": "rational", "matrix": [["0", "1.5E-3", "1"]]},
+         "bad matrix entry '1.5E-3': exponent notation is not accepted"),
     ],
 )
 def test_bad_matroid_files(data, message):

@@ -1,16 +1,24 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from matadj import (
     ElementSet,
+    FlatLattice,
     InputError,
     Matroid,
+    MinorSpec,
+    adjoint_from_representation,
     by_name,
+    catalog,
     hyperplane_chain,
+    minor_adjoint,
+    minor_normal_form,
     uniform,
 )
 from oracles import brute_covers, brute_flats
+from test_trust_boundaries import representations
 
 
 def es(members, n):
@@ -112,3 +120,78 @@ def test_chain_properties_for_every_flat(name):
             assert nxt != running  # strictly decreasing
             running = nxt
         assert running == X
+
+
+# -- lattices read off a built parent lattice ----------------------------------
+
+def minors_of(M):
+    """For every spec (C, D) with |C| + |D| <= 2: M/C and M\\D as given, and
+    the contraction, then the deletion, that minor_adjoint makes of its
+    normal form."""
+    n = M.n
+    for total in range(3):
+        for csz in range(total + 1):
+            for C in combinations(range(n), csz):
+                rest = [x for x in range(n) if x not in C]
+                for D in combinations(rest, total - csz):
+                    yield M.contract(es(C, n))
+                    yield M.delete(es(D, n))
+                    nf = minor_normal_form(M, MinorSpec(es(C, n), es(D, n)))
+                    M1 = M.contract(nf.contract)
+                    yield M1
+                    yield M1.delete(nf.delete.relabel(M1.provenance["relabel"], M1.n))
+
+
+def assert_minor_lattices_match_builds(M):
+    M = Matroid._unchecked(M.n, M._basis_masks)  # no minors cached yet
+    M.flats()
+    seen = set()
+    for N in minors_of(M):
+        if id(N) in seen:
+            continue
+        seen.add(id(N))
+        # the parent's lattice is built, so N.flats() reads it off that
+        assert N._lattice is None and N.provenance["parent"]._lattice is not None
+        derived, built = N.flats(), FlatLattice.build(N)
+        assert derived.flats_by_rank == built.flats_by_rank, N.provenance["removed"]
+        assert derived.rank_by_mask == built.rank_by_mask
+        assert derived.covers == built.covers
+        assert derived.canonical_order() == built.canonical_order()
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_minor_lattices_match_builds(fixture_maps, name):
+    assert_minor_lattices_match_builds(by_name(name).matroid)
+    assert_minor_lattices_match_builds(fixture_maps[name].target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(representations())
+def test_drawn_minor_lattices_match_builds(rep):
+    assert_minor_lattices_match_builds(rep.matroid())
+
+
+@pytest.mark.parametrize("name", ["M_K4", "nonfano"])
+def test_minor_adjoints_build_no_lattice(monkeypatch, name):
+    entry = by_name(name)
+    M = Matroid(entry.matroid.n, entry.matroid.bases)  # no minors cached yet
+    phi = adjoint_from_representation(M, entry.representation)
+    builds = []
+    build = FlatLattice.build.__func__
+    monkeypatch.setattr(FlatLattice, "build", classmethod(lambda cls, N: builds.append(N) or build(cls, N)))
+    n = M.n
+    for total in range(4):
+        for S in combinations(range(n), total):
+            for csz in range(total + 1):
+                minor_adjoint(phi, MinorSpec(es(S[:csz], n), es(S[csz:], n)))
+    assert builds == []
+
+
+def test_caller_provenance_does_not_select_the_path():
+    # only contract and delete mark a minor; a caller's provenance claiming
+    # that this deletion is a contraction must not change its lattice
+    M = by_name("fano").matroid
+    M.flats()
+    deletion = M.delete(es([0], 7))
+    N = Matroid(6, deletion.bases, provenance={"op": "contract", "removed": [0], "parent": M})
+    assert N.flats().flats_by_rank == deletion.flats().flats_by_rank
