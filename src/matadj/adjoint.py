@@ -17,6 +17,12 @@ are the flats of M that contain C, with cl(C) the least of them, and cl(F)
 for a flat F of M\\D is the least flat of M whose trace on E - D is F.  The
 minors' own lattices are read off the same parent lattice.
 
+No target's lattice is ever built.  Checking a map needs three things from
+its target M': whether each image is a flat, the points, and cl'(empty).
+Each comes from the target's memoised closure (``Matroid._closure``): an
+image is a flat when it is its own closure, the points are the closures of
+the non-loop elements, and the bottom flat is the closure of the empty set.
+
 Constructed maps are re-verified before being returned; a verification
 failure there is a ConstructionError (an implementation bug), never a
 silently wrong map.  Each map keeps the contractions made from it, keyed by
@@ -136,7 +142,12 @@ DEFINITION_CHECKS = (
 
 
 def _structural_check(phi: AdjointMap) -> None:
-    """Raise StructureError unless the table is total on source flats with flat values."""
+    """Raise StructureError unless the table is total on source flats with flat values.
+
+    An image is a flat of the target when it equals its own closure there.
+    ``induced_map`` has just closed every image, so on its maps each test is
+    one lookup in the target's closure memo.
+    """
     src = phi.source.flats()
     missing = [F for F in src.all_flats() if F not in phi.table]
     if missing:
@@ -144,9 +155,9 @@ def _structural_check(phi: AdjointMap) -> None:
     if len(phi.table) != src.flat_count():  # every flat is a key, so some key is not a flat
         extra = [F for F in phi.table if not src.is_flat(F)]
         raise StructureError(f"table has keys that are not flats of the source: {sorted(extra, key=lambda f: f.key)[:3]}")
-    n, tgt_flats = phi.target.n, phi.target.flats().rank_by_mask
+    n, closure = phi.target.n, phi.target._closure
     for F, img in phi.table.items():
-        if img.universe != n or img.mask not in tgt_flats:
+        if img.universe != n or closure(img.mask) != img.mask:
             raise StructureError(f"image of {F!r} is {img!r}, which is not a flat of the target")
 
 
@@ -202,8 +213,10 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
                         f"{table[F2]!r} is not within {table[F1]!r}",
                     ))
 
-    # hyperplanes -> points bijectively
-    points = {P.mask: P for P in Mp.flats().layer(1)} if Mp.full_rank >= 1 else {}
+    # hyperplanes -> points bijectively; the points of M' are the closures
+    # of its non-loop elements
+    points = {p: ElementSet._trusted(p, Mp.n)
+              for p in (Mp._closure(1 << e) for e in range(Mp.n) if rank(1 << e))}
     hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
     images = []
     for H in hyperplanes:
@@ -230,9 +243,9 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
         ))
 
     # phi(E) = cl'(empty) (forced for valid maps; checked explicitly): the
-    # top flat of M and the bottom flat of M', read from the cached lattices
+    # top flat of M, read from its lattice, and the bottom flat of M'
     top = lattice.layer(M.full_rank)[0]
-    want = Mp.flats().layer(0)[0]
+    want = ElementSet._trusted(Mp._closure(0), Mp.n)
     if table[top] != want:
         violations.append(Violation("ground_to_empty", (top,), repr(want), repr(table[top])))
 
@@ -264,7 +277,7 @@ def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
     """Images of a strictly-decreasing hyperplane chain are independent in the target."""
     M = phi.source
     lattice = M.flats()
-    running = M.groundset().mask
+    running = M._full
     for H in chain:
         if not lattice.is_flat(H) or lattice.rank_of(H) != M.full_rank - 1:
             raise PreconditionError(f"{H!r} is not a hyperplane of the source")
@@ -348,11 +361,12 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
         raise InputError("bijection is not total on the source hyperplanes")
     if sorted(bij.values()) != list(range(Mp.n)):
         raise InputError("bijection is not onto the points of the target")
-    labelled = [(H.mask, bij[H]) for H in hyperplanes]
+    labelled = [(H.mask, 1 << bij[H]) for H in hyperplanes]
     table = {}
     for F in M.flats().all_flats():
         f = F.mask
-        table[F] = Mp.closure(ElementSet.of([i for h, i in labelled if not f & ~h], Mp.n))
+        points = sum(p for h, p in labelled if not f & ~h)
+        table[F] = ElementSet._trusted(Mp._closure(points), Mp.n)
     order = tuple(sorted(bij, key=bij.__getitem__))
     return AdjointMap(M, Mp, table, order)
 

@@ -69,20 +69,18 @@ class FlatLattice:
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
-        bottom = M.closure(ElementSet.empty(M.n))
-        layers = [(bottom,)]
-        current = [bottom]
+        n = M.n
+        layers = [(ElementSet._trusted(M._closure(0), n),)]
         for _ in range(M.full_rank):
             nxt = set()
-            for F in current:
-                reached = F.mask
-                for e in range(M.n):
+            for F in layers[-1]:
+                f = reached = F.mask
+                for e in range(n):
                     if not reached >> e & 1:
-                        G = M.closure(F.add(e))
-                        nxt.add(G)
-                        reached |= G.mask
-            current = sorted(nxt, key=lambda f: f.key)
-            layers.append(tuple(current))
+                        g = M._closure(f | 1 << e)
+                        nxt.add(g)
+                        reached |= g
+            layers.append(tuple(sorted((ElementSet._trusted(g, n) for g in nxt), key=lambda f: f.key)))
         return cls._checked(M, layers)
 
     @classmethod
@@ -175,7 +173,7 @@ def hyperplane_chain(M, X: ElementSet) -> list:
     hyperplanes = M.hyperplanes()
     chain = []
     x = X.mask
-    running = M.groundset().mask
+    running = M._full
     while running != x:
         for H in hyperplanes:
             h = H.mask

@@ -49,7 +49,8 @@ class Matroid:
 
     Every set is an int bitmask, as in ``ElementSet``.  The bases are stored
     once, as the mask tuple ``_basis_masks``; ``bases`` (frozensets) is derived
-    on demand.  The one rank cache maps a subset's mask to its rank.
+    on demand.  The one rank cache maps a subset's mask to its rank, and the
+    closure memo maps it to the mask of its closure.
 
     The public constructor is the trust boundary.  It refuses a non-int or
     bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
@@ -102,6 +103,7 @@ class Matroid:
         self._full = (1 << n) - 1
         self._basis_masks = masks
         self._rank_cache: dict = {}  # subset mask -> rank
+        self._closure_cache: dict = {}  # subset mask -> mask of its closure
         self._minor_cache: dict = {}
         self._lattice = None
         self._minor_of = None  # (parent, removed mask, contracted), set by contract and delete
@@ -144,7 +146,7 @@ class Matroid:
     # -- basic queries ------------------------------------------------------
 
     def groundset(self) -> ElementSet:
-        return ElementSet.full(self.n)
+        return ElementSet._trusted(self._full, self.n)
 
     def _mask_of(self, S: ElementSet) -> int:
         """The mask of S, after checking that S lives on this ground set."""
@@ -182,24 +184,32 @@ class Matroid:
         """Rank of S: the size of a largest independent subset of S."""
         return self._rank(self._mask_of(S))
 
-    def closure(self, S: ElementSet) -> ElementSet:
-        """cl(S): all elements whose addition leaves the rank of S unchanged.
+    def _closure(self, m: int) -> int:
+        """The mask of cl(S) for the subset with mask m, through the closure memo.
 
         One pass over the bases: e outside S raises the rank exactly when it
         lies in a basis B with |B n S| = r(S), so
-        cl(S) = E - U{B - S : |B n S| = r(S)}.
+        cl(S) = E - U{B - S : |B n S| = r(S)}.  The result is recorded as its
+        own closure too, so that asking whether it is a flat is one lookup.
         """
-        m = self._mask_of(S)
-        best = -1
-        spanned = 0  # union of the bases that meet S in r(S) elements
-        for b in self._basis_masks:
-            k = (m & b).bit_count()
-            if k > best:
-                best, spanned = k, b
-            elif k == best:
-                spanned |= b
-        self._rank_cache[m] = best
-        return ElementSet._trusted(self._full & ~spanned | m, self.n)
+        c = self._closure_cache.get(m)
+        if c is None:
+            best = -1
+            spanned = 0  # union of the bases that meet S in r(S) elements
+            for b in self._basis_masks:
+                k = (m & b).bit_count()
+                if k > best:
+                    best, spanned = k, b
+                elif k == best:
+                    spanned |= b
+            self._rank_cache[m] = best
+            c = self._full & ~spanned | m
+            self._closure_cache[m] = self._closure_cache[c] = c
+        return c
+
+    def closure(self, S: ElementSet) -> ElementSet:
+        """cl(S): all elements whose addition leaves the rank of S unchanged."""
+        return ElementSet._trusted(self._closure(self._mask_of(S)), self.n)
 
     def is_independent(self, S: ElementSet) -> bool:
         m = self._mask_of(S)

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from matadj import (
     StructureError,
     VerificationReport,
     Violation,
+    adjoint_from_representation,
     by_name,
     catalog,
     check_chain_independence,
@@ -30,6 +32,7 @@ from matadj import (
     vanishing_hyperplanes,
     verify_adjoint,
 )
+from matadj.catalog import _vandermonde
 from matadj.files import adjoint_to_dict, canonical_json
 from oracles import (
     brute_inclusion_reversal,
@@ -106,8 +109,6 @@ def test_rank_complement():
 
 def fano_map():
     entry = by_name("fano")
-    from matadj import adjoint_from_representation
-
     return adjoint_from_representation(entry.matroid, entry.representation)
 
 
@@ -384,3 +385,15 @@ def test_full_verification_bundle():
         "modular_pairs",
     }
     assert all(r.valid for r in reports.values())
+
+
+def test_u47_covector_adjoint_is_pinned(monkeypatch):
+    # U_4_7's covector adjoint: 35 points and 40,672 bases in the target, above
+    # the default cap; the map is checked without building the target lattice
+    monkeypatch.setenv("MATADJ_MAX_N", "35")
+    rep = _vandermonde(4, 7)
+    phi = adjoint_from_representation(rep.matroid(), rep)
+    assert phi.target.n == 35 and phi.target._lattice is None
+    assert all(report.valid for report in full_verification(phi).values())
+    digest = hashlib.sha256(canonical_json(adjoint_to_dict(phi)).encode()).hexdigest()
+    assert digest == "2b392249cf38e6f8725c881a388aeb7f1f24ff9cae3b85df16938aee5770ce3a"
