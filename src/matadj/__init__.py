@@ -1,4 +1,4 @@
-"""Matroid adjoint maps: verification, minor constructions, and search oracles."""
+"""Matroid adjoint maps: verification, minor constructions, and search."""
 
 from .adjoint import (
     AdjointMap,
@@ -34,7 +34,6 @@ from .lattice import FlatLattice, hyperplane_chain
 from .matroid import Matroid, MinorSpec, apply_minor, minor_normal_form
 from .search import (
     Representation,
-    SearchBudget,
     SearchResult,
     adjoint_from_representation,
     search_adjoint,
@@ -53,7 +52,6 @@ __all__ = [
     "MinorSpec",
     "PreconditionError",
     "Representation",
-    "SearchBudget",
     "SearchResult",
     "StructureError",
     "VerificationReport",

@@ -80,8 +80,8 @@ class AdjointMap:
     """A total flat-to-flat table from a source matroid into a simple target.
 
     ``hyperplane_order`` lists the source hyperplanes in target-point order:
-    entry i is the hyperplane mapped to point {i}.  It is None when the table
-    is not point-bijective on hyperplanes (e.g. a failed candidate).
+    entry i is the hyperplane mapped to point {i}.  Always derived from the
+    table, it is None when the table is not point-bijective on hyperplanes.
 
     Construction raises StructureError unless the table is total on the
     source flats with flats of the target as values.
@@ -90,14 +90,13 @@ class AdjointMap:
     source: Matroid
     target: Matroid
     table: Dict[ElementSet, ElementSet]
-    hyperplane_order: Optional[Tuple[ElementSet, ...]] = None
+    hyperplane_order: Optional[Tuple[ElementSet, ...]] = field(init=False)
     # contraction-set mask -> verified contract_adjoint result
     _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _structural_check(self)
-        if self.hyperplane_order is None:
-            object.__setattr__(self, "hyperplane_order", derive_hyperplane_order(self))
+        object.__setattr__(self, "hyperplane_order", _derive_hyperplane_order(self))
 
     def image(self, F: ElementSet) -> ElementSet:
         try:
@@ -110,15 +109,15 @@ class AdjointMap:
         return [(F, self.table[F]) for F in self.source.flats().canonical_order()]
 
 
-def derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[ElementSet, ...]]:
+def _derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[ElementSet, ...]]:
     if phi.source.full_rank == 0:
         return ()
     by_point: dict = {}
     for H in phi.source.hyperplanes():
         img = phi.table.get(H)
-        if img is None or len(img) != 1:
+        if img is None or img.mask.bit_count() != 1:
             return None
-        (pt,) = img
+        pt = img.mask.bit_length() - 1
         if pt in by_point:
             return None
         by_point[pt] = H
@@ -367,8 +366,7 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
         f = F.mask
         points = sum(p for h, p in labelled if not f & ~h)
         table[F] = ElementSet._trusted(Mp._closure(points), Mp.n)
-    order = tuple(sorted(bij, key=bij.__getitem__))
-    return AdjointMap(M, Mp, table, order)
+    return AdjointMap(M, Mp, table)
 
 
 def _relabelled_table(flats, images: list, gone: int, n: int) -> dict:

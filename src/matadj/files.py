@@ -20,7 +20,8 @@ Adjoint map files:
      "hyperplane_order": [[...], ...]}
 
 The hyperplane order is repeated explicitly so files cannot drift from a
-re-derivation; the loader cross-checks it against the table.
+re-derivation; the loader cross-checks it against the table, and a loaded
+map's order is always the one derived from its table.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import json
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from .adjoint import AdjointMap, derive_hyperplane_order
+from .adjoint import AdjointMap
 from .catalog import by_name
 from .errors import InputError
 from .matroid import Matroid, checked_basis_masks
@@ -210,11 +211,9 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
         hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
         if sorted(order, key=lambda h: h.key) != list(hyperplanes):
             raise InputError("stored hyperplane_order is not a permutation of the source hyperplanes")
-    phi = AdjointMap(M, Mp, table, order)
-    if order is not None:
-        derived = derive_hyperplane_order(phi)
-        if derived is not None and derived != order:
-            raise InputError("stored hyperplane_order disagrees with the map table")
+    phi = AdjointMap(M, Mp, table)
+    if order is not None and phi.hyperplane_order is not None and phi.hyperplane_order != order:
+        raise InputError("stored hyperplane_order disagrees with the map table")
     return phi
 
 

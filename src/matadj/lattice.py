@@ -25,8 +25,8 @@ A lattice is made in one of two ways.
 The build relies on M being a matroid, since only a matroid's closure gives
 a geometric lattice, but it does not check the exchange axiom itself.  That
 is checked where bases enter from outside the package: by the public
-``Matroid`` constructor (bases files too), and by an explicit call on each
-search candidate.  Column matroids and the minors, duals and simplifications
+``Matroid`` constructor (bases files too), and by an explicit call on the
+search candidate in rank 4 and above.  Column matroids and the minors, duals and simplifications
 of a ``Matroid`` are matroids by a theorem and skip it; see ``Matroid``.
 """
 from __future__ import annotations

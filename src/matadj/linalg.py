@@ -98,11 +98,6 @@ def echelon(vectors, char: int) -> list:
     return rows
 
 
-def matrix_rank(rows, char: int) -> int:
-    """Rank of a matrix given as rows of field elements."""
-    return len(echelon([integer_vector(row, char) for row in rows], char))
-
-
 def null_vector(rows, dim: int, char: int) -> list:
     """The normal form of the nonzero x with row . x = 0 for every echelon row.
 

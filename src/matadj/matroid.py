@@ -33,6 +33,15 @@ def max_ground_size() -> int:
         raise InputError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
 
 
+def check_ground_size(n: int) -> None:
+    """Refuse a negative ground-set size, or one above ``max_ground_size()``."""
+    cap = max_ground_size()
+    if n < 0:
+        raise InputError(f"ground-set size must be non-negative, got {n}")
+    if n > cap:
+        raise InputError(f"ground-set size {n} exceeds cap {cap} (set {_ENV_MAX_N} to raise)")
+
+
 def checked_basis_masks(bases: Iterable, n: int) -> tuple:
     """The masks of a caller's bases, in order: label-checked, none listed twice."""
     masks: dict = {}
@@ -60,10 +69,10 @@ class Matroid:
     for outputs that are matroids by a theorem: the column matroid of a
     matrix (``Representation.matroid``), by the Steinitz exchange lemma, the
     contraction, deletion, dual and simplification of a ``Matroid``, and the
-    adjoint target that search builds in rank at most 3.  Search in rank 4
-    and above builds each candidate with ``_unchecked`` and then calls
-    ``_check_exchange`` on it explicitly, which returns the violating pair
-    unformatted, so a rejected candidate costs no message.
+    freest adjoint target that search builds in rank at most 3.  In rank 4
+    and above search builds the same target with ``_unchecked`` and then
+    calls ``_check_exchange`` on it explicitly, which returns the violating
+    pair unformatted, so a rejected candidate costs no message.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
@@ -87,11 +96,7 @@ class Matroid:
         return matroid
 
     def _setup(self, n: int, masks: tuple, provenance: Optional[dict]) -> None:
-        cap = max_ground_size()
-        if n < 0:
-            raise InputError(f"ground-set size must be non-negative, got {n}")
-        if n > cap:
-            raise InputError(f"ground-set size {n} exceeds cap {cap} (set {_ENV_MAX_N} to raise)")
+        check_ground_size(n)
         if not masks:
             raise InputError("a matroid needs at least one basis (use [[]] for rank 0)")
         sizes = {b.bit_count() for b in masks}

@@ -6,12 +6,12 @@ Two independent routes to an adjoint:
   representable matroid: each hyperplane's covector is the (1-dimensional)
   space of linear functionals vanishing on its columns, and the target is
   the matroid of those covectors.
-* ``search_adjoint`` needs only the bases.  In rank at most 3 it builds the
-  target directly from the hyperplanes through each point of M.  In rank 4
-  and above it enumerates simple rank-r candidate targets on the hyperplane
-  label set, in a fixed order, and returns the first one whose map, induced
-  by the identity bijection from hyperplanes to labels, verifies.  A budget
-  refusal is reported as not-exhausted, never as a negative answer.
+* ``search_adjoint`` needs only the bases.  In every rank it builds one
+  candidate, the freest target on the hyperplane labels: all r-subsets
+  that meet the labels of the hyperplanes through each flat F in at most
+  r - r(F) labels.  In rank at most 3 that is an adjoint by a theorem.  In
+  rank 4 and above it is checked and verified, and a failure is reported
+  as not-exhausted, never as a negative answer.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from .adjoint import AdjointMap, induced_map, verify_adjoint
 from .errors import ConstructionError, InputError
 from .linalg import characteristic, echelon, eliminate, integer_vector, leading_index, null_vector
-from .matroid import Matroid
+from .matroid import Matroid, check_ground_size
 from .sets import ElementSet
 
 
@@ -169,20 +169,6 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Caps on the family enumeration that ``search_adjoint`` runs in rank 4 and above."""
-
-    max_hyperplanes: int = 6
-    max_candidates: int = 200_000
-
-    def __post_init__(self):
-        for name in ("max_hyperplanes", "max_candidates"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise InputError(f"{name} must be a non-negative integer, got {value!r}")
-
-
-@dataclass(frozen=True)
 class SearchResult:
     found: Optional[AdjointMap]
     exhausted: bool
@@ -190,122 +176,96 @@ class SearchResult:
     diagnostic: Optional[str] = None
 
 
-def _cover_mask(labels, m: int) -> int:
-    """Bit i*m + j for each pair i < j of labels.  A family that covers every
-    pair is simple: it covers every label too, and for r = 1 forces m = 1."""
-    return sum(1 << i * m + j for i, j in combinations(labels, 2))
-
-
-def search_adjoint(M: Matroid, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """Find an adjoint of M: by construction in rank at most 3, by enumeration above.
+def search_adjoint(M: Matroid) -> SearchResult:
+    """Find an adjoint of M from its bases: the freest target, in every rank.
 
     A rank-0 matroid has the empty adjoint, and the search is exhausted.  In
-    rank 1 to 3 the adjoint is built without search (``_low_rank_adjoint``)
-    and counts as one candidate.  In rank 4 and above the candidate families
-    are enumerated (``_enumerate_families``) within ``budget``, which caps
-    only that enumeration.
+    rank 1 and above the one candidate is the freest target
+    (``_freest_target``), tried under the identity bijection H_i -> i.  In
+    rank at most 3 it is an adjoint by a theorem; in rank 4 and above it is
+    exchange-checked, checked for simplicity and verified, and a failure is
+    reported in ``diagnostic`` with ``exhausted`` False: this search tries no
+    other candidate, so a failure is never a negative answer.
     """
     r = M.full_rank
     if r == 0:
         target = Matroid(0, [()])
         phi = AdjointMap(M, target, {M.closure(M.groundset()): ElementSet.empty(0)})
         return SearchResult(phi, True, 1)
-    if r <= 3:
-        return SearchResult(_low_rank_adjoint(M), False, 1)
-    return _enumerate_families(M, budget)
-
-
-def _low_rank_adjoint(M: Matroid) -> AdjointMap:
-    """The adjoint of a matroid of rank 1 to 3, built directly; verified before returning.
-
-    Label the hyperplanes H_i in canonical order.  For each point p (rank-1
-    flat) of M the block P(p) is the set of labels i with p inside H_i.  The
-    target's bases are the r-subsets of labels that lie inside no block.
-
-    The target is a simple rank-r matroid by a theorem, so it is built
-    with ``_unchecked``.  In rank 1 the one label gives U_1_1.  In rank 2 each
-    block is the one label of p itself, which gives U_2_m.  In rank 3 the H_i
-    are lines, and two distinct lines meet in at most one point, so two
-    labels share at most one block.  The blocks of two or more labels, with
-    every pair of labels that shares no block, are then the lines of a
-    linear space on the labels, and the triples off its lines are the bases
-    of a simple rank-3 matroid.  The lines of M meet only in cl(0), so no
-    block holds every label and the rank is 3.  Every rank-3 matroid thus has
-    an adjoint (Cheung, "Adjoints of a geometry", Canad. Math. Bull. 17, 1974).
-
-    Each point lies on at least two lines, and an adjoint must give P(p)
-    rank r - 1 = 2, so in every adjoint on these labels each triple inside a
-    block is dependent.  Here exactly those triples are, so this target has
-    the most bases of all of them: it is the first that an enumeration by
-    number of bases descending would accept.
-    """
-    r = M.full_rank
     hyperplanes = M.hyperplanes()
-    blocks = [sum(1 << i for i, H in enumerate(hyperplanes) if p <= H) for p in M.flats().layer(1)]
-    subsets = [sum(1 << i for i in c) for c in combinations(range(len(hyperplanes)), r)]
-    target = Matroid._unchecked(
-        len(hyperplanes), [s for s in subsets if all(s & ~block for block in blocks)]
+    target = _freest_target(M, hyperplanes)
+    fault = _fault(target) if r >= 4 else None
+    if fault is None:
+        phi = induced_map(M, target, {H: i for i, H in enumerate(hyperplanes)})
+        report = verify_adjoint(phi)
+        if report.valid:
+            return SearchResult(phi, False, 1)
+        if r <= 3:
+            raise ConstructionError(f"rank-{r} construction failed verification:\n{report.summary()}")
+        fault = f"fails verification, first at {report.violations[0]}"
+    return SearchResult(
+        None, False, 1,
+        f"the freest rank-{r} target on {len(hyperplanes)} hyperplane labels {fault}; "
+        "no other candidate is tried, so this does not show that M has no adjoint",
     )
-    phi = induced_map(M, target, {H: i for i, H in enumerate(hyperplanes)})
-    report = verify_adjoint(phi)
-    if not report.valid:
-        raise ConstructionError(f"rank-{r} construction failed verification:\n{report.summary()}")
-    return phi
 
 
-def _enumerate_families(M: Matroid, budget: SearchBudget) -> SearchResult:
-    """Find an adjoint of M of rank r >= 1 by exhausting candidate targets.
+def _fault(target: Optional[Matroid]) -> Optional[str]:
+    """Why a freest target of rank 4 or more cannot be tried, or None if it can."""
+    if target is None:
+        return "has no bases"
+    if target._check_exchange() is not None:
+        return "is not a matroid"
+    if not target.is_simple():
+        return "is not simple"
+    return None
 
-    Candidates are simple rank-r matroids on the hyperplane labels, ordered
-    by number of bases descending and then lexicographically.  Each is built
-    from masks, exchange-checked by an explicit call, and tried once, under
-    the identity bijection H_i -> i: every relabelling of a candidate is
-    itself a candidate, so no other bijection can succeed where all
-    identities fail.  ``exhausted`` is True only when the whole space was
-    covered, so a budget refusal can never be read as non-existence.
+
+def _freest_target(M: Matroid, hyperplanes: tuple) -> Optional[Matroid]:
+    """The freest candidate adjoint target of M, on the hyperplane labels.
+
+    Label the hyperplanes H_i in canonical order, and for a flat F let P(F)
+    be the set of labels i with F inside H_i.  An adjoint sends F to a flat
+    of rank r - r(F) that holds exactly the points P(F), so every basis S of
+    an adjoint's target on these labels meets each P(F) in at most
+    r - r(F) labels.  The freest target's bases are all the r-subsets of
+    labels, in ``combinations`` order, within those limits: it contains
+    every adjoint target on these labels.  A limit binds only when
+    |P(F)| > r - r(F); a hyperplane's P is its own label, so the flats of
+    rank 1 to r - 2 suffice.  None when no r-subset is within the limits.
+
+    The ground-size cap is checked before the C(m, r) subsets are listed.
+    The target is built with ``_unchecked``.  In rank at most 3 it is a
+    simple rank-r matroid by a theorem.  In rank 1 the one label gives
+    U_1_1, and in rank 2 there are no limits, which gives U_2_m.  In rank 3
+    only the points bind: S is dependent exactly when it lies in P(p) for a
+    point p.  The H_i are lines, and two distinct lines meet in at most one
+    point, so two labels share at most one P(p).  The P(p) of two or more
+    labels, with every pair of labels that shares none, are then the lines
+    of a linear space on the labels, and the triples off its lines are the
+    bases of a simple rank-3 matroid.  The lines of M meet only in cl(0),
+    so no P(p) holds every label and the rank is 3.  Every rank-3 matroid
+    thus has an adjoint (Cheung, "Adjoints of a geometry", Canad. Math.
+    Bull. 17, 1974).  In rank 4 and above the family need not be a
+    matroid's bases, so the caller checks it.
     """
     r = M.full_rank
-    hyperplanes = M.hyperplanes()
     m = len(hyperplanes)
-    if m > budget.max_hyperplanes:
-        return SearchResult(
-            None, False, 0,
-            f"{m} hyperplanes exceeds the budget cap of {budget.max_hyperplanes}",
-        )
-
-    # an adjoint must satisfy r'(P(F)) = r - r(F), where P(F) is the mask of
-    # the labels of the hyperplanes containing F; small P(F) first, as they
-    # fail soonest
-    forced = sorted(
-        ((r - k, sum(1 << i for i, H in enumerate(hyperplanes) if F <= H))
-         for k, layer in enumerate(M.flats().flats_by_rank) for F in layer),
-        key=lambda t: t[0],
-    )
-    bij = {H: i for i, H in enumerate(hyperplanes)}
-
-    # (basis mask, cover mask) of each r-subset of labels, in lexicographic order
-    members = [(sum(1 << i for i in c), _cover_mask(c, m)) for c in combinations(range(m), r)]
-    all_pairs = _cover_mask(range(m), m)
-    examined = 0
-    for size in range(len(members), 0, -1):
-        for chosen in combinations(members, size):
-            covered = 0
-            for _, cover in chosen:
-                covered |= cover
-            if covered != all_pairs:
-                continue
-            candidate = Matroid._unchecked(m, [b for b, _ in chosen])
-            if candidate._check_exchange() is not None:
-                continue
-            examined += 1
-            if examined > budget.max_candidates:
-                return SearchResult(
-                    None, False, examined - 1,
-                    f"candidate budget of {budget.max_candidates} exhausted",
-                )
-            if any(candidate._rank(pts) != want for want, pts in forced):
-                continue
-            phi = induced_map(M, candidate, bij)
-            if verify_adjoint(phi).valid:
-                return SearchResult(phi, False, examined)
-    return SearchResult(None, True, examined)
+    check_ground_size(m)
+    hmasks = [H.mask for H in hyperplanes]
+    limits = []  # (P(F) as a mask of labels, r - r(F))
+    for k, layer in enumerate(M.flats().flats_by_rank[1:r - 1], start=1):
+        for F in layer:
+            f = F.mask
+            block = sum(1 << i for i, h in enumerate(hmasks) if not f & ~h)
+            if block.bit_count() > r - k:
+                limits.append((block, r - k))
+    bases = []
+    for c in combinations(range(m), r):
+        s = sum(1 << i for i in c)
+        for block, cap in limits:
+            if (s & block).bit_count() > cap:
+                break
+        else:
+            bases.append(s)
+    return Matroid._unchecked(m, bases) if bases else None

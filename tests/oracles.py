@@ -9,12 +9,16 @@ kernel; ``brute_column_bases``, ``null_covector`` and
 against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
+
+``enumerate_families`` is the one exception to "no bitmasks": it is the
+exhaustive family enumeration that ``search_adjoint`` replaced with the
+freest target, kept here as the reference search it is compared against.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import gcd, lcm
 
-from matadj import InputError, Representation
+from matadj import InputError, Matroid, Representation, SearchResult, induced_map, verify_adjoint
 from matadj.sets import ElementSet
 
 
@@ -313,3 +317,58 @@ def brute_rank_complement(phi):
         if _rank_in(target_bases, phi.table[F].members)
         != M.full_rank - _rank_in(source_bases, F.members)
     ]
+
+
+def cover_mask(labels, m):
+    """Bit i*m + j for each pair i < j of labels.  A family that covers every
+    pair is simple: it covers every label too, and for r = 1 forces m = 1."""
+    return sum(1 << i * m + j for i, j in combinations(labels, 2))
+
+
+def enumerate_families(M):
+    """Find an adjoint of M of rank r >= 1 by exhausting candidate targets.
+
+    Candidates are simple rank-r matroids on the hyperplane labels, ordered
+    by number of bases descending and then lexicographically.  Each is built
+    from masks, exchange-checked by an explicit call, and tried once, under
+    the identity bijection H_i -> i: every relabelling of a candidate is
+    itself a candidate, so no other bijection can succeed where all
+    identities fail.  The result is exhausted only when nothing was found.
+    The space is doubly exponential in the number of hyperplanes, so this
+    is for sources with a handful of them.
+    """
+    r = M.full_rank
+    hyperplanes = M.hyperplanes()
+    m = len(hyperplanes)
+
+    # an adjoint must satisfy r'(P(F)) = r - r(F), where P(F) is the mask of
+    # the labels of the hyperplanes containing F; small P(F) first, as they
+    # fail soonest
+    forced = sorted(
+        ((r - k, sum(1 << i for i, H in enumerate(hyperplanes) if F <= H))
+         for k, layer in enumerate(M.flats().flats_by_rank) for F in layer),
+        key=lambda t: t[0],
+    )
+    bij = {H: i for i, H in enumerate(hyperplanes)}
+
+    # (basis mask, cover mask) of each r-subset of labels, in lexicographic order
+    members = [(sum(1 << i for i in c), cover_mask(c, m)) for c in combinations(range(m), r)]
+    all_pairs = cover_mask(range(m), m)
+    examined = 0
+    for size in range(len(members), 0, -1):
+        for chosen in combinations(members, size):
+            covered = 0
+            for _, cover in chosen:
+                covered |= cover
+            if covered != all_pairs:
+                continue
+            candidate = Matroid._unchecked(m, [b for b, _ in chosen])
+            if candidate._check_exchange() is not None:
+                continue
+            examined += 1
+            if any(candidate._rank(pts) != want for want, pts in forced):
+                continue
+            phi = induced_map(M, candidate, bij)
+            if verify_adjoint(phi).valid:
+                return SearchResult(phi, False, examined)
+    return SearchResult(None, True, examined)

@@ -10,7 +10,6 @@ from matadj import (
     AdjointMap,
     ElementSet,
     MinorSpec,
-    SearchBudget,
     adjoint_from_representation,
     check_chain_independence,
     check_modular_pairs,
@@ -106,8 +105,8 @@ def test_criterion_5_search_oracle(capsys):
         from matadj import by_name
 
         M = by_name(name).matroid
-        first = search_adjoint(M, SearchBudget())
-        second = search_adjoint(M, SearchBudget())
+        first = search_adjoint(M)
+        second = search_adjoint(M)
         assert first.found is not None, name
         assert verify_adjoint(first.found).valid, name
         assert canonical_json(adjoint_to_dict(first.found)) == canonical_json(

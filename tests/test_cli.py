@@ -5,6 +5,7 @@ import pytest
 
 from matadj import by_name, save_adjoint, save_matroid, uniform
 from matadj.cli import main
+from test_search import affine_3_2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -128,10 +129,17 @@ def test_search_with_log(tmp_path, capsys):
 
 
 def test_search_budget_refusal_exit_2(tmp_path, capsys):
-    u45 = tmp_path / "U_4_5.json"  # rank 4, 10 hyperplanes: over the default cap
+    # rank 4: U_4_5's freest target is an adjoint, AG(3,2)'s is not a matroid,
+    # and that refusal is an error, not an answer
+    u45 = tmp_path / "U_4_5.json"
     save_matroid(uniform(4, 5), u45)
-    assert main(["search", str(u45)]) == 2
-    assert "hyperplanes" in capsys.readouterr().err
+    assert main(["search", str(u45)]) == 0
+    assert "found after 1 candidate(s)" in capsys.readouterr().out
+    ag32 = tmp_path / "AG_3_2.json"
+    save_matroid(affine_3_2(), ag32)
+    assert main(["search", str(ag32)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the freest rank-4 target on 14 hyperplane labels is not a matroid")
 
 
 def test_search_fano_then_verify(tmp_path, capsys):
@@ -142,13 +150,6 @@ def test_search_fano_then_verify(tmp_path, capsys):
     target.write_text(json.dumps(json.loads(found.read_text())["target"]), encoding="utf-8")
     assert main(["verify", str(FIXTURES / "fano.json"), str(target), str(found)]) == 0
     assert capsys.readouterr().out.strip().endswith("VALID")
-
-
-@pytest.mark.parametrize("flag", ["--max-candidates", "--max-hyperplanes"])
-def test_search_negative_budget_exit_2(capsys, flag):
-    assert main(["search", str(FIXTURES / "U_2_4.json"), flag, "-1"]) == 2
-    name = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err == f"error: {name} must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from matadj import (
+    AdjointMap,
     ElementSet,
     InputError,
     by_name,
@@ -164,6 +165,24 @@ def test_stored_hyperplane_order_must_list_the_hyperplanes(fixture_maps):
     data["hyperplane_order"] = [[2], [0, 1], [1]]
     with pytest.raises(InputError, match="not a permutation of the source hyperplanes"):
         load_adjoint(data)
+
+
+def test_loaded_order_is_derived_from_the_table(fixture_maps):
+    # two hyperplanes share a point, so the table has no hyperplane order: the
+    # stored one is not kept, and the loaded map is the map of its table
+    phi = fixture_maps["U_2_3"]
+    data = adjoint_to_dict(phi)
+    table = dict(phi.table)
+    for entry in data["map"]:
+        if entry["flat"] == [0]:
+            entry["image"] = [1]
+            table[es([0], 3)] = es([1], 3)
+    loaded = load_adjoint(data)
+    fresh = AdjointMap(phi.source, phi.target, table)
+    assert loaded == fresh
+    assert loaded.hyperplane_order is None
+    with pytest.raises(InputError, match="not point-bijective"):
+        adjoint_to_dict(loaded)
 
 
 def test_duplicate_map_entry_rejected(fixture_maps):

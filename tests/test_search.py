@@ -1,5 +1,5 @@
 import hashlib
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from matadj import (
     ElementSet,
     InputError,
+    Matroid,
     MinorSpec,
     Representation,
-    SearchBudget,
     adjoint_from_representation,
     by_name,
     catalog,
@@ -20,13 +20,44 @@ from matadj import (
     verify_adjoint,
 )
 from matadj.files import adjoint_to_dict, canonical_json
-from matadj.search import _cover_mask, _enumerate_families
-from oracles import family_is_simple, gf_matrix_rank, isomorphic, representation_minor
+from oracles import (
+    cover_mask,
+    enumerate_families,
+    family_is_simple,
+    gf_matrix_rank,
+    isomorphic,
+    representation_minor,
+)
 from test_trust_boundaries import assert_checked_constructor_agrees, representations
+
+
+# the enumeration oracle, and the isomorphism oracle that tries every
+# relabelling, are run on sources with at most this many hyperplanes
+ORACLE_HYPERPLANES = 6
 
 
 def es(members, n):
     return ElementSet.of(members, n)
+
+
+def binary(columns):
+    """The column matroid of int vectors over GF(2)."""
+    return Representation(2, tuple(map(tuple, columns)), len(columns[0])).matroid()
+
+
+def projective_3_2():
+    """PG(3,2): the 15 nonzero vectors of GF(2)^4."""
+    return binary([v for v in product((0, 1), repeat=4) if any(v)])
+
+
+def affine_3_2():
+    """AG(3,2): the 8 vectors (1, v) for v in GF(2)^3."""
+    return binary([(1,) + v for v in product((0, 1), repeat=3)])
+
+
+def complete_graph_5():
+    """M(K5): the incidence vectors of the 10 edges of K5."""
+    return binary([[int(k in edge) for k in range(5)] for edge in combinations(range(5), 2)])
 
 
 def test_every_catalog_representation_yields_valid_adjoint(fixture_maps):
@@ -67,12 +98,11 @@ def test_search_finds_known_adjoints():
 
 
 def test_search_matches_representation_route():
-    # on every source within the default hyperplane cap, the searched target
-    # is isomorphic to the covector target
-    cap = SearchBudget().max_hyperplanes
+    # on every catalog source small enough for the isomorphism oracle, the
+    # searched target is isomorphic to the covector target
     searched = []
     for entry in catalog():
-        if len(entry.matroid.hyperplanes()) > cap:
+        if len(entry.matroid.hyperplanes()) > ORACLE_HYPERPLANES:
             continue
         built = adjoint_from_representation(entry.matroid, entry.representation)
         found = search_adjoint(entry.matroid).found
@@ -104,7 +134,7 @@ def test_search_is_deterministic():
 )
 def test_search_enumeration_is_pinned(name, examined, digest):
     # the candidate order decides which adjoint is found first, and after how many
-    result = _enumerate_families(by_name(name).matroid, SearchBudget())
+    result = enumerate_families(by_name(name).matroid)
     assert result.candidates_examined == examined
     text = canonical_json(adjoint_to_dict(result.found))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
@@ -117,8 +147,8 @@ def test_family_cover_masks_match_the_simplicity_oracle(m, r):
     # search keeps a family of r-subsets when the OR of their cover masks
     # equals the cover mask of all labels
     subsets = list(combinations(range(m), r))
-    covers = [_cover_mask(c, m) for c in subsets]
-    all_pairs = _cover_mask(range(m), m)
+    covers = [cover_mask(c, m) for c in subsets]
+    all_pairs = cover_mask(range(m), m)
     for size in range(1, len(subsets) + 1):
         for chosen in combinations(range(len(subsets)), size):
             covered = 0
@@ -129,33 +159,21 @@ def test_family_cover_masks_match_the_simplicity_oracle(m, r):
 
 
 def test_budget_refusal_is_not_a_negative_answer():
-    M = by_name("U_3_4").matroid
-    result = _enumerate_families(M, SearchBudget(max_candidates=10))
-    assert result.found is None
-    assert not result.exhausted
-    assert "budget" in result.diagnostic
+    # AG(3,2) and M(K5) have covector adjoints, but their freest targets are
+    # not matroids: search refuses, and does not claim that none exists
+    for M, m in ((affine_3_2(), 14), (complete_graph_5(), 15)):
+        result = search_adjoint(M)
+        assert result.found is None
+        assert not result.exhausted and result.candidates_examined == 1
+        assert result.diagnostic == (
+            f"the freest rank-4 target on {m} hyperplane labels is not a matroid; "
+            "no other candidate is tried, so this does not show that M has no adjoint"
+        )
 
-    result = search_adjoint(uniform(4, 5))  # 10 hyperplanes exceeds the default cap
-    assert result.found is None
-    assert not result.exhausted
-    assert "hyperplanes" in result.diagnostic
-
-
-@pytest.mark.parametrize("field", ["max_hyperplanes", "max_candidates"])
-@pytest.mark.parametrize("value", [True, False, "x", 2.0, None, -1])
-def test_budget_refuses_bad_caps(field, value):
-    # a bool would pass as a cap of 0 or 1, and a negative candidate cap
-    # would be reported as an exhausted budget
-    with pytest.raises(InputError) as info:
-        SearchBudget(**{field: value})
-    assert str(info.value) == f"{field} must be a non-negative integer, got {value!r}"
-
-
-def test_budget_accepts_zero_caps():
-    result = _enumerate_families(uniform(3, 4), SearchBudget(max_candidates=0))
-    assert result.found is None and not result.exhausted
-    assert result.diagnostic == "candidate budget of 0 exhausted"
-    assert search_adjoint(uniform(2, 3), SearchBudget(0, 0)).found is not None
+    # U_6_8 has 56 hyperplanes: the ground-size cap refuses it before the
+    # C(56, 6) subsets are listed
+    with pytest.raises(InputError, match="ground-set size 56 exceeds cap"):
+        search_adjoint(uniform(6, 8))
 
 
 def _canonical(phi):
@@ -163,15 +181,15 @@ def _canonical(phi):
 
 
 def assert_constructed_adjoint(M):
-    """search_adjoint's answer on a rank 1-3 source: one candidate, fully
-    verified, a target the checked constructor accepts, and the same map as
-    the enumerator's first find wherever the enumeration is within its cap."""
+    """search_adjoint's answer: one candidate, fully verified, a target the
+    checked constructor accepts, and the same map as the enumeration oracle's
+    first find wherever the source is small enough for the oracle."""
     result = search_adjoint(M)
     assert result.found is not None and result.candidates_examined == 1
     assert all(report.valid for report in full_verification(result.found).values())
     assert_checked_constructor_agrees(result.found.target)
-    if len(M.hyperplanes()) <= SearchBudget().max_hyperplanes:
-        enumerated = _enumerate_families(M, SearchBudget())
+    if len(M.hyperplanes()) <= ORACLE_HYPERPLANES:
+        enumerated = enumerate_families(M)
         assert _canonical(enumerated.found) == _canonical(result.found)
 
 
@@ -180,6 +198,75 @@ def test_catalog_search_is_constructed(name):
     # all of them, U_3_5, U_3_6, M_K4, fano and nonfano included, within the
     # default budget
     assert_constructed_adjoint(by_name(name).matroid)
+
+
+def test_rank_four_search_finds_freest_adjoints():
+    # U_4_5 has 10 hyperplanes and PG(3,2) has 15: both past the oracle, so
+    # the answer is checked by full verification and the checked constructor
+    for M in (uniform(4, 5), projective_3_2()):
+        assert_constructed_adjoint(M)
+
+
+def _partitions(items):
+    """Every partition of the list ``items`` into blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+
+
+def _rank_at_most_two(n):
+    """The bases lists of every labelled matroid of rank at most 2 on n
+    elements: some loops, the other elements split into parallel classes,
+    and any two elements of different classes a basis."""
+    for loops in product((False, True), repeat=n):
+        for classes in _partitions([e for e in range(n) if not loops[e]]):
+            if not classes:
+                yield [[]]
+            elif len(classes) == 1:
+                yield [[e] for e in classes[0]]
+            else:
+                yield [[a, b] for i, c in enumerate(classes) for d in classes[i + 1:]
+                       for a in c for b in d]
+
+
+def small_high_rank_sources():
+    """Every labelled simple matroid of rank >= 4 with at most six hyperplanes.
+
+    By Greene's inequality a simple matroid has at least as many hyperplanes
+    as points, so these have at most six points: they are the duals of the
+    matroids of rank at most 2 on 4 to 6 elements.
+    """
+    sources = []
+    for n in range(4, ORACLE_HYPERPLANES + 1):
+        for bases in _rank_at_most_two(n):
+            M = Matroid(n, bases).dual()
+            if M.full_rank >= 4 and M.is_simple() and len(M.hyperplanes()) <= ORACLE_HYPERPLANES:
+                sources.append(M)
+    return sources
+
+
+def test_freest_matches_the_enumeration_oracle_in_rank_four_and_above():
+    # the oracle takes seconds on all 58 labelled sources, so it runs on one
+    # labelled representative of each isomorphism class
+    labelled = small_high_rank_sources()
+    assert len(labelled) == 58
+    sources = []
+    for M in labelled:
+        if not any(isomorphic(M, N) for N in sources):
+            sources.append(M)
+    assert [(M.n, M.full_rank, len(M.hyperplanes())) for M in sources] == [
+        (4, 4, 4), (5, 4, 5), (5, 5, 5), (6, 4, 6), (6, 4, 6), (6, 5, 6), (6, 6, 6)
+    ]
+    for M in sources:
+        result = search_adjoint(M)
+        enumerated = enumerate_families(M)
+        assert result.found is not None and enumerated.found is not None
+        assert _canonical(result.found) == _canonical(enumerated.found)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,15 +19,14 @@ from matadj import (
     Matroid,
     MinorSpec,
     Representation,
-    SearchBudget,
     adjoint_from_representation,
     by_name,
     catalog,
     load_matroid,
     minor_adjoint,
+    search_adjoint,
     uniform,
 )
-from matadj.search import _enumerate_families
 
 
 def es(members, n):
@@ -116,8 +115,10 @@ def test_bases_files_are_checked_and_matrix_files_are_not(tmp_path, exchange_che
 
 
 def test_every_search_candidate_is_checked(exchange_checks):
-    M = Matroid(4, by_name("U_3_4").matroid.bases)
-    before = len(exchange_checks)
-    result = _enumerate_families(M, SearchBudget())
-    assert result.found is not None
-    assert len(exchange_checks) - before >= result.candidates_examined > 0
+    # the freest target is a matroid by a theorem in rank <= 3 and is checked
+    # explicitly, once, in rank >= 4
+    for M, checks in ((uniform(4, 5), 1), (by_name("U_3_4").matroid, 0), (by_name("fano").matroid, 0)):
+        before = len(exchange_checks)
+        result = search_adjoint(M)
+        assert result.found is not None and result.candidates_examined == 1
+        assert len(exchange_checks) - before == checks, M
