@@ -23,6 +23,19 @@ Each comes from the target's memoised closure (``Matroid._closure``): an
 image is a flat when it is its own closure, the points are the closures of
 the non-loop elements, and the bottom flat is the closure of the empty set.
 
+A map's table is read-only: ``AdjointMap`` keeps its own copy of the
+caller's mapping behind a ``MappingProxyType``, so a map cannot change
+after it is built.  That makes its definition report a function of the map
+alone, and ``verify_adjoint`` computes it once per map and keeps it: the
+check run by the constructors and the ``"definition"`` report of
+``full_verification`` are the same computation.  Target simplicity is read
+off the same closures as the points: the loops are cl'(empty), and a
+parallel pair is a non-loop f in cl'({e}) for a non-loop e < f.
+``full_verification`` checks chain independence for every flat in one pass
+over masks, with the greedy chain of ``lattice.hyperplane_chain``; the
+public ``hyperplane_chain`` and ``check_chain_independence`` stay as the
+flat-by-flat form.
+
 Constructed maps are re-verified before being returned; a verification
 failure there is a ConstructionError (an implementation bug), never a
 silently wrong map.  Each map keeps the contractions made from it, keyed by
@@ -31,11 +44,11 @@ the contraction set, once they have passed that verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError
-from .lattice import hyperplane_chain, least_flats
+from .lattice import least_flats
 from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
 from .sets import ElementSet, bits
 
@@ -79,6 +92,10 @@ class VerificationReport:
 class AdjointMap:
     """A total flat-to-flat table from a source matroid into a simple target.
 
+    ``table`` is a read-only view of the map's own copy of the mapping it
+    was given (``dict(phi.table)`` gives a mutable copy back), so later
+    changes to the caller's dict do not reach the map.
+
     ``hyperplane_order`` lists the source hyperplanes in target-point order:
     entry i is the hyperplane mapped to point {i}.  Always derived from the
     table, it is None when the table is not point-bijective on hyperplanes.
@@ -89,12 +106,15 @@ class AdjointMap:
 
     source: Matroid
     target: Matroid
-    table: Dict[ElementSet, ElementSet]
+    table: Mapping[ElementSet, ElementSet]
     hyperplane_order: Optional[Tuple[ElementSet, ...]] = field(init=False)
     # contraction-set mask -> verified contract_adjoint result
     _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the definition report, once verify_adjoint has computed it
+    _definition: Optional[VerificationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         _structural_check(self)
         object.__setattr__(self, "hyperplane_order", _derive_hyperplane_order(self))
 
@@ -166,21 +186,35 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     Checks run in a fixed order without short-circuiting, so reports are
     reproducible.  A table that is not even total (or maps to a non-flat) is
     refused with a StructureError when the map is built, so it never gets here.
+    The report is computed on the first call and kept on the map: the map's
+    source, target and table cannot change, so later calls return it as is.
     """
+    report = phi._definition
+    if report is None:
+        report = _definition_report(phi)
+        object.__setattr__(phi, "_definition", report)
+    return report
+
+
+def _definition_report(phi: AdjointMap) -> VerificationReport:
     M, Mp = phi.source, phi.target
     table = phi.table
     lattice = M.flats()
     src_flats = list(lattice.all_flats())
-    rank = Mp._rank
     violations = []
 
-    # target simplicity
-    for e in range(Mp.n):
-        if rank(1 << e) == 0:
-            violations.append(Violation("target_simple", (e,), "no loops", f"element {e} is a loop"))
-    for e, f in combinations(range(Mp.n), 2):
-        if rank(1 << e | 1 << f) == 1 and rank(1 << e) == 1 and rank(1 << f) == 1:
-            violations.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
+    # target simplicity, off the closures of the empty set and the
+    # singletons: the loops are cl'(empty), and the non-loops parallel to a
+    # non-loop e are the non-loops of cl'({e}) other than e.  Pairs come in
+    # ``combinations`` order, e then f > e.
+    loops = Mp._closure(0)
+    singles = [Mp._closure(1 << e) for e in range(Mp.n)]
+    for e in bits(loops):
+        violations.append(Violation("target_simple", (e,), "no loops", f"element {e} is a loop"))
+    for e, c in enumerate(singles):
+        if not loops >> e & 1:
+            for f in bits(c & ~loops & ~((2 << e) - 1)):
+                violations.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
 
     # rank equality
     if M.full_rank != Mp.full_rank:
@@ -215,7 +249,7 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     # hyperplanes -> points bijectively; the points of M' are the closures
     # of its non-loop elements
     points = {p: ElementSet._trusted(p, Mp.n)
-              for p in (Mp._closure(1 << e) for e in range(Mp.n) if rank(1 << e))}
+              for e, p in enumerate(singles) if not loops >> e & 1}
     hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
     images = []
     for H in hyperplanes:
@@ -244,7 +278,7 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     # phi(E) = cl'(empty) (forced for valid maps; checked explicitly): the
     # top flat of M, read from its lattice, and the bottom flat of M'
     top = lattice.layer(M.full_rank)[0]
-    want = ElementSet._trusted(Mp._closure(0), Mp.n)
+    want = ElementSet._trusted(loops, Mp.n)
     if table[top] != want:
         violations.append(Violation("ground_to_empty", (top,), repr(want), repr(table[top])))
 
@@ -323,21 +357,73 @@ def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
     return VerificationReport(("modular_pairs",), tuple(violations))
 
 
+def _chain_report(phi: AdjointMap) -> VerificationReport:
+    """``check_chain_independence`` of ``hyperplane_chain(M, X)`` for every
+    flat X of M, in lattice order, merged into one report: the same
+    violations in the same order, and the same ConstructionError where no
+    chain exists, from one pass over masks.
+
+    The masks of the hyperplanes and of their images are read once, and a
+    ``Violation`` is made only on a failure.  The public check's
+    preconditions hold by construction, so they are not tested.  One
+    forward pass over the hyperplanes finds the greedy chain of
+    ``hyperplane_chain``: a hyperplane passed over either misses X or
+    contains the running intersection, both stay true as the intersection
+    shrinks, and so the greedy's next step never takes an earlier one.
+    When every image in a chain is a point, the distinct images are the
+    bits of their union.
+    """
+    M = phi.source
+    r = M.full_rank
+    lattice = M.flats()
+    rank = phi.target._rank
+    hyperplanes = lattice.layer(r - 1) if r >= 1 else ()
+    masks = [(H.mask, phi.table[H].mask) for H in hyperplanes]
+    violations = []
+    for k, layer in enumerate(lattice.flats_by_rank):
+        for X in layer:
+            x = X.mask
+            running = M._full
+            chain = []
+            for i, (h, _) in enumerate(masks):
+                if running == x:
+                    break
+                if not x & ~h and running & ~h:
+                    chain.append(i)
+                    running &= h
+            if running != x:
+                raise ConstructionError(
+                    f"no hyperplane separates {ElementSet._trusted(running, M.n)!r} from {X!r}"
+                )
+            if len(chain) != r - k:
+                raise ConstructionError("hyperplane chain has the wrong length")
+            union = 0
+            points = True
+            for i in chain:
+                img = masks[i][1]
+                if img.bit_count() != 1:
+                    violations.append(Violation("chain_independence", (hyperplanes[i],), "a point image",
+                                                repr(phi.table[hyperplanes[i]])))
+                    points = False
+                union |= img
+            if points and rank(union) != union.bit_count():
+                violations.append(Violation(
+                    "chain_independence", tuple(hyperplanes[i] for i in chain),
+                    f"independent image set of size {union.bit_count()}",
+                    f"rank {rank(union)}",
+                ))
+    return VerificationReport(("chain_independence",), tuple(violations))
+
+
 def full_verification(phi: AdjointMap) -> Dict[str, VerificationReport]:
     """Definition checks, rank complement, chain independence for every flat's
     canonical chain, and modular pairs.  Keys in a fixed order."""
-    reports = {
+    return {
         "definition": verify_adjoint(phi),
         "rank_complement": check_rank_complement(phi),
+        "chain_independence": _chain_report(phi),
+        "modular_pairs": check_modular_pairs(phi),
     }
-    chain_report = VerificationReport(("chain_independence",), ())
-    for X in phi.source.flats().all_flats():
-        chain_report = chain_report.merged(
-            check_chain_independence(phi, hyperplane_chain(phi.source, X))
-        )
-    reports["chain_independence"] = chain_report
-    reports["modular_pairs"] = check_modular_pairs(phi)
-    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import ConstructionError, InputError
@@ -225,14 +224,10 @@ class Matroid:
         return self._rank(self._full & ~self._mask_of(S)) == self.full_rank
 
     def is_simple(self) -> bool:
-        """No loops, no parallel pairs."""
-        for e in range(self.n):
-            if self._rank(1 << e) == 0:
-                return False
-        for e, f in combinations(range(self.n), 2):
-            if self._rank(1 << e | 1 << f) == 1:
-                return False
-        return True
+        """No loops, no parallel pairs: cl(empty) is empty and, with no loops,
+        every singleton is its own closure, since cl({e}) holds e, the loops
+        and the elements parallel to e."""
+        return not self._closure(0) and all(self._closure(1 << e) == 1 << e for e in range(self.n))
 
     # -- flats --------------------------------------------------------------
 
@@ -365,6 +360,8 @@ class Matroid:
         """Labeled equality: same ground-set size, same bases."""
         if not isinstance(other, Matroid):
             return NotImplemented
+        if self._basis_masks is other._basis_masks:  # e.g. two calls of Representation.matroid
+            return self.n == other.n
         return self.n == other.n and frozenset(self._basis_masks) == frozenset(other._basis_masks)
 
     def __hash__(self) -> int:

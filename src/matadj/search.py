@@ -59,7 +59,8 @@ class Representation:
     is stored as a ``Fraction``.  Bools and floats are refused over every
     field: a float has usually already lost the value that was meant.  Each
     column is also kept as an int vector (``integer_vector``) for the
-    elimination kernel of ``matadj.linalg``.
+    elimination kernel of ``matadj.linalg``.  The column bases are listed
+    once per representation, on the first call of ``matroid``.
     """
 
     field: object
@@ -75,6 +76,7 @@ class Representation:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_char", char)
         object.__setattr__(self, "_vectors", [integer_vector(col, char) for col in columns])
+        object.__setattr__(self, "_basis_masks", None)  # set by the first call of matroid
 
     @property
     def n(self) -> int:
@@ -100,7 +102,16 @@ class Representation:
         column by a nonzero scalar changes no set's independence, so the
         matroid is the same, and the fraction-free elimination on ints that
         follows is exact.
+
+        The masks are kept, so each later call only wraps them in a fresh
+        ``Matroid``, with fresh caches and the caller's provenance.
         """
+        if self._basis_masks is None:
+            object.__setattr__(self, "_basis_masks", self._column_bases())
+        return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)
+
+    def _column_bases(self) -> tuple:
+        """The masks of the column bases, in lexicographic order; see ``matroid``."""
         char = self._char
         masks = []
 
@@ -122,7 +133,7 @@ class Representation:
             masks.append(0)
         else:
             walk(0, r, list(enumerate(self._vectors)))
-        return Matroid._unchecked(self.n, masks, provenance=provenance)
+        return tuple(masks)
 
     def covector(self, H: ElementSet) -> tuple:
         """The canonical linear functional vanishing on the columns of H.

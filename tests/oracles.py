@@ -13,12 +13,29 @@ rebuilt on every read.
 ``enumerate_families`` is the one exception to "no bitmasks": it is the
 exhaustive family enumeration that ``search_adjoint`` replaced with the
 freest target, kept here as the reference search it is compared against.
+
+``chain_report_by_merging`` and ``simple_violations_by_pairs`` are the
+reference forms of two checks that the library now makes in one pass: the
+chain check flat by flat through the public ``hyperplane_chain`` and
+``check_chain_independence``, and target simplicity by a rank query on
+every pair of elements.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import gcd, lcm
 
-from matadj import InputError, Matroid, Representation, SearchResult, induced_map, verify_adjoint
+from matadj import (
+    InputError,
+    Matroid,
+    Representation,
+    SearchResult,
+    VerificationReport,
+    Violation,
+    check_chain_independence,
+    hyperplane_chain,
+    induced_map,
+    verify_adjoint,
+)
 from matadj.sets import ElementSet
 
 
@@ -317,6 +334,29 @@ def brute_rank_complement(phi):
         if _rank_in(target_bases, phi.table[F].members)
         != M.full_rank - _rank_in(source_bases, F.members)
     ]
+
+
+def chain_report_by_merging(phi):
+    """The chain-independence report of ``full_verification``, one flat at a
+    time: ``check_chain_independence`` of ``hyperplane_chain(M, X)`` for each
+    flat X in lattice order, each report merged into the last."""
+    report = VerificationReport(("chain_independence",), ())
+    for X in phi.source.flats().all_flats():
+        report = report.merged(check_chain_independence(phi, hyperplane_chain(phi.source, X)))
+    return report
+
+
+def simple_violations_by_pairs(M):
+    """The target_simple violations of a map into M, by brute_rank: every
+    loop, then every pair e < f of non-loops of rank 1, in ``combinations``
+    order."""
+    bases = M.bases
+    out = [Violation("target_simple", (e,), "no loops", f"element {e} is a loop")
+           for e in range(M.n) if _rank_in(bases, {e}) == 0]
+    for e, f in combinations(range(M.n), 2):
+        if _rank_in(bases, {e, f}) == 1 and _rank_in(bases, {e}) == 1 and _rank_in(bases, {f}) == 1:
+            out.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
+    return out
 
 
 def cover_mask(labels, m):
