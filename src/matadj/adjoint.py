@@ -31,10 +31,11 @@ check run by the constructors and the ``"definition"`` report of
 ``full_verification`` are the same computation.  Target simplicity is read
 off the same closures as the points: the loops are cl'(empty), and a
 parallel pair is a non-loop f in cl'({e}) for a non-loop e < f.
-``full_verification`` checks chain independence for every flat in one pass
-over masks, with the greedy chain of ``lattice.hyperplane_chain``; the
-public ``hyperplane_chain`` and ``check_chain_independence`` stay as the
-flat-by-flat form.
+Chain independence has one kernel for each step: ``lattice.greedy_chain``
+finds a flat's hyperplane chain, and ``_chain_violations`` tests its images.
+The public ``hyperplane_chain`` and ``check_chain_independence`` check their
+arguments and call them, and ``full_verification`` calls them for every flat
+on masks read once per map.
 
 Constructed maps are re-verified before being returned; a verification
 failure there is a ConstructionError (an implementation bug), never a
@@ -48,7 +49,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError
-from .lattice import least_flats
+from .lattice import greedy_chain, least_flats
 from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
 from .sets import ElementSet, bits
 
@@ -101,7 +102,7 @@ class AdjointMap:
     table, it is None when the table is not point-bijective on hyperplanes.
 
     Construction raises StructureError unless the table is total on the
-    source flats with flats of the target as values.
+    source flats with flats of the target, as ``ElementSet``s, as values.
     """
 
     source: Matroid
@@ -176,7 +177,7 @@ def _structural_check(phi: AdjointMap) -> None:
         raise StructureError(f"table has keys that are not flats of the source: {sorted(extra, key=lambda f: f.key)[:3]}")
     n, closure = phi.target.n, phi.target._closure
     for F, img in phi.table.items():
-        if img.universe != n or closure(img.mask) != img.mask:
+        if img.__class__ is not ElementSet or img.universe != n or closure(img.mask) != img.mask:
             raise StructureError(f"image of {F!r} is {img!r}, which is not a flat of the target")
 
 
@@ -318,23 +319,33 @@ def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
         if nxt == running:
             raise PreconditionError("chain violates the strict running-intersection condition")
         running = nxt
-    violations = []
-    union = 0
-    images = set()
-    for H in chain:
-        img = phi.table[H]
-        if len(img) != 1:
-            violations.append(Violation("chain_independence", (H,), "a point image", repr(img)))
-        union |= img.mask
-        images.add(img.mask)
-    distinct = len(images)
-    if not violations and phi.target._rank(union) != distinct:
-        violations.append(Violation(
-            "chain_independence", tuple(chain),
-            f"independent image set of size {distinct}",
-            f"rank {phi.target._rank(union)}",
-        ))
+    pairs = [(H, phi.table[H].mask) for H in chain]
+    violations = _chain_violations(phi, pairs, range(len(pairs)))
     return VerificationReport(("chain_independence",), tuple(violations))
+
+
+def _chain_violations(phi: AdjointMap, pairs: list, chain) -> list:
+    """The chain-independence violations of a chain: one for each image that
+    is not a point, else one if the images are dependent.  ``pairs`` holds
+    (hyperplane, image mask) pairs, and ``chain`` the indices of the chain's
+    members among them, so that a map's pairs are read once for all its
+    chains.  When every image is a point, the distinct images are the bits
+    of their union."""
+    union = 0
+    for i in chain:
+        img = pairs[i][1]
+        if img.bit_count() != 1:
+            return [Violation("chain_independence", (H,), "a point image", repr(phi.table[H]))
+                    for H, img in map(pairs.__getitem__, chain) if img.bit_count() != 1]
+        union |= img
+    rank = phi.target._rank(union)
+    if rank == union.bit_count():
+        return []
+    return [Violation(
+        "chain_independence", tuple(pairs[i][0] for i in chain),
+        f"independent image set of size {union.bit_count()}",
+        f"rank {rank}",
+    )]
 
 
 def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
@@ -361,57 +372,23 @@ def _chain_report(phi: AdjointMap) -> VerificationReport:
     """``check_chain_independence`` of ``hyperplane_chain(M, X)`` for every
     flat X of M, in lattice order, merged into one report: the same
     violations in the same order, and the same ConstructionError where no
-    chain exists, from one pass over masks.
+    chain exists.
 
-    The masks of the hyperplanes and of their images are read once, and a
-    ``Violation`` is made only on a failure.  The public check's
-    preconditions hold by construction, so they are not tested.  One
-    forward pass over the hyperplanes finds the greedy chain of
-    ``hyperplane_chain``: a hyperplane passed over either misses X or
-    contains the running intersection, both stay true as the intersection
-    shrinks, and so the greedy's next step never takes an earlier one.
-    When every image in a chain is a point, the distinct images are the
-    bits of their union.
+    The masks of the hyperplanes and of their images are read once, and
+    each flat's chain goes straight to the two kernels, ``greedy_chain``
+    and ``_chain_violations``.  The public check's preconditions hold by
+    construction, so they are not tested.
     """
     M = phi.source
     r = M.full_rank
     lattice = M.flats()
-    rank = phi.target._rank
     hyperplanes = lattice.layer(r - 1) if r >= 1 else ()
-    masks = [(H.mask, phi.table[H].mask) for H in hyperplanes]
+    masks = [H.mask for H in hyperplanes]
+    pairs = [(H, phi.table[H].mask) for H in hyperplanes]
     violations = []
     for k, layer in enumerate(lattice.flats_by_rank):
         for X in layer:
-            x = X.mask
-            running = M._full
-            chain = []
-            for i, (h, _) in enumerate(masks):
-                if running == x:
-                    break
-                if not x & ~h and running & ~h:
-                    chain.append(i)
-                    running &= h
-            if running != x:
-                raise ConstructionError(
-                    f"no hyperplane separates {ElementSet._trusted(running, M.n)!r} from {X!r}"
-                )
-            if len(chain) != r - k:
-                raise ConstructionError("hyperplane chain has the wrong length")
-            union = 0
-            points = True
-            for i in chain:
-                img = masks[i][1]
-                if img.bit_count() != 1:
-                    violations.append(Violation("chain_independence", (hyperplanes[i],), "a point image",
-                                                repr(phi.table[hyperplanes[i]])))
-                    points = False
-                union |= img
-            if points and rank(union) != union.bit_count():
-                violations.append(Violation(
-                    "chain_independence", tuple(hyperplanes[i] for i in chain),
-                    f"independent image set of size {union.bit_count()}",
-                    f"rank {rank(union)}",
-                ))
+            violations += _chain_violations(phi, pairs, greedy_chain(M, masks, X, k))
     return VerificationReport(("chain_independence",), tuple(violations))
 
 

@@ -76,7 +76,7 @@ def cmd_info(args) -> int:
         print(f"name={name}")
     hp = len(M.hyperplanes()) if M.full_rank >= 1 else 0
     counts = ",".join(str(c) for c in _flat_counts(M))
-    print(f"n={M.n} rank={M.full_rank} bases={len(M.bases)} flats=[{counts}] hyperplanes={hp}")
+    print(f"n={M.n} rank={M.full_rank} bases={len(M._basis_masks)} flats=[{counts}] hyperplanes={hp}")
     return 0
 
 
@@ -133,32 +133,27 @@ def _load_map_for(args):
     return M, load_adjoint(args.map, source_matroid=M)
 
 
+def _save_minor_map(result: AdjointMap, output: str) -> int:
+    save_adjoint(result, output)
+    _print_relabelings(result)
+    print(f"wrote {output}")
+    return 0
+
+
 def cmd_contract_adjoint(args) -> int:
     M, phi = _load_map_for(args)
-    result = contract_adjoint(phi, _parse_elements(args.contract, M.n))
-    save_adjoint(result, args.output)
-    _print_relabelings(result)
-    print(f"wrote {args.output}")
-    return 0
+    return _save_minor_map(contract_adjoint(phi, _parse_elements(args.contract, M.n)), args.output)
 
 
 def cmd_delete_adjoint(args) -> int:
     M, phi = _load_map_for(args)
-    result = delete_adjoint(phi, _parse_elements(args.delete, M.n))
-    save_adjoint(result, args.output)
-    _print_relabelings(result)
-    print(f"wrote {args.output}")
-    return 0
+    return _save_minor_map(delete_adjoint(phi, _parse_elements(args.delete, M.n)), args.output)
 
 
 def cmd_minor_adjoint(args) -> int:
     M, phi = _load_map_for(args)
     spec = MinorSpec(_parse_elements(args.contract, M.n), _parse_elements(args.delete, M.n))
-    result = minor_adjoint(phi, spec)
-    save_adjoint(result, args.output)
-    _print_relabelings(result)
-    print(f"wrote {args.output}")
-    return 0
+    return _save_minor_map(minor_adjoint(phi, spec), args.output)
 
 
 def cmd_search(args) -> int:

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, Tuple
 
 from .errors import ConstructionError, InputError
 from .matroid import _squeeze
-from .sets import ElementSet, bits
+from .sets import ElementSet
 
 
 def least_flats(lattice: "FlatLattice", keep: int, over: int = 0) -> dict:
@@ -162,7 +162,7 @@ def hyperplane_chain(M, X: ElementSet) -> list:
     The running intersections strictly decrease.  Greedy with lexicographic
     tie-breaking: each step takes the least hyperplane containing X that
     shrinks the running intersection, which drops the rank by exactly one.
-    For X the ground set the chain is empty.
+    For X the ground set the chain is empty; ``greedy_chain`` finds it.
     """
     lattice = M.flats()
     if not lattice.is_flat(X):
@@ -171,20 +171,33 @@ def hyperplane_chain(M, X: ElementSet) -> list:
     if k == M.full_rank:
         return []
     hyperplanes = M.hyperplanes()
-    chain = []
+    return [hyperplanes[i] for i in greedy_chain(M, [H.mask for H in hyperplanes], X, k)]
+
+
+def greedy_chain(M, hyperplanes: list, X: ElementSet, k: int) -> list:
+    """The indices of ``hyperplane_chain(M, X)`` in ``hyperplanes``, the
+    masks of M's hyperplanes in canonical order, for the rank-k flat X.
+
+    One forward pass over the hyperplanes finds the greedy chain: a
+    hyperplane passed over either misses X or contains the running
+    intersection, both stay true as the intersection shrinks, and so the
+    greedy's next step never takes an earlier one.  A ConstructionError
+    means M is not a matroid: no hyperplane separates the running
+    intersection from X, or the chain's length is not r - k.
+    """
     x = X.mask
     running = M._full
-    while running != x:
-        for H in hyperplanes:
-            h = H.mask
-            if not x & ~h and running & ~h:
-                chain.append(H)
-                running &= h
-                break
-        else:
-            raise ConstructionError(
-                f"no hyperplane separates {ElementSet.of(bits(running), M.n)!r} from {X!r}"
-            )
+    chain = []
+    for i, h in enumerate(hyperplanes):
+        if running == x:
+            break
+        if not x & ~h and running & ~h:
+            chain.append(i)
+            running &= h
+    if running != x:
+        raise ConstructionError(
+            f"no hyperplane separates {ElementSet._trusted(running, M.n)!r} from {X!r}"
+        )
     if len(chain) != M.full_rank - k:
         raise ConstructionError("hyperplane chain has the wrong length")
     return chain

@@ -62,22 +62,33 @@ class Matroid:
 
     The public constructor is the trust boundary.  It refuses a non-int or
     bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
-    repeated basis, and a family that fails the basis-exchange axiom, which
-    costs O(|B|^2 r^2), naming a violating pair; user code and bases files go
-    through it.  ``_unchecked`` takes masks and skips only the exchange check,
-    for outputs that are matroids by a theorem: the column matroid of a
-    matrix (``Representation.matroid``), by the Steinitz exchange lemma, the
-    contraction, deletion, dual and simplification of a ``Matroid``, and the
-    freest adjoint target that search builds in rank at most 3.  In rank 4
-    and above search builds the same target with ``_unchecked`` and then
-    calls ``_check_exchange`` on it explicitly, which returns the violating
-    pair unformatted, so a rejected candidate costs no message.
+    repeated basis, a ground set above the cap of ``check_ground_size``, an
+    empty family, bases of unequal sizes, and a family that fails the
+    basis-exchange axiom, which costs O(|B|^2 r^2), naming a violating pair;
+    user code and bases files go through it.  ``_unchecked`` takes masks and
+    checks none of this, for outputs that are matroids by a theorem: the
+    column matroid of a matrix (``Representation.matroid``), by the Steinitz
+    exchange lemma, the contraction, deletion, dual and simplification of a
+    ``Matroid``, and the freest adjoint target that search builds in rank at
+    most 3.  Of these, only the column matroid and the freest target bring a
+    new ground set, and they check the cap themselves; the others are no
+    larger than their parent.  In rank 4 and above search builds the freest
+    target with ``_unchecked`` and then calls ``_check_exchange`` on it
+    explicitly, which returns the violating pair unformatted, so a rejected
+    candidate costs no message.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
         if type(n) is not int:
             raise InputError(f"ground-set size must be an integer, got {n!r}")
-        self._setup(n, checked_basis_masks(bases, n), provenance)
+        masks = checked_basis_masks(bases, n)
+        check_ground_size(n)
+        if not masks:
+            raise InputError("a matroid needs at least one basis (use [[]] for rank 0)")
+        sizes = {b.bit_count() for b in masks}
+        if len(sizes) != 1:
+            raise InputError(f"bases have unequal sizes {sorted(sizes)}")
+        self._setup(n, masks, provenance)
         violation = self._check_exchange()
         if violation is not None:
             b1, b2, e = violation
@@ -85,7 +96,8 @@ class Matroid:
 
     @classmethod
     def _unchecked(cls, n: int, masks: Iterable, provenance: Optional[dict] = None) -> "Matroid":
-        """A matroid whose distinct basis masks pass the exchange axiom by a theorem.
+        """A matroid whose distinct basis masks, at least one and all of one
+        size, pass the exchange axiom by a theorem.
 
         Bases from outside the package never come here; they go through the
         public constructor.
@@ -95,14 +107,8 @@ class Matroid:
         return matroid
 
     def _setup(self, n: int, masks: tuple, provenance: Optional[dict]) -> None:
-        check_ground_size(n)
-        if not masks:
-            raise InputError("a matroid needs at least one basis (use [[]] for rank 0)")
-        sizes = {b.bit_count() for b in masks}
-        if len(sizes) != 1:
-            raise InputError(f"bases have unequal sizes {sorted(sizes)}")
         self.n = n
-        self.full_rank = sizes.pop()
+        self.full_rank = masks[0].bit_count()
         self.provenance = provenance
         self._full = (1 << n) - 1
         self._basis_masks = masks
@@ -326,28 +332,23 @@ class Matroid:
         """Drop loops and keep the lowest-labeled member of each parallel class.
 
         The class map (element -> surviving representative) is recorded in
-        provenance alongside the dense relabeling.
+        provenance alongside the dense relabeling.  Both are read off
+        closures: the loops are cl(empty), and the parallel class of a
+        non-loop e is cl({e}) minus the loops.
         """
-        loops = [e for e in range(self.n) if self._rank(1 << e) == 0]
+        loops = self._closure(0)
         class_map: dict = {}
-        reps: list = []
-        for e in range(self.n):
-            if e in loops:
-                continue
-            for rep in reps:
-                if self._rank(1 << rep | 1 << e) == 1:
-                    class_map[e] = rep
-                    break
-            else:
-                reps.append(e)
-                class_map[e] = e
+        for e in bits(self._full & ~loops):
+            parallel = self._closure(1 << e) & ~loops
+            class_map[e] = (parallel & -parallel).bit_length() - 1
+        reps = [e for e, rep in class_map.items() if e == rep]
         m = self.delete(ElementSet.of(reps, self.n).complement())
         return Matroid._unchecked(
             m.n,
             m._basis_masks,
             provenance={
                 "op": "simplify",
-                "loops": loops,
+                "loops": bits(loops),
                 "class_map": class_map,
                 "relabel": m.provenance["relabel"],
                 "parent": self,
@@ -388,6 +389,9 @@ class MinorSpec:
     delete: ElementSet
 
     def __post_init__(self):
+        for S in (self.contract, self.delete):
+            if S.__class__ is not ElementSet:
+                raise InputError(f"expected ElementSet, got {type(S).__name__}")
         if self.contract.universe != self.delete.universe:
             raise InputError("contract and delete sets live on different ground sets")
         if not self.contract.isdisjoint(self.delete):

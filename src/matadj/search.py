@@ -104,8 +104,10 @@ class Representation:
         follows is exact.
 
         The masks are kept, so each later call only wraps them in a fresh
-        ``Matroid``, with fresh caches and the caller's provenance.
+        ``Matroid``, with fresh caches and the caller's provenance.  The
+        ground-size cap is checked on every call, before any basis is listed.
         """
+        check_ground_size(self.n)
         if self._basis_masks is None:
             object.__setattr__(self, "_basis_masks", self._column_bases())
         return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)

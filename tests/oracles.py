@@ -15,24 +15,27 @@ exhaustive family enumeration that ``search_adjoint`` replaced with the
 freest target, kept here as the reference search it is compared against.
 
 ``chain_report_by_merging`` and ``simple_violations_by_pairs`` are the
-reference forms of two checks that the library now makes in one pass: the
-chain check flat by flat through the public ``hyperplane_chain`` and
-``check_chain_independence``, and target simplicity by a rank query on
-every pair of elements.
+reference forms of two checks that the library makes in one pass.  The
+chain check runs flat by flat, with its own greedy that restarts from the
+least hyperplane at each step (``chain_by_restarts``) and its own
+independence test by rank over the target's bases
+(``chain_violations_by_rank``); it shares no code with the library's chain
+kernels, which the public chain functions and ``full_verification`` both
+call.  Target simplicity is checked by a rank query on every pair of
+elements.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import gcd, lcm
 
 from matadj import (
+    ConstructionError,
     InputError,
     Matroid,
     Representation,
     SearchResult,
     VerificationReport,
     Violation,
-    check_chain_independence,
-    hyperplane_chain,
     induced_map,
     verify_adjoint,
 )
@@ -336,14 +339,56 @@ def brute_rank_complement(phi):
     ]
 
 
+def chain_by_restarts(M, X, k):
+    """The greedy hyperplane chain through the rank-k flat X, on frozensets:
+    each step restarts from the least hyperplane and takes the first one
+    that contains X and not the running intersection.  Raises the library's
+    ConstructionError texts where no such chain exists."""
+    hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
+    x = X.members
+    running = frozenset(range(M.n))
+    chain = []
+    while running != x:
+        H = next((H for H in hyperplanes if x <= H.members and not running <= H.members), None)
+        if H is None:
+            raise ConstructionError(f"no hyperplane separates {ElementSet.of(running, M.n)!r} from {X!r}")
+        chain.append(H)
+        running &= H.members
+    if len(chain) != M.full_rank - k:
+        raise ConstructionError("hyperplane chain has the wrong length")
+    return chain
+
+
+def chain_violations_by_rank(phi, chain):
+    """The chain-independence violations of a hyperplane chain: each image
+    that is not a point, else the image set if its rank under brute_rank is
+    below its size."""
+    return _chain_violations_in(phi.target.bases, phi, chain)
+
+
+def _chain_violations_in(target_bases, phi, chain):
+    images = [phi.table[H] for H in chain]
+    out = [Violation("chain_independence", (H,), "a point image", repr(img))
+           for H, img in zip(chain, images) if len(img) != 1]
+    if not out:
+        union = frozenset().union(*(img.members for img in images))
+        rank = _rank_in(target_bases, union)
+        if rank != len(union):
+            out.append(Violation("chain_independence", tuple(chain),
+                                 f"independent image set of size {len(union)}", f"rank {rank}"))
+    return out
+
+
 def chain_report_by_merging(phi):
     """The chain-independence report of ``full_verification``, one flat at a
-    time: ``check_chain_independence`` of ``hyperplane_chain(M, X)`` for each
-    flat X in lattice order, each report merged into the last."""
-    report = VerificationReport(("chain_independence",), ())
-    for X in phi.source.flats().all_flats():
-        report = report.merged(check_chain_independence(phi, hyperplane_chain(phi.source, X)))
-    return report
+    time: ``chain_violations_by_rank`` of ``chain_by_restarts`` for each flat
+    in lattice order, in one report."""
+    target_bases = phi.target.bases
+    violations = []
+    for k, layer in enumerate(phi.source.flats().flats_by_rank):
+        for X in layer:
+            violations += _chain_violations_in(target_bases, phi, chain_by_restarts(phi.source, X, k))
+    return VerificationReport(("chain_independence",), tuple(violations))
 
 
 def simple_violations_by_pairs(M):
@@ -357,6 +402,27 @@ def simple_violations_by_pairs(M):
         if _rank_in(bases, {e, f}) == 1 and _rank_in(bases, {e}) == 1 and _rank_in(bases, {f}) == 1:
             out.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
     return out
+
+
+def simplify_by_pairs(M):
+    """(loops, class map) of si(M) by brute_rank: each non-loop, in label
+    order, joins the first earlier representative that it forms a rank-1
+    pair with, and is a representative itself when there is none."""
+    bases = M.bases
+    loops = [e for e in range(M.n) if _rank_in(bases, {e}) == 0]
+    class_map = {}
+    reps = []
+    for e in range(M.n):
+        if e in loops:
+            continue
+        for rep in reps:
+            if _rank_in(bases, {rep, e}) == 1:
+                class_map[e] = rep
+                break
+        else:
+            reps.append(e)
+            class_map[e] = e
+    return loops, class_map
 
 
 def cover_mask(labels, m):

@@ -11,6 +11,7 @@ from matadj import (
     ConstructionError,
     ElementSet,
     InputError,
+    Matroid,
     MinorSpec,
     PreconditionError,
     StructureError,
@@ -38,8 +39,11 @@ from oracles import (
     brute_inclusion_reversal,
     brute_modular_pairs,
     brute_rank_complement,
+    chain_by_restarts,
+    chain_violations_by_rank,
     delete_table_by_closure,
 )
+from test_single_pass_checks import corrupted
 
 
 def es(members, n):
@@ -98,6 +102,13 @@ def test_structural_error_distinct_from_failed_check():
         verify_adjoint(AdjointMap(phi.source, phi.target, bad_value))
 
 
+@pytest.mark.parametrize("image", [frozenset(), None, [0], 0])
+def test_image_that_is_not_an_element_set_is_a_structure_error(image):
+    phi = u23_self_map()
+    with pytest.raises(StructureError, match="not a flat of the target"):
+        AdjointMap(phi.source, phi.target, {**phi.table, es([0], 3): image})
+
+
 def test_rank_complement():
     phi = u23_self_map()
     assert check_rank_complement(phi).valid
@@ -128,6 +139,43 @@ def test_chain_precondition_enforced():
         check_chain_independence(phi, [es([0], 3), es([0], 3)])
     with pytest.raises(PreconditionError):
         check_chain_independence(phi, [es([0, 1], 3)])  # not a hyperplane
+
+
+def raised(f, *args):
+    """f(*args), or the type and text of the ConstructionError it raises."""
+    try:
+        return f(*args)
+    except ConstructionError as exc:
+        return ConstructionError, str(exc)
+
+
+@pytest.mark.parametrize("name", ["U_2_4", "U_3_5", "M_K4", "fano"])
+def test_public_chain_functions_match_the_oracle(fixture_maps, name):
+    # the public functions share their kernels with full_verification, so
+    # they are compared here with the oracle's restart greedy and its rank
+    # test, on the catalog map and on maps corrupted on the hyperplanes
+    phi = fixture_maps[name]
+    M = phi.source
+    chains = []
+    for k, layer in enumerate(M.flats().flats_by_rank):
+        for X in layer:
+            chain = hyperplane_chain(M, X)
+            assert chain == chain_by_restarts(M, X, k)
+            chains.append(chain)
+    for psi in (phi, *corrupted(phi)):
+        for chain in chains:
+            assert list(check_chain_independence(psi, chain).violations) == chain_violations_by_rank(psi, chain)
+
+
+@pytest.mark.parametrize("bases", [[[0, 3], [1, 2]], [[0, 1], [0, 2], [1, 2], [2, 3]]])
+def test_public_chain_errors_match_the_oracle(bases):
+    # families that fail the exchange axiom: some flat of their closure-built
+    # lattice has no greedy chain
+    M = Matroid._unchecked(4, [sum(1 << e for e in b) for b in bases])
+    outcomes = [(raised(hyperplane_chain, M, X), raised(chain_by_restarts, M, X, k))
+                for k, layer in enumerate(M.flats().flats_by_rank) for X in layer]
+    assert all(ours == theirs for ours, theirs in outcomes)
+    assert any(ours[0] is ConstructionError for ours, _ in outcomes)
 
 
 def test_modular_pairs():

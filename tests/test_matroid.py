@@ -22,7 +22,9 @@ from oracles import (
     gf_matrix_rank,
     greedy_rank,
     powerset,
+    simplify_by_pairs,
 )
+from test_single_pass_checks import columns_with_zeros_and_repeats
 
 
 def es(members, n):
@@ -236,6 +238,22 @@ def test_simplify():
     assert s == uniform(2, 3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(columns_with_zeros_and_repeats())
+def test_simplify_matches_the_pair_oracle(rep):
+    M = rep.matroid()
+    s = M.simplify()
+    loops, class_map = simplify_by_pairs(M)
+    assert s.provenance["loops"] == loops
+    assert list(s.provenance["class_map"].items()) == list(class_map.items())
+    reps = [e for e, r in class_map.items() if e == r]
+    relabel = {e: i for i, e in enumerate(reps)}
+    assert s.provenance["relabel"] == relabel
+    assert s._basis_masks == M.delete(es(reps, M.n).complement())._basis_masks
+    assert s.bases == {frozenset(relabel[e] for e in b) for b in brute_restriction_bases(M, reps)}
+    assert s.is_simple()
+
+
 def test_simplify_all_loops():
     loops = Matroid(2, [[]])  # rank 0: both elements are loops
     s = loops.simplify()
@@ -245,6 +263,16 @@ def test_simplify_all_loops():
 def test_minor_spec_requires_disjoint():
     with pytest.raises(InputError):
         MinorSpec(es([0], 3), es([0, 1], 3))
+
+
+@pytest.mark.parametrize("contract, delete", [
+    ([0], es([], 3)),
+    (es([0], 3), None),
+    (frozenset({0}), frozenset()),
+])
+def test_minor_spec_requires_element_sets(contract, delete):
+    with pytest.raises(InputError, match="expected ElementSet"):
+        MinorSpec(contract, delete)
 
 
 def test_normal_form_examples():
@@ -285,6 +313,23 @@ def test_normal_form_properties(name, data):
     assert M.is_coindependent(nf.delete)
     assert nf.contract.members | nf.delete.members == C | D
     assert apply_minor(M, nf) == apply_minor(M, spec)
+
+
+def test_ground_size_cap_is_checked_where_a_ground_set_enters(monkeypatch):
+    fano = by_name("fano")
+    M = fano.representation.matroid()  # fresh caches, so every minor below is built
+    monkeypatch.setenv("MATADJ_MAX_N", "2")
+    # minors, duals and simplifications are no larger than their parent, so
+    # they neither check the cap nor read it
+    assert M.contract(es([0], 7)).n == 6 and M.delete(es([0], 7)).n == 6
+    assert M.dual().n == 7 and M.simplify().n == 7
+    for enter in (lambda: Matroid(3, [[0, 1, 2]]), fano.representation.matroid):
+        with pytest.raises(InputError, match="exceeds cap 2"):
+            enter()
+    monkeypatch.setenv("MATADJ_MAX_N", "seven")
+    assert M.contract(es([1], 7)).n == 6
+    with pytest.raises(InputError, match="must be an integer"):
+        fano.representation.matroid()
 
 
 def test_ground_size_cap(monkeypatch):
