@@ -11,11 +11,13 @@ witness) and constructs adjoints of minors from an adjoint of the parent:
   hyperplanes that vanish when D is removed;
 * general minors: normalize the minor spec, contract, then delete.
 
-Neither construction closes a set.  Both read the parent's lattice, which is
-built before any map exists, through ``lattice.least_flats``: the flats F u C
-are the flats of M that contain C, with cl(C) the least of them, and cl(F)
-for a flat F of M\\D is the least flat of M whose trace on E - D is F.  The
-minors' own lattices are read off the same parent lattice.
+Neither construction closes a set.  Both read the lift of the minor's
+lattice (``FlatLattice.lift``), which maps each flat F of M/C to F u C and
+each flat F of M\\D to cl(F), from one walk of the parent's lattice per
+minor.  The lift of the bottom flat of M/C is cl(C), and the vanishing
+hyperplanes of M\\D are the hyperplanes of M that are no flat's lift.  Both
+constructions end in one builder, which relabels the images, builds the
+map and verifies it.
 
 No target's lattice is ever built.  Checking a map needs three things from
 its target M': whether each image is a flat, the points, and cl'(empty).
@@ -44,12 +46,13 @@ the contraction set, once they have passed that verification.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError
-from .lattice import greedy_chain, least_flats
+from .lattice import greedy_chain
 from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
 from .sets import ElementSet, bits
 
@@ -75,12 +78,6 @@ class VerificationReport:
     def valid(self) -> bool:
         return not self.violations
 
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            self.checks_run + tuple(c for c in other.checks_run if c not in self.checks_run),
-            self.violations + other.violations,
-        )
-
     def summary(self) -> str:
         if self.valid:
             return f"valid ({len(self.checks_run)} checks: {', '.join(self.checks_run)})"
@@ -101,8 +98,9 @@ class AdjointMap:
     entry i is the hyperplane mapped to point {i}.  Always derived from the
     table, it is None when the table is not point-bijective on hyperplanes.
 
-    Construction raises StructureError unless the table is total on the
-    source flats with flats of the target, as ``ElementSet``s, as values.
+    Construction raises InputError unless the source and target are
+    ``Matroid``s, and StructureError unless the table is a mapping, total on
+    the source flats, with flats of the target, as ``ElementSet``s, as values.
     """
 
     source: Matroid
@@ -115,6 +113,11 @@ class AdjointMap:
     _definition: Optional[VerificationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for M in (self.source, self.target):
+            if not isinstance(M, Matroid):
+                raise InputError(f"expected Matroid, got {type(M).__name__}")
+        if not isinstance(self.table, Mapping):
+            raise StructureError(f"table must be a mapping, got {type(self.table).__name__}")
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         _structural_check(self)
         object.__setattr__(self, "hyperplane_order", _derive_hyperplane_order(self))
@@ -432,12 +435,6 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
     return AdjointMap(M, Mp, table)
 
 
-def _relabelled_table(flats, images: list, gone: int, n: int) -> dict:
-    """Each flat to its image mask, with the bits of ``gone`` cut out of the
-    target's labels (as ``Matroid.delete`` relabels them)."""
-    return dict(zip(flats, (ElementSet._trusted(m, n) for m in _squeeze(images, gone))))
-
-
 def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     """Adjoint of M/C: F maps to phi(F u C); target restricted to phi(cl(C)).
 
@@ -449,43 +446,38 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     cached = phi._contractions.get(cm)
     if cached is not None:
         return cached
-    # G - C -> G for the flats G of M that contain C; the first G is cl(C)
-    lifts = least_flats(M.flats(), M._full & ~cm, cm)
-    keep = phi.table[next(iter(lifts.values()))[0]]
     new_source = M.contract(C)
-    new_target = Mp.restrict(keep)
-    lift = dict(zip(_squeeze(lifts, cm), (G for G, _ in lifts.values())))
-    gone = Mp._full & ~keep.mask
-    flats = list(new_source.flats().all_flats())
-    images = [phi.table[lift[F.mask]].mask for F in flats]
-    for m in images:
+    lift = new_source.flats().lift
+    gone = Mp._full & ~phi.table[next(iter(lift.values()))].mask  # the first lift is cl(C)
+    for G in lift.values():
+        m = phi.table[G].mask
         if m & gone:  # phi is not inclusion-reversing above cl(C)
             raise InputError(f"relabeling undefined on element {bits(m & gone)[0]}")
-    result = AdjointMap(new_source, new_target, _relabelled_table(flats, images, gone, new_target.n))
-    report = verify_adjoint(result)
-    if not report.valid:
-        raise ConstructionError(f"contraction adjoint failed verification:\n{report.summary()}")
+    result = _verified_minor_map(phi, new_source, gone, "contraction")
     phi._contractions[cm] = result
     return result
 
 
 def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
-    """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H),
-    in canonical order."""
-    d = M._mask_of(D)
+    """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H), in
+    canonical order: those that lift no flat of M\\D, since the flat H - D
+    of M\\D lifts to cl(H - D), which is H unless the rank drops."""
+    M._mask_of(D)
     if M.full_rank == 0:
         return ()
-    return tuple(H for H in M.hyperplanes() if M._rank(H.mask & ~d) < M._rank(H.mask))
+    hyperplanes = M.hyperplanes()  # built first, so that M\\D reads its lattice off M's
+    lifted = set(M.delete(D).flats().lift.values())
+    return tuple(H for H in hyperplanes if H not in lifted)
 
 
 def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     """Adjoint of M\\D for coindependent D.
 
     F maps to phi(cl(F)) minus the points of the vanishing hyperplanes; the
-    target is the old target minus those points.  cl(F) is read off the
-    lattice of M as the least flat of M whose trace on E - D is F.
+    target is the old target minus those points.  cl(F) is the lift of F,
+    read off the lattice of M\\D.
     """
-    M, Mp = phi.source, phi.target
+    M = phi.source
     if not M.is_coindependent(D):
         raise PreconditionError(
             f"deletion set {D!r} is not coindependent; use minor_adjoint for general minors"
@@ -493,16 +485,21 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     removed = 0
     for H in vanishing_hyperplanes(M, D):
         removed |= phi.image(H).mask
-    new_source = M.delete(D)
-    new_target = Mp.delete(ElementSet._trusted(removed, Mp.n))
-    least = least_flats(M.flats(), M._full & ~D.mask)
-    closure = dict(zip(_squeeze(least, D.mask), (G for G, _ in least.values())))
-    flats = list(new_source.flats().all_flats())
-    images = [phi.table[closure[F.mask]].mask & ~removed for F in flats]
-    result = AdjointMap(new_source, new_target, _relabelled_table(flats, images, removed, new_target.n))
+    return _verified_minor_map(phi, M.delete(D), removed, "deletion")
+
+
+def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> AdjointMap:
+    """The map F -> phi(lift F) - gone from the minor N of phi's source into
+    phi's target minus ``gone``, relabeled as ``Matroid.delete`` relabels,
+    after it passes verify_adjoint."""
+    target = phi.target.delete(ElementSet._trusted(gone, phi.target.n))
+    lift, table = N.flats().lift, phi.table
+    flats = list(N.flats().all_flats())
+    images = _squeeze([table[lift[F.mask]].mask & ~gone for F in flats], gone)
+    result = AdjointMap(N, target, dict(zip(flats, (ElementSet._trusted(m, target.n) for m in images))))
     report = verify_adjoint(result)
     if not report.valid:
-        raise ConstructionError(f"deletion adjoint failed verification:\n{report.summary()}")
+        raise ConstructionError(f"{kind} adjoint failed verification:\n{report.summary()}")
     return result
 
 

@@ -33,8 +33,7 @@ def _parse_elements(raw: str, n: int) -> ElementSet:
         members = [int(x) for x in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"element list {raw!r} is not comma-separated integers") from exc
-    label_mask(members, n, "element list")
-    return ElementSet.of(members, n)
+    return ElementSet._trusted(label_mask(members, n, "element list"), n)
 
 
 def _flat_counts(M: Matroid) -> list:

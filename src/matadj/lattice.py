@@ -13,14 +13,16 @@ A lattice is made in one of two ways.
   or a contraction of a matroid whose lattice is already built, with no
   closure at all.  The flats of M\\D are the traces G - D of the flats G of
   M, and the flats of M/C are the sets G - C for the flats G that contain C
-  (Oxley, *Matroid Theory*, 2nd ed., ch. 3).  ``least_flats`` walks the
-  parent in rank order and keeps, for each trace T = G n K on the kept set
-  K, the first flat it meets with that trace.  That flat is cl(T): cl(T) is
-  a flat inside every flat G with trace T, and its own trace is T, since
+  (Oxley, *Matroid Theory*, 2nd ed., ch. 3).  One walk of the parent in rank
+  order keeps, for each trace T = G n K on the kept set K, the first flat it
+  meets with that trace.  That flat is cl(T): cl(T) is a flat inside every
+  flat G with trace T, and its own trace is T, since
   T <= cl(T) n K <= G n K = T.  Any other flat with trace T strictly
   contains cl(T) and so has a higher rank, which is why the first flat met
   is the least one.  Its rank is the rank of T in M\\D; in M/C the rank of
-  G - C is r(G) - r(cl C).
+  G - C is r(G) - r(cl C).  The walk also gives the minor's **lift**, each
+  flat F mapped to that least flat of M over it: F u C for M/C, cl(F) for
+  M\\D (F on M's labels).  The minor adjoints read their images through it.
 
 The build relies on M being a matroid, since only a matroid's closure gives
 a geometric lattice, but it does not check the exchange axiom itself.  That
@@ -31,6 +33,7 @@ of a ``Matroid`` are matroids by a theorem and skip it; see ``Matroid``.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterator, Tuple
 
 from .errors import ConstructionError, InputError
@@ -38,20 +41,25 @@ from .matroid import _squeeze
 from .sets import ElementSet
 
 
-def least_flats(lattice: "FlatLattice", keep: int, over: int = 0) -> dict:
-    """Trace -> (least flat, its rank): each trace G & keep of a flat G that
-    contains ``over``, mapped to the first such G met in rank order, which is
-    cl(trace) (see the module docstring).  Entries come in that walk's order,
-    so ranks never decrease; ``over`` = 0 admits every flat."""
-    least: dict = {}
-    for k, layer in enumerate(lattice.flats_by_rank):
+def _lift_walk(N) -> tuple:
+    """(lift, layers) of N = M/C or M\\D from one rank-order walk of the
+    lattice of M: the lift maps each flat mask of N to its least flat of M,
+    and the layers hold the flat masks of N by rank."""
+    if N._minor_of is None:
+        raise InputError(f"{N!r} was not made by contract or delete, so its flats have no lift")
+    M, removed, contracted = N._minor_of
+    keep, over = M._full & ~removed, removed if contracted else 0
+    least: dict = {}  # trace on keep -> the first flat of M met with it
+    ends = []  # len(least) after each rank of M
+    for layer in M.flats().flats_by_rank:
         for G in layer:
-            g = G.mask
-            if not over & ~g:
-                t = g & keep
-                if t not in least:
-                    least[t] = (G, k)
-    return least
+            if not over & ~G.mask:
+                least.setdefault(G.mask & keep, G)
+        ends.append(len(least))
+    masks = _squeeze(least, removed)
+    # M's ranks below r(cl C), or above r(E - D), add no trace
+    layers = [masks[i:j] for i, j in zip([0] + ends, ends) if i < j]
+    return dict(zip(masks, least.values())), layers
 
 
 class FlatLattice:
@@ -60,12 +68,7 @@ class FlatLattice:
     def __init__(self, owner, flats_by_rank: Tuple[Tuple[ElementSet, ...], ...]):
         self.owner = owner
         self.flats_by_rank = flats_by_rank
-        # flat mask -> rank; the flats all live on the owner's ground set
-        self.rank_by_mask = {
-            f.mask: k for k, layer in enumerate(flats_by_rank) for f in layer
-        }
         self._canonical = None
-        self._covers = None
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
@@ -84,21 +87,15 @@ class FlatLattice:
         return cls._checked(M, layers)
 
     @classmethod
-    def of_minor(cls, N, parent: "FlatLattice", removed: int, contracted: bool) -> "FlatLattice":
-        """The lattice of N = M/C (``contracted``) or M\\D, read off the built
-        lattice of M, where ``removed`` is the mask of C or D in M."""
-        least = least_flats(parent, parent.owner._full & ~removed, removed if contracted else 0)
-        base = next(iter(least.values()))[1]  # r(cl C); 0 for a deletion
-        by_rank: list = [[] for _ in range(N.full_rank + 1)]
-        for t, (_, k) in least.items():
-            by_rank[k - base].append(t)
-        n = N.n
-        layers = [
-            tuple(sorted((ElementSet._trusted(m, n) for m in _squeeze(masks, removed)),
-                         key=lambda f: f.key))
-            for masks in by_rank
-        ]
-        return cls._checked(N, layers)
+    def of_minor(cls, N) -> "FlatLattice":
+        """The lattice of N = M/C or M\\D, as made by ``Matroid.contract`` or
+        ``Matroid.delete``, read off the built lattice of M with its lift."""
+        lift, by_rank = _lift_walk(N)
+        layers = [tuple(sorted((ElementSet._trusted(m, N.n) for m in masks), key=lambda f: f.key))
+                  for masks in by_rank]
+        lattice = cls._checked(N, layers)
+        lattice.lift = lift  # fills the cached property, so no second walk
+        return lattice
 
     @classmethod
     def _checked(cls, M, layers: list) -> "FlatLattice":
@@ -107,20 +104,30 @@ class FlatLattice:
             raise ConstructionError("expected a unique top flat")
         return cls(M, tuple(layers))
 
-    @property
+    @cached_property
+    def lift(self) -> Dict[int, ElementSet]:
+        """Flat mask -> the least flat of the parent over it, for the lattice
+        of a minor made by ``Matroid.contract`` (F u C) or ``Matroid.delete``
+        (cl(F)); a lattice built by closures walks the parent on first read."""
+        return _lift_walk(self.owner)[0]
+
+    @cached_property
+    def rank_by_mask(self) -> Dict[int, int]:
+        """Flat mask -> rank, computed on first read."""
+        return {f.mask: k for k, layer in enumerate(self.flats_by_rank) for f in layer}
+
+    @cached_property
     def covers(self) -> Dict[ElementSet, frozenset]:
         """Flat -> the flats covering it, computed on first read: the covers
         of F are the flats one rank up that contain F."""
-        if self._covers is None:
-            layers = self.flats_by_rank
-            covers = {}
-            for lower, upper in zip(layers, layers[1:]):
-                for F in lower:
-                    f = F.mask
-                    covers[F] = frozenset(G for G in upper if not f & ~G.mask)
-            covers[layers[-1][0]] = frozenset()
-            self._covers = covers
-        return self._covers
+        layers = self.flats_by_rank
+        covers = {}
+        for lower, upper in zip(layers, layers[1:]):
+            for F in lower:
+                f = F.mask
+                covers[F] = frozenset(G for G in upper if not f & ~G.mask)
+        covers[layers[-1][0]] = frozenset()
+        return covers
 
     # -- queries ------------------------------------------------------------
 

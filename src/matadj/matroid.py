@@ -81,8 +81,8 @@ class Matroid:
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
         if type(n) is not int:
             raise InputError(f"ground-set size must be an integer, got {n!r}")
-        masks = checked_basis_masks(bases, n)
         check_ground_size(n)
+        masks = checked_basis_masks(bases, n)
         if not masks:
             raise InputError("a matroid needs at least one basis (use [[]] for rank 0)")
         sizes = {b.bit_count() for b in masks}
@@ -241,18 +241,17 @@ class Matroid:
         """The full lattice of flats (cached).
 
         A contraction or deletion made by ``contract`` or ``delete`` reads its
-        lattice off its parent's, with no closure, when the parent's lattice is
-        already built; every other matroid builds its own by closures.  Both
-        paths give the same lattice, layers in the same order; see
-        ``matadj.lattice``.
+        lattice, and the lift of its flats to its parent's, off its parent's
+        lattice, with no closure, when the parent's lattice is already built;
+        every other matroid builds its own by closures.  Both paths give the
+        same lattice, layers in the same order; see ``matadj.lattice``.
         """
         if self._lattice is None:
             from .lattice import FlatLattice
 
             origin = self._minor_of
             if origin is not None and origin[0]._lattice is not None:
-                parent, removed, contracted = origin
-                self._lattice = FlatLattice.of_minor(self, parent._lattice, removed, contracted)
+                self._lattice = FlatLattice.of_minor(self)
             else:
                 self._lattice = FlatLattice.build(self)
         return self._lattice
@@ -273,26 +272,33 @@ class Matroid:
         """Order-preserving dense relabeling of the elements outside the mask."""
         return {e: i for i, e in enumerate(bits(self._full & ~removed))}
 
+    def _minor(self, op: str, S: ElementSet, basis_masks) -> "Matroid":
+        """M/S or M\\S (``op`` "contract" or "delete"), cached per set and
+        relabeled densely, the map recorded in provenance.  ``basis_masks``
+        gives the minor's bases, on M's labels, from the mask of S."""
+        m = self._mask_of(S)
+        result = self._minor_cache.get((op, m))
+        if result is None:
+            result = Matroid._unchecked(
+                self.n - m.bit_count(),
+                _squeeze(basis_masks(m), m),
+                provenance={"op": op, "removed": bits(m), "relabel": self._relabel_out(m), "parent": self},
+            )
+            result._minor_of = (self, m, op == "contract")
+            self._minor_cache[(op, m)] = result
+        return result
+
     def contract(self, C: ElementSet) -> "Matroid":
         """M/C on ground set E-C, relabeled densely (map recorded in provenance).
 
         With I a maximal independent subset of C, the bases of M/C are the
         sets B - I for the bases B of M that meet C exactly in I.
         """
-        cm = self._mask_of(C)
-        cached = self._minor_cache.get(("contract", cm))
-        if cached is not None:
-            return cached
-        ind = self._independent_part(cm)
-        relabel = self._relabel_out(cm)
-        result = Matroid._unchecked(
-            self.n - cm.bit_count(),
-            _squeeze([b & ~ind for b in self._basis_masks if b & cm == ind], cm),
-            provenance={"op": "contract", "removed": bits(cm), "relabel": relabel, "parent": self},
-        )
-        result._minor_of = (self, cm, True)
-        self._minor_cache[("contract", cm)] = result
-        return result
+        def basis_masks(cm: int) -> list:
+            ind = self._independent_part(cm)
+            return [b & ~ind for b in self._basis_masks if b & cm == ind]
+
+        return self._minor("contract", C, basis_masks)
 
     def delete(self, D: ElementSet) -> "Matroid":
         """M\\D: the restriction to E-D, relabeled densely.
@@ -300,22 +306,12 @@ class Matroid:
         Every independent subset of E-D extends to a basis of M, so the bases
         of M\\D are the sets B n (E-D) of r(E-D) elements, for bases B of M.
         """
-        dm = self._mask_of(D)
-        cached = self._minor_cache.get(("delete", dm))
-        if cached is not None:
-            return cached
-        keep = self._full & ~dm
-        r2 = self._rank(keep)
-        relabel = self._relabel_out(dm)
-        kept = dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
-        result = Matroid._unchecked(
-            self.n - dm.bit_count(),
-            _squeeze(kept, dm),
-            provenance={"op": "delete", "removed": bits(dm), "relabel": relabel, "parent": self},
-        )
-        result._minor_of = (self, dm, False)
-        self._minor_cache[("delete", dm)] = result
-        return result
+        def basis_masks(dm: int) -> dict:
+            keep = self._full & ~dm
+            r2 = self._rank(keep)
+            return dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
+
+        return self._minor("delete", D, basis_masks)
 
     def restrict(self, S: ElementSet) -> "Matroid":
         """M|S, i.e. delete the complement of S."""

@@ -109,6 +109,20 @@ def test_image_that_is_not_an_element_set_is_a_structure_error(image):
         AdjointMap(phi.source, phi.target, {**phi.table, es([0], 3): image})
 
 
+@pytest.mark.parametrize("part, value, error, message", [
+    ("table", None, StructureError, "table must be a mapping, got NoneType"),
+    ("table", 5, StructureError, "table must be a mapping, got int"),
+    ("table", "abc", StructureError, "table must be a mapping, got str"),
+    ("source", "abc", InputError, "expected Matroid, got str"),
+    ("target", "abc", InputError, "expected Matroid, got str"),
+])
+def test_argument_of_the_wrong_kind_is_refused(part, value, error, message):
+    phi = u23_self_map()
+    args = {"source": phi.source, "target": phi.target, "table": phi.table, part: value}
+    with pytest.raises(error, match=message):
+        AdjointMap(**args)
+
+
 def test_rank_complement():
     phi = u23_self_map()
     assert check_rank_complement(phi).valid

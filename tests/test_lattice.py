@@ -12,12 +12,15 @@ from matadj import (
     adjoint_from_representation,
     by_name,
     catalog,
+    contract_adjoint,
+    delete_adjoint,
     hyperplane_chain,
     minor_adjoint,
     minor_normal_form,
     uniform,
 )
-from oracles import brute_covers, brute_flats
+from matadj.files import adjoint_to_dict, canonical_json
+from oracles import brute_closure, brute_covers, brute_flats
 from test_trust_boundaries import representations
 
 
@@ -145,7 +148,7 @@ def minors_of(M):
 def assert_minor_lattices_match_builds(M):
     M = Matroid._unchecked(M.n, M._basis_masks)  # no minors cached yet
     M.flats()
-    seen = set()
+    seen, closures = set(), {}
     for N in minors_of(M):
         if id(N) in seen:
             continue
@@ -157,6 +160,32 @@ def assert_minor_lattices_match_builds(M):
         assert derived.rank_by_mask == built.rank_by_mask
         assert derived.covers == built.covers
         assert derived.canonical_order() == built.canonical_order()
+        for lift in (derived.lift, built.lift):  # built walks the parent on first read
+            assert_lift_matches_the_oracle(N, lift, closures)
+
+
+def assert_lift_matches_the_oracle(N, lift, closures):
+    """Each flat F of N = M/C lifts to F u C, a flat of M, and each flat F of
+    N = M\\D to cl(F), with F on M's labels.  ``closures`` memoises
+    ``brute_closure`` by (id(M), set)."""
+    M, removed = N.provenance["parent"], N.provenance["removed"]
+    back = {new: old for old, new in N.provenance["relabel"].items()}
+
+    def closure(S):
+        key = (id(M), frozenset(S))
+        if key not in closures:
+            closures[key] = brute_closure(M, S)
+        return closures[key]
+
+    assert len(lift) == N.flats().flat_count()
+    for F in N.flats().all_flats():
+        old = {back[e] for e in F}
+        if N.provenance["op"] == "contract":
+            want = old | set(removed)
+            assert closure(want) == want
+        else:
+            want = closure(old)
+        assert lift[F.mask] == es(want, M.n), (N.provenance["op"], removed, F)
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
@@ -185,6 +214,36 @@ def test_minor_adjoints_build_no_lattice(monkeypatch, name):
             for csz in range(total + 1):
                 minor_adjoint(phi, MinorSpec(es(S[:csz], n), es(S[csz:], n)))
     assert builds == []
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_minor_adjoints_read_a_lift_from_a_lattice_built_by_closures(name):
+    # a minor whose lattice was built before its parent's walks the parent
+    # for its lift; the maps are the same as when the lattice is read off
+    entry = by_name(name)
+    n = entry.matroid.n
+
+    def maps(M):
+        phi = adjoint_from_representation(M, entry.representation)
+        for e in range(n):
+            S = es([e], n)
+            yield canonical_json(adjoint_to_dict(contract_adjoint(phi, S)))
+            if M.is_coindependent(S):
+                yield canonical_json(adjoint_to_dict(delete_adjoint(phi, S)))
+
+    early = Matroid._unchecked(n, entry.matroid._basis_masks)
+    for e in range(n):
+        for N in (early.contract(es([e], n)), early.delete(es([e], n))):
+            N.flats()
+    assert early._lattice is None
+    assert list(maps(early)) == list(maps(Matroid._unchecked(n, entry.matroid._basis_masks)))
+
+
+def test_only_a_contraction_or_deletion_has_a_lift():
+    M = by_name("fano").matroid
+    for N in (M, M.dual(), Matroid(7, M.bases)):
+        with pytest.raises(InputError, match="have no lift"):
+            N.flats().lift
 
 
 def test_caller_provenance_does_not_select_the_path():

@@ -332,6 +332,18 @@ def test_ground_size_cap_is_checked_where_a_ground_set_enters(monkeypatch):
         fano.representation.matroid()
 
 
+@pytest.mark.parametrize("n, message", [(5, "ground-set size 5 exceeds cap 4"), (-1, "must be non-negative")])
+def test_ground_size_is_checked_before_the_bases_are_read(monkeypatch, n, message):
+    monkeypatch.setenv("MATADJ_MAX_N", "4")
+
+    def unread():
+        raise AssertionError("the bases were read")
+        yield
+
+    with pytest.raises(InputError, match=message):
+        Matroid(n, unread())
+
+
 def test_ground_size_cap(monkeypatch):
     monkeypatch.setenv("MATADJ_MAX_N", "4")
     with pytest.raises(InputError, match="exceeds cap"):

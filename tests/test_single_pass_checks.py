@@ -5,8 +5,9 @@ copy, so the constructors' check and ``full_verification``'s definition
 report are one computation.  Target simplicity is read off the singleton
 closures, and chain independence is checked for every flat in one pass over
 masks; both are compared here with the reference forms in ``oracles``: the
-rank of every pair of elements, and the public chain check merged flat by
-flat.
+rank of every pair of elements, and a chain check run flat by flat with its
+own greedy (``chain_by_restarts``) and its own independence test by rank
+over the target's bases (``chain_violations_by_rank``).
 """
 from fractions import Fraction
 
