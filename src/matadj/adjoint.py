@@ -54,7 +54,7 @@ from typing import Dict, Optional, Tuple
 from .errors import ConstructionError, InputError, PreconditionError, StructureError
 from .lattice import greedy_chain
 from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
-from .sets import ElementSet, bits
+from .sets import ElementSet, bits, set_mask
 
 
 @dataclass(frozen=True)
@@ -442,7 +442,7 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     return the map that the first call built and verified.
     """
     M, Mp = phi.source, phi.target
-    cm = M._mask_of(C)
+    cm = set_mask(C, M.n)
     cached = phi._contractions.get(cm)
     if cached is not None:
         return cached
@@ -462,7 +462,7 @@ def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
     """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H), in
     canonical order: those that lift no flat of M\\D, since the flat H - D
     of M\\D lifts to cl(H - D), which is H unless the rank drops."""
-    M._mask_of(D)
+    set_mask(D, M.n)
     if M.full_rank == 0:
         return ()
     hyperplanes = M.hyperplanes()  # built first, so that M\\D reads its lattice off M's

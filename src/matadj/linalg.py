@@ -7,7 +7,10 @@ Vectors are lists of Python ints, and every row operation is a step of one
 forward-elimination kernel, ``eliminate``: mod p over GF(p), fraction-free
 over the rationals.  ``echelon`` runs it over a list of vectors, and rank
 and the one null vector of a hyperplane (``null_vector``) are read off its
-rows.  ``Fraction`` appears only at the rational boundary: ``integer_vector``
+rows.  ``direction`` is the normal form of the line through a vector:
+``null_vector`` ends with it, and the column-bases walk of ``matadj.search``
+compares directions to find parallel columns.  ``Fraction`` appears only at
+the rational boundary: ``integer_vector``
 scales a rational vector by the lcm of its denominators on the way in, and
 ``Representation.covector`` returns a primitive int vector as ``Fraction``
 values on the way out.
@@ -15,17 +18,45 @@ values on the way out.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
 
 
+# Miller-Rabin on these bases decides primality exactly for every n below
+# PRIME_BOUND (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin on ``PRIME_BASES``.
+
+    The answer is exact for n below ``PRIME_BOUND``; a larger n is refused
+    with ``InputError``, never answered by a probable-prime test.
+    """
+    if n >= PRIME_BOUND:
+        raise InputError(f"{n} is too large: primality is decided only below {PRIME_BOUND}")
     if n < 2:
         return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -98,7 +129,7 @@ def echelon(vectors, char: int) -> list:
     return rows
 
 
-def null_vector(rows, dim: int, char: int) -> list:
+def null_vector(rows, dim: int, char: int) -> tuple:
     """The normal form of the nonzero x with row . x = 0 for every echelon row.
 
     ``rows`` come from ``echelon`` on vectors of length ``dim`` and have
@@ -107,9 +138,9 @@ def null_vector(rows, dim: int, char: int) -> list:
     pivots of the rows found before it, so, taken in reverse order, every
     row's equation a*x[pivot] + s = 0, with a = row[pivot] and s the sum
     over the coordinates already set, is solved fraction-free: x <- a*x,
-    then x[pivot] = -s.  The result is then scaled to the line's normal form:
-    over GF(p) the first nonzero entry is 1, over the rationals the vector
-    is primitive with a positive first nonzero entry.
+    then x[pivot] = -s.  The result is then scaled to the line's normal form,
+    ``direction``.  The column bases of the covector target are listed from
+    these tuples as they are (``matadj.search``).
     """
     pivots = {pivot for pivot, _ in rows}
     x = [0] * dim
@@ -118,11 +149,31 @@ def null_vector(rows, dim: int, char: int) -> list:
         s = sum(e * v for e, v in zip(row, x))
         x = [row[pivot] * v for v in x]
         x[pivot] = -s
+    return direction(x, char)
+
+
+def direction(vec, char: int) -> Optional[tuple]:
+    """The normal form of the line through the int vector ``vec``, or None
+    for the zero vector.
+
+    Over GF(p) the entries are reduced into 0..p-1 and the first nonzero one
+    is scaled to 1; over the rationals the vector is divided by the gcd of
+    its entries, negated if its first nonzero entry is negative.  Two
+    nonzero vectors have the same direction exactly when one is a nonzero
+    multiple of the other.
+    """
     if char:
-        x = [v % char for v in x]
-        inv = pow(x[leading_index(x)], -1, char)
-        return [v * inv % char for v in x]
-    g = gcd(*x)
-    if x[leading_index(x)] < 0:
+        lead = next((x % char for x in vec if x % char), None)
+        if lead is None:
+            return None
+        if lead == 1:
+            return tuple(v % char for v in vec)
+        inv = pow(lead, -1, char)
+        return tuple(v * inv % char for v in vec)
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        return None
+    g = gcd(*vec)
+    if lead < 0:
         g = -g
-    return [v // g for v in x]
+    return tuple(vec) if g == 1 else tuple(v // g for v in vec)

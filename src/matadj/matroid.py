@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ConstructionError, InputError
-from .sets import ElementSet, bits, label_mask
+from .sets import ElementSet, bits, label_mask, set_mask
 
 DEFAULT_MAX_N = 16
 _ENV_MAX_N = "MATADJ_MAX_N"
@@ -158,14 +158,6 @@ class Matroid:
     def groundset(self) -> ElementSet:
         return ElementSet._trusted(self._full, self.n)
 
-    def _mask_of(self, S: ElementSet) -> int:
-        """The mask of S, after checking that S lives on this ground set."""
-        if S.__class__ is not ElementSet:
-            raise InputError(f"expected ElementSet, got {type(S).__name__}")
-        if S.universe != self.n:
-            raise InputError(f"set universe {S.universe} does not match ground-set size {self.n}")
-        return S.mask
-
     def _rank(self, m: int) -> int:
         """Rank of the subset with mask m, through the rank cache."""
         r = self._rank_cache.get(m)
@@ -192,7 +184,7 @@ class Matroid:
 
     def rank(self, S: ElementSet) -> int:
         """Rank of S: the size of a largest independent subset of S."""
-        return self._rank(self._mask_of(S))
+        return self._rank(set_mask(S, self.n))
 
     def _closure(self, m: int) -> int:
         """The mask of cl(S) for the subset with mask m, through the closure memo.
@@ -219,15 +211,15 @@ class Matroid:
 
     def closure(self, S: ElementSet) -> ElementSet:
         """cl(S): all elements whose addition leaves the rank of S unchanged."""
-        return ElementSet._trusted(self._closure(self._mask_of(S)), self.n)
+        return ElementSet._trusted(self._closure(set_mask(S, self.n)), self.n)
 
     def is_independent(self, S: ElementSet) -> bool:
-        m = self._mask_of(S)
+        m = set_mask(S, self.n)
         return self._rank(m) == m.bit_count()
 
     def is_coindependent(self, S: ElementSet) -> bool:
         """True when removing S does not lower the matroid's rank."""
-        return self._rank(self._full & ~self._mask_of(S)) == self.full_rank
+        return self._rank(self._full & ~set_mask(S, self.n)) == self.full_rank
 
     def is_simple(self) -> bool:
         """No loops, no parallel pairs: cl(empty) is empty and, with no loops,
@@ -276,7 +268,7 @@ class Matroid:
         """M/S or M\\S (``op`` "contract" or "delete"), cached per set and
         relabeled densely, the map recorded in provenance.  ``basis_masks``
         gives the minor's bases, on M's labels, from the mask of S."""
-        m = self._mask_of(S)
+        m = set_mask(S, self.n)
         result = self._minor_cache.get((op, m))
         if result is None:
             result = Matroid._unchecked(
@@ -406,8 +398,8 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
     contraction side.  The moved-back elements are coloops of the partial
     deletion, where contraction and deletion agree, so the minor is unchanged.
     """
-    C = M._mask_of(spec.contract)
-    D = M._mask_of(spec.delete)
+    C = set_mask(spec.contract, M.n)
+    D = set_mask(spec.delete, M.n)
 
     c_ind = M._independent_part(C)
     d0 = D | C & ~c_ind

@@ -22,9 +22,9 @@ from typing import Optional, Tuple
 
 from .adjoint import AdjointMap, induced_map, verify_adjoint
 from .errors import ConstructionError, InputError
-from .linalg import characteristic, echelon, eliminate, integer_vector, leading_index, null_vector
+from .linalg import characteristic, direction, echelon, eliminate, integer_vector, leading_index, null_vector
 from .matroid import Matroid, check_ground_size
-from .sets import ElementSet
+from .sets import ElementSet, label_mask, set_mask
 
 
 def _entry(x, char: int):
@@ -83,6 +83,9 @@ class Representation:
         return len(self.columns)
 
     def rank_of(self, indices) -> int:
+        """The rank of the columns with the given labels: a collection of
+        non-bool ints in range, none repeated."""
+        label_mask(indices, self.n, "column set")
         return len(echelon([self._vectors[i] for i in indices], self._char))
 
     def matroid(self, provenance: Optional[dict] = None) -> Matroid:
@@ -94,8 +97,20 @@ class Representation:
         rows, so extending the prefix by one column costs one ``eliminate``
         step per later column.  A column that reduces to zero depends on the
         prefix, and every set holding both is dependent, so the walk never
-        enters that subtree.  The walk emits the r-subsets in lexicographic
-        order, the order of ``itertools.combinations``.
+        enters that subtree.
+
+        In rank 2 and above the walk stops at prefixes of r - 2 columns and
+        finishes each by parallel classes.  Two later columns complete such
+        a prefix to a basis exactly when both are nonzero and not parallel,
+        once reduced.  A reduced column is zero at every pivot of the
+        prefix's rows, and every nonzero combination of echelon rows is
+        nonzero at some pivot (the pivot of the first row it uses: the rows
+        after it are zero there).  So a reduced column lies in the span of
+        the prefix and another reduced column u exactly when it is a
+        multiple of u.  Each later column thus costs one ``direction`` per
+        (r - 2)-prefix, not one ``eliminate`` per (r - 1)-prefix.  The walk
+        emits the r-subsets in lexicographic order, the order of
+        ``itertools.combinations``.
 
         The walk runs on the int vectors of the columns: over the rationals
         each column is scaled by the lcm of its denominators.  Scaling a
@@ -109,52 +124,75 @@ class Representation:
         """
         check_ground_size(self.n)
         if self._basis_masks is None:
-            object.__setattr__(self, "_basis_masks", self._column_bases())
+            object.__setattr__(self, "_basis_masks", _column_bases(self._vectors, self._char))
         return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)
-
-    def _column_bases(self) -> tuple:
-        """The masks of the column bases, in lexicographic order; see ``matroid``."""
-        char = self._char
-        masks = []
-
-        def walk(mask: int, need: int, rest: list) -> None:
-            # rest: (label, column reduced against the prefix) after the prefix
-            for k in range(len(rest) - need + 1):
-                j, vec = rest[k]
-                pivot = leading_index(vec)
-                if pivot is None:
-                    continue
-                if need == 1:
-                    masks.append(mask | 1 << j)
-                    continue
-                row = ((pivot, vec),)
-                walk(mask | 1 << j, need - 1, [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]])
-
-        r = len(echelon(self._vectors, char))
-        if r == 0:
-            masks.append(0)
-        else:
-            walk(0, r, list(enumerate(self._vectors)))
-        return tuple(masks)
 
     def covector(self, H: ElementSet) -> tuple:
         """The canonical linear functional vanishing on the columns of H.
 
-        The solution space must be 1-dimensional, which holds exactly when H
-        spans a hyperplane of the column space.  Its one line is spanned by
+        H must be an ``ElementSet`` on the n column labels.  The solution
+        space must be 1-dimensional, which holds exactly when H spans a
+        hyperplane of the column space.  Its one line is spanned by
         ``null_vector`` of the echelon rows of H's columns, in normal form:
         over GF(p) ints with first nonzero entry 1, over the rationals a
         primitive integer vector, as ``Fraction`` values, with positive first
         nonzero entry.
         """
+        set_mask(H, self.n)
+        x = self._null_vector(H)
+        return x if self._char else tuple(map(Fraction, x))
+
+    def _null_vector(self, H: ElementSet) -> tuple:
+        """``covector`` of H as ints, for an H known to lie on the columns."""
         rows = echelon([self._vectors[e] for e in H], self._char)
         free = self.dim - len(rows)
         if free != 1:
             if not H:
                 raise InputError("covector space of the empty set is not 1-dimensional")
             raise InputError(f"covector space of {H!r} has dimension {free}, expected 1")
-        x = null_vector(rows, self.dim, self._char)
-        return tuple(x) if self._char else tuple(map(Fraction, x))
+        return null_vector(rows, self.dim, self._char)
+
+
+def _column_bases(vectors: list, char: int) -> tuple:
+    """The masks of the bases of the column matroid of the int vectors
+    ``vectors`` over the field of characteristic ``char``, in lexicographic
+    order; see ``Representation.matroid``."""
+    masks = []
+
+    def finish(mask: int, rest: list) -> None:
+        # the last two columns: both nonzero, in different parallel classes
+        classes: dict = {}
+        labelled = []
+        for j, vec in rest:
+            line = direction(vec, char)
+            if line is not None:
+                labelled.append((1 << j, classes.setdefault(line, len(classes))))
+        for k, (bit, c) in enumerate(labelled):
+            first = mask | bit
+            masks.extend([first | b for b, d in labelled[k + 1:] if d != c])
+
+    def walk(mask: int, need: int, rest: list) -> None:
+        # rest: (label, column reduced against the prefix) after the prefix
+        if need == 2:
+            finish(mask, rest)
+            return
+        for k in range(len(rest) - need + 1):
+            j, vec = rest[k]
+            pivot = leading_index(vec)
+            if pivot is None:
+                continue
+            if need == 1:
+                masks.append(mask | 1 << j)
+                continue
+            row = ((pivot, vec),)
+            walk(mask | 1 << j, need - 1, [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]])
+
+    r = len(echelon(vectors, char))
+    if r == 0:
+        masks.append(0)
+    else:
+        walk(0, r, list(enumerate(vectors)))
+    return tuple(masks)
 
 
 def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
@@ -164,9 +202,12 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     if rep.matroid() != M:
         raise InputError("representation does not match the matroid's bases")
     hyperplanes = M.hyperplanes()
-    covectors = [rep.covector(H) for H in hyperplanes]
-    target_rep = Representation(rep.field, tuple(covectors), rep.dim)
-    target = target_rep.matroid(provenance={"op": "covector-adjoint"})
+    # the covectors are the columns of the target: listed from their int
+    # vectors, which are already in the field's normal form
+    check_ground_size(len(hyperplanes))
+    covectors = [rep._null_vector(H) for H in hyperplanes]
+    target = Matroid._unchecked(len(hyperplanes), _column_bases(covectors, rep._char),
+                                provenance={"op": "covector-adjoint"})
     bij = {H: i for i, H in enumerate(hyperplanes)}
     phi = induced_map(M, target, bij)
     report = verify_adjoint(phi)

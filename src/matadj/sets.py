@@ -50,6 +50,16 @@ def label_mask(labels: Collection, universe: int, what: str) -> int:
     return mask
 
 
+def set_mask(S, universe: int) -> int:
+    """The mask of the ``ElementSet`` S, after checking that it lives on
+    {0, ..., universe-1}."""
+    if S.__class__ is not ElementSet:
+        raise InputError(f"expected ElementSet, got {type(S).__name__}")
+    if S.universe != universe:
+        raise InputError(f"set universe {S.universe} does not match ground-set size {universe}")
+    return S.mask
+
+
 def bits(mask: int) -> list:
     """The positions of the set bits of ``mask``, ascending."""
     out = []

@@ -26,7 +26,7 @@ elements.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from matadj import (
     ConstructionError,
@@ -152,6 +152,11 @@ def family_is_simple(family, m, r):
         return m == 1
     pairs = {frozenset(p) for b in family for p in combinations(sorted(b), 2)}
     return len(pairs) == m * (m - 1) // 2
+
+
+def is_prime_by_trial_division(n):
+    """Whether n is prime, by trial division up to its square root."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _arithmetic(field):

@@ -1,7 +1,7 @@
 """``Representation.matroid`` lists the bases by a depth-first walk with
-incremental, fraction-free elimination; these tests hold it to the
-per-subset RREF filter of ``oracles.brute_column_bases``, value for value
-and in the same order."""
+incremental, fraction-free elimination, finished by parallel classes two
+columns from the end; these tests hold it to the per-subset RREF filter of
+``oracles.brute_column_bases``, value for value and in the same order."""
 import hashlib
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from matadj import Representation, by_name, catalog
 from matadj.catalog import _vandermonde
 from matadj.sets import bits
 from oracles import brute_column_bases
-from test_linalg import FIELDS, entries
+from test_linalg import FIELDS
 
 
 def listed_bases(rep):
@@ -36,19 +36,28 @@ def scalars(field):
 @st.composite
 def column_representations(draw):
     field = draw(st.sampled_from(FIELDS))
-    dim = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 7))
-    # few distinct values, so that dependent sets of columns are common
-    values = draw(st.lists(entries(field), min_size=1, max_size=4))
-    cell = st.one_of(st.just(0), st.sampled_from(values))
+    dim = draw(st.integers(0, 5))
+    # mostly at least dim columns, so that most draws have rank 2 or more
+    n = draw(st.one_of(st.integers(dim, 9), st.integers(0, 9)))
+    # few distinct values, so that dependent sets of columns are common; the
+    # nonzero ones come first, since hypothesis draws many of its examples at
+    # the first branch of each choice, and all-zero columns would waste them
+    values = draw(st.lists(scalars(field), min_size=1, max_size=4))
+    cell = st.one_of(st.sampled_from(values), st.just(0))
     columns = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["drawn", "zero", "parallel"]))
+        kind = draw(st.sampled_from(["drawn", "zero", "parallel", "combination"]))
         if kind == "zero":
             columns.append((0,) * dim)
         elif kind == "parallel" and columns:
             scale = draw(scalars(field))
             columns.append(tuple(scale * x for x in draw(st.sampled_from(columns))))
+        elif kind == "combination" and len(columns) >= 2:
+            # a*u + b*v: modulo a prefix holding other columns of span(u, v),
+            # parallel classes of three or more columns are common
+            u, v = draw(st.permutations(columns))[:2]
+            a, b = draw(scalars(field)), draw(scalars(field))
+            columns.append(tuple(a * x + b * y for x, y in zip(u, v)))
         else:
             columns.append(tuple(draw(cell) for _ in range(dim)))
     return Representation(field, tuple(columns), dim)
@@ -74,6 +83,16 @@ def test_large_covector_target_is_pinned(monkeypatch):
     assert target.n == 35 and len(target._basis_masks) == 40_672
     digest = hashlib.sha256(repr(target._basis_masks).encode()).hexdigest()
     assert digest == "aa96f8737db34450d90446b63650718699cbf709b3a512f73e5be5847482dbef"
+
+
+def test_largest_covector_target_is_pinned(monkeypatch):
+    # U_4_8's covector target: 56 points in rank 4, listed by the parallel-class
+    # finish at every one of its 1,431 two-column prefixes
+    monkeypatch.setenv("MATADJ_MAX_N", "56")
+    target = covector_target(_vandermonde(4, 8)).matroid()
+    assert target.n == 56 and len(target._basis_masks) == 307_398
+    digest = hashlib.sha256(repr(target._basis_masks).encode()).hexdigest()
+    assert digest == "b7058bf0c373e1dd46448482c092faf3dd8dfe74507e3678f0758114bbaee713"
 
 
 def test_rational_columns_are_scaled_not_rounded():

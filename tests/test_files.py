@@ -304,3 +304,13 @@ def test_catalog_covector_maps_are_pinned(fixture_maps):
     blob = canonical_json({name: adjoint_to_dict(phi) for name, phi in fixture_maps.items()})
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == "736509e6141952d644df1a5725cb4fdef57014c33d2e3f3d66027bbe32392451"
+
+
+def test_a_large_prime_field_loads_at_once():
+    # decided by Miller-Rabin, not by trial division up to 2**30.5
+    data = {"n": 2, "field": {"prime": 2**61 - 1}, "matrix": [[1, -1]]}
+    M, rep, _ = load_matroid(data)
+    assert rep.columns == ((1,), (2**61 - 2,)) and M.full_rank == 1
+    data["field"] = {"prime": 2**89 - 1}
+    with pytest.raises(InputError, match="primality is decided only below 3317044064679887385961981"):
+        load_matroid(data)

@@ -1,8 +1,13 @@
+import re
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matadj.linalg import characteristic, echelon, integer_vector
-from oracles import rref
+from matadj import InputError
+from matadj.linalg import PRIME_BOUND, characteristic, direction, echelon, integer_vector, is_prime, null_vector
+from oracles import is_prime_by_trial_division, rref
 
 FIELDS = [2, 3, 5, "rational"]
 
@@ -32,3 +37,81 @@ def test_echelon_rank_matches_rref(drawn):
     rank = len(echelon([integer_vector(row, char) for row in rows], char))
     assert rank == len(rref(rows, field)[1])
 
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(100_000) if is_prime(n)] == [n for n in range(100_000) if is_prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051])
+def test_strong_pseudoprimes_are_refused(n):
+    # strong pseudoprimes to the bases 2, 3, 5 and 7, and to every prime base up to 31
+    with pytest.raises(InputError, match=f"^{n} is not prime$"):
+        characteristic(n)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_large_primes_are_accepted_quickly(p):
+    start = time.perf_counter()
+    assert characteristic(p) == p
+    assert time.perf_counter() - start < 0.1
+
+
+def test_primes_above_the_exact_bound_are_refused():
+    p = 2**89 - 1  # a Mersenne prime
+    assert p > PRIME_BOUND
+    message = f"{p} is too large: primality is decided only below {PRIME_BOUND}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        characteristic(p)
+
+
+def vectors(field):
+    return st.lists(entries(field), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda field: st.tuples(st.just(field), vectors(field))))
+def test_direction_is_the_same_for_every_nonzero_multiple(drawn):
+    field, vec = drawn
+    char = characteristic(field)
+    vec = integer_vector(vec, char)
+    line = direction(vec, char)
+    if line is None:
+        assert not any(vec)
+        return
+    assert direction(line, char) == line
+    for scale in (2, 3, -1, -7, 10):
+        if not char or scale % char:
+            assert direction([scale * x for x in vec], char) == line
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_direction_of_the_zero_vector_is_none(field):
+    char = characteristic(field)
+    assert direction([0, 0, 0], char) is None
+    assert direction([], char) is None
+    if char:
+        assert direction([char, -2 * char], char) is None
+
+
+@st.composite
+def hyperplane_rows(draw):
+    """dim - 1 drawn vectors of length dim: most have a 1-dimensional null space."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(1, 5))
+    return field, [draw(st.lists(entries(field), min_size=dim, max_size=dim)) for _ in range(dim - 1)], dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(hyperplane_rows())
+def test_null_vector_is_its_own_direction(drawn):
+    field, vectors, dim = drawn
+    char = characteristic(field)
+    rows = echelon([integer_vector(vec, char) for vec in vectors], char)
+    if len(rows) != dim - 1:
+        return
+    x = null_vector(rows, dim, char)
+    assert direction(x, char) == x
+    for _, row in rows:
+        dot = sum(e * v for e, v in zip(row, x))
+        assert (dot % char if char else dot) == 0

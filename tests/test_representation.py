@@ -94,3 +94,38 @@ def test_covectors_match_the_rref_null_vector(rep):
             got = rep.covector(H)
             assert got == want
             assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize(
+    "H,message",
+    [(ElementSet.of([0], 9), "set universe 9 does not match ground-set size 4"),
+     (ElementSet.of([5], 9), "set universe 9 does not match ground-set size 4"),
+     (frozenset({0}), "expected ElementSet, got frozenset"),
+     ([0, 1], "expected ElementSet, got list")],
+)
+def test_covector_refuses_a_set_on_other_labels(H, message):
+    rep = Representation(3, ((1, 0), (0, 1), (1, 1), (1, 2)), 2)
+    with pytest.raises(InputError, match=re.escape(message)):
+        rep.covector(H)
+
+
+@pytest.mark.parametrize(
+    "indices,message",
+    [([-1], "column set [-1] has element -1 out of range for ground set of size 4"),
+     ([7], "column set [7] has element 7 out of range for ground set of size 4"),
+     (["a"], "column set ['a'] has non-integer element 'a'"),
+     ([True], "column set [True] has non-integer element True"),
+     ([1, 1], "column set [1, 1] repeats an element")],
+)
+def test_rank_of_refuses_labels_that_are_not_columns(indices, message):
+    rep = Representation(3, ((1, 0), (0, 1), (1, 1), (1, 2)), 2)
+    with pytest.raises(InputError, match=re.escape(message)):
+        rep.rank_of(indices)
+
+
+def test_rank_of_takes_any_collection_of_labels():
+    rep = Representation(3, ((1, 0), (0, 1), (1, 1), (2, 2)), 2)
+    assert rep.rank_of(range(4)) == 2
+    assert rep.rank_of((2, 3)) == 1
+    assert rep.rank_of([]) == 0
+
