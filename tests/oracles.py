@@ -10,9 +10,13 @@ against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
 
-``enumerate_families`` is the one exception to "no bitmasks": it is the
-exhaustive family enumeration that ``search_adjoint`` replaced with the
-freest target, kept here as the reference search it is compared against.
+``enumerate_families`` and ``rank_table`` are the exceptions to "no
+bitmasks".  The first is the exhaustive family enumeration that
+``search_adjoint`` replaced with the freest target, kept here as the
+reference search it is compared against.  The second indexes all 2^n
+subsets by mask, so that every subset of a 15-element target can be
+checked; it reads independence off the bases by a transform over the
+subset lattice, with no greedy and no rank query.
 
 ``chain_report_by_merging`` and ``simple_violations_by_pairs`` are the
 reference forms of two checks that the library makes in one pass.  The
@@ -70,6 +74,31 @@ def brute_rank(M, subset):
 def brute_closure(M, subset):
     """Every element whose addition leaves brute_rank unchanged."""
     return _closure_in(M.bases, M.n, subset)
+
+
+def rank_table(M):
+    """The rank of every subset of E, as a list indexed by mask.
+
+    A set is independent when some basis holds it, and its rank is the size
+    of its largest independent subset; each is one transform over the
+    subset lattice, a bit at a time, with no greedy and no rank query.
+    """
+    size = 1 << M.n
+    independent = [False] * size
+    for b in M.bases:
+        independent[sum(1 << e for e in b)] = True
+    for e in range(M.n):
+        bit = 1 << e
+        for s in range(size):
+            if s & bit and independent[s]:
+                independent[s ^ bit] = True
+    ranks = [bin(s).count("1") if independent[s] else 0 for s in range(size)]
+    for e in range(M.n):
+        bit = 1 << e
+        for s in range(size):
+            if s & bit and ranks[s ^ bit] > ranks[s]:
+                ranks[s] = ranks[s ^ bit]
+    return ranks
 
 
 def brute_restriction_bases(M, keep):

@@ -459,3 +459,17 @@ def test_u47_covector_adjoint_is_pinned(monkeypatch):
     assert all(report.valid for report in full_verification(phi).values())
     digest = hashlib.sha256(canonical_json(adjoint_to_dict(phi)).encode()).hexdigest()
     assert digest == "2b392249cf38e6f8725c881a388aeb7f1f24ff9cae3b85df16938aee5770ce3a"
+
+
+def test_u48_covector_adjoint_verifies(monkeypatch):
+    # U_4_8's covector adjoint: 56 points and 307,398 bases in the target,
+    # whose rank and closure queries read its independent-set index; no
+    # digest, since the saved map would list every basis
+    monkeypatch.setenv("MATADJ_MAX_N", "56")
+    rep = _vandermonde(4, 8)
+    phi = adjoint_from_representation(rep.matroid(), rep)
+    assert phi.target.n == 56 and len(phi.target._basis_masks) == 307_398
+    reports = full_verification(phi)
+    assert set(reports) == {"definition", "rank_complement", "chain_independence", "modular_pairs"}
+    assert all(report.valid for report in reports.values())
+    assert phi.target._lattice is None and phi.target._indep is not None
