@@ -47,32 +47,35 @@ the contraction set, once they have passed that verification.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
-from .errors import ConstructionError, InputError, PreconditionError, StructureError
+from .errors import ConstructionError, InputError, PreconditionError, StructureError, expect
 from .lattice import greedy_chain
 from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
-from .sets import ElementSet, bits, set_mask
+from .sets import ElementSet, Record, _set, bits, set_mask
 
 
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    witness: tuple
-    expected: str
-    actual: str
+class Violation(Record):
+    _fields = ("check", "witness", "expected", "actual")
+
+    def __init__(self, check: str, witness: tuple, expected: str, actual: str):
+        _set(self, "check", check)
+        _set(self, "witness", witness)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
 
     def __str__(self) -> str:
         w = ", ".join(repr(x) for x in self.witness)
         return f"[{self.check}] witness ({w}): expected {self.expected}, got {self.actual}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks_run: Tuple[str, ...]
-    violations: Tuple[Violation, ...]
+class VerificationReport(Record):
+    _fields = ("checks_run", "violations")
+
+    def __init__(self, checks_run: Tuple[str, ...], violations: Tuple[Violation, ...]):
+        _set(self, "checks_run", checks_run)
+        _set(self, "violations", violations)
 
     @property
     def valid(self) -> bool:
@@ -86,8 +89,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, eq=True)
-class AdjointMap:
+class AdjointMap(Record):
     """A total flat-to-flat table from a source matroid into a simple target.
 
     ``table`` is a read-only view of the map's own copy of the mapping it
@@ -103,24 +105,20 @@ class AdjointMap:
     the source flats, with flats of the target, as ``ElementSet``s, as values.
     """
 
-    source: Matroid
-    target: Matroid
-    table: Mapping[ElementSet, ElementSet]
-    hyperplane_order: Optional[Tuple[ElementSet, ...]] = field(init=False)
-    # contraction-set mask -> verified contract_adjoint result
-    _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the definition report, once verify_adjoint has computed it
-    _definition: Optional[VerificationReport] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("source", "target", "table", "hyperplane_order")
 
-    def __post_init__(self):
-        for M in (self.source, self.target):
-            if not isinstance(M, Matroid):
-                raise InputError(f"expected Matroid, got {type(M).__name__}")
-        if not isinstance(self.table, Mapping):
-            raise StructureError(f"table must be a mapping, got {type(self.table).__name__}")
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+    def __init__(self, source: Matroid, target: Matroid, table: Mapping[ElementSet, ElementSet]):
+        expect(source, Matroid)
+        expect(target, Matroid)
+        if not isinstance(table, Mapping):
+            raise StructureError(f"table must be a mapping, got {type(table).__name__}")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "table", MappingProxyType(dict(table)))
+        _set(self, "_contractions", {})  # contraction-set mask -> verified contract_adjoint result
+        _set(self, "_definition", None)  # the definition report, once verify_adjoint has computed it
         _structural_check(self)
-        object.__setattr__(self, "hyperplane_order", _derive_hyperplane_order(self))
+        _set(self, "hyperplane_order", _derive_hyperplane_order(self))
 
     def image(self, F: ElementSet) -> ElementSet:
         try:
@@ -193,10 +191,11 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     The report is computed on the first call and kept on the map: the map's
     source, target and table cannot change, so later calls return it as is.
     """
+    expect(phi, AdjointMap)
     report = phi._definition
     if report is None:
         report = _definition_report(phi)
-        object.__setattr__(phi, "_definition", report)
+        _set(phi, "_definition", report)
     return report
 
 
@@ -296,6 +295,7 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
     reported here indicates an implementation bug, not a bad input, and the
     violation text says so.
     """
+    expect(phi, AdjointMap)
     r = phi.source.full_rank
     rank = phi.target._rank
     violations = []
@@ -312,6 +312,7 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
 
 def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
     """Images of a strictly-decreasing hyperplane chain are independent in the target."""
+    expect(phi, AdjointMap)
     M = phi.source
     lattice = M.flats()
     running = M._full
@@ -353,6 +354,7 @@ def _chain_violations(phi: AdjointMap, pairs: list, chain) -> list:
 
 def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
     """phi(X), phi(Y) form a modular pair in the target, for all flats X, Y."""
+    expect(phi, AdjointMap)
     rank = phi.target._rank
     flats = phi.source.flats().canonical_order()
     images = [(phi.table[X].mask, rank(phi.table[X].mask)) for X in flats]
@@ -417,6 +419,9 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
     containing it.  For a valid adjoint this formula is forced; the result
     here is only a candidate and callers must run verify_adjoint.
     """
+    expect(M, Matroid)
+    expect(Mp, Matroid)
+    expect(bij, Mapping)
     if M.full_rank != Mp.full_rank:
         raise InputError(f"rank mismatch: source {M.full_rank}, target {Mp.full_rank}")
     if not Mp.is_simple():
@@ -441,6 +446,7 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     Built once per map and contraction set: later calls with the same C
     return the map that the first call built and verified.
     """
+    expect(phi, AdjointMap)
     M, Mp = phi.source, phi.target
     cm = set_mask(C, M.n)
     cached = phi._contractions.get(cm)
@@ -462,6 +468,7 @@ def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
     """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H), in
     canonical order: those that lift no flat of M\\D, since the flat H - D
     of M\\D lifts to cl(H - D), which is H unless the rank drops."""
+    expect(M, Matroid)
     set_mask(D, M.n)
     if M.full_rank == 0:
         return ()
@@ -477,6 +484,7 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     target is the old target minus those points.  cl(F) is the lift of F,
     read off the lattice of M\\D.
     """
+    expect(phi, AdjointMap)
     M = phi.source
     if not M.is_coindependent(D):
         raise PreconditionError(
@@ -505,6 +513,7 @@ def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> Ad
 
 def minor_adjoint(phi: AdjointMap, spec: MinorSpec) -> AdjointMap:
     """Adjoint of M/C\\D for any disjoint C, D: normalize, contract, delete."""
+    expect(phi, AdjointMap)
     nf = minor_normal_form(phi.source, spec)
     after_contract = contract_adjoint(phi, nf.contract)
     relabel = after_contract.source.provenance["relabel"]

@@ -6,7 +6,6 @@ rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Tuple
@@ -14,17 +13,22 @@ from typing import Optional, Tuple
 from .errors import InputError
 from .matroid import Matroid
 from .search import Representation
+from .sets import Record, _set
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    matroid: Matroid
-    representation: Optional[Representation]
+class CatalogEntry(Record):
+    _fields = ("name", "matroid", "representation")
+
+    def __init__(self, name: str, matroid: Matroid, representation: Optional[Representation]):
+        _set(self, "name", name)
+        _set(self, "matroid", matroid)
+        _set(self, "representation", representation)
 
 
 def uniform(r: int, n: int, name: Optional[str] = None) -> Matroid:
     """U_{r,n}: every r-subset is a basis."""
+    if type(r) is not int or type(n) is not int:
+        raise InputError(f"uniform matroid needs integers r and n, got r={r!r}, n={n!r}")
     if r < 0 or r > n:
         raise InputError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     return Matroid(

@@ -26,3 +26,9 @@ class ConstructionError(MatadjError):
 
     Seeing this means an implementation bug, not bad input.
     """
+
+
+def expect(value, cls) -> None:
+    """Raise InputError unless ``value`` is a ``cls``: the class test at a public entry."""
+    if not isinstance(value, cls):
+        raise InputError(f"expected {cls.__name__}, got {type(value).__name__}")

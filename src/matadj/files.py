@@ -31,7 +31,7 @@ from typing import Optional, Tuple, Union
 
 from .adjoint import AdjointMap
 from .catalog import by_name
-from .errors import InputError
+from .errors import InputError, expect
 from .matroid import Matroid, checked_basis_masks
 from .search import Representation
 from .sets import ElementSet, bits, label_mask
@@ -128,6 +128,7 @@ def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Opt
 
 def save_matroid(M: Matroid, path: Union[str, Path], name: Optional[str] = None,
                  rep: Optional[Representation] = None) -> None:
+    expect(M, Matroid)
     Path(path).write_text(canonical_json(matroid_to_dict(M, name, rep)), encoding="utf-8")
 
 
@@ -218,6 +219,7 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
 
 
 def save_adjoint(phi: AdjointMap, path: Union[str, Path]) -> None:
+    expect(phi, AdjointMap)
     Path(path).write_text(canonical_json(adjoint_to_dict(phi)), encoding="utf-8")
 
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterator, Tuple
 
-from .errors import ConstructionError, InputError
-from .matroid import _squeeze
+from .errors import ConstructionError, InputError, expect
+from .matroid import Matroid, _squeeze
 from .sets import ElementSet
 
 
@@ -171,6 +171,7 @@ def hyperplane_chain(M, X: ElementSet) -> list:
     shrinks the running intersection, which drops the rank by exactly one.
     For X the ground set the chain is empty; ``greedy_chain`` finds it.
     """
+    expect(M, Matroid)
     lattice = M.flats()
     if not lattice.is_flat(X):
         raise InputError(f"{X!r} is not a flat of {M!r}")

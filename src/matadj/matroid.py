@@ -14,11 +14,10 @@ every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import ConstructionError, InputError
-from .sets import ElementSet, bits, label_mask, set_mask
+from .errors import ConstructionError, InputError, expect
+from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
 
 DEFAULT_MAX_N = 16
 _ENV_MAX_N = "MATADJ_MAX_N"
@@ -468,23 +467,20 @@ def _squeeze(masks: Iterable[int], removed: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(Record):
     """A minor designation M/contract\\delete; the two sets must be disjoint."""
 
-    contract: ElementSet
-    delete: ElementSet
+    _fields = ("contract", "delete")
 
-    def __post_init__(self):
-        for S in (self.contract, self.delete):
-            if S.__class__ is not ElementSet:
-                raise InputError(f"expected ElementSet, got {type(S).__name__}")
-        if self.contract.universe != self.delete.universe:
+    def __init__(self, contract: ElementSet, delete: ElementSet):
+        expect(contract, ElementSet)
+        expect(delete, ElementSet)
+        if contract.universe != delete.universe:
             raise InputError("contract and delete sets live on different ground sets")
-        if not self.contract.isdisjoint(self.delete):
-            raise InputError(
-                f"contract and delete sets overlap on {(self.contract & self.delete).sorted()}"
-            )
+        if not contract.isdisjoint(delete):
+            raise InputError(f"contract and delete sets overlap on {(contract & delete).sorted()}")
+        _set(self, "contract", contract)
+        _set(self, "delete", delete)
 
 
 def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
@@ -497,6 +493,8 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
     contraction side.  The moved-back elements are coloops of the partial
     deletion, where contraction and deletion agree, so the minor is unchanged.
     """
+    expect(M, Matroid)
+    expect(spec, MinorSpec)
     C = set_mask(spec.contract, M.n)
     D = set_mask(spec.delete, M.n)
 
@@ -519,6 +517,8 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
 
 def apply_minor(M: Matroid, spec: MinorSpec) -> Matroid:
     """M/C\\D: contract, then delete (delete set pushed through the relabeling)."""
+    expect(M, Matroid)
+    expect(spec, MinorSpec)
     m1 = M.contract(spec.contract)
     d_new = spec.delete.relabel(m1.provenance["relabel"], m1.n)
     return m1.delete(d_new)

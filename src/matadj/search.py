@@ -15,16 +15,16 @@ Two independent routes to an adjoint:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Optional
 
 from .adjoint import AdjointMap, induced_map, verify_adjoint
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, expect
 from .linalg import characteristic, direction, echelon, eliminate, integer_vector, leading_index, null_vector
 from .matroid import Matroid, check_ground_size
-from .sets import ElementSet, label_mask, set_mask
+from .sets import ElementSet, Record, _set, label_mask, set_mask
 
 
 def _entry(x, char: int):
@@ -48,35 +48,41 @@ def _entry(x, char: int):
                      "an integer, a Fraction or a string such as '1/2'")
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Columns over GF(p) (``field`` a prime int) or the rationals (``field='rational'``).
 
-    The field and every entry are checked once, here.  Over GF(p) an entry
-    must be an int, and is stored reduced into 0..p-1.  Over the rationals
-    it must be an int, a ``Fraction`` or a string that ``Fraction`` parses,
-    such as "1/2" or "0.1", but not in exponent notation such as "1e5", and
-    is stored as a ``Fraction``.  Bools and floats are refused over every
-    field: a float has usually already lost the value that was meant.  Each
-    column is also kept as an int vector (``integer_vector``) for the
-    elimination kernel of ``matadj.linalg``.  The column bases are listed
-    once per representation, on the first call of ``matroid``.
+    The field, ``dim`` (an int >= 0), the columns (an iterable of tuples or
+    lists of ``dim`` entries) and every entry are checked once, here.  Over
+    GF(p) an entry must be an int, and is stored reduced into 0..p-1.  Over
+    the rationals it must be an int, a ``Fraction`` or a string that
+    ``Fraction`` parses, such as "1/2" or "0.1", but not in exponent notation
+    such as "1e5", and is stored as a ``Fraction``.  Bools and floats are
+    refused over every field: a float has usually already lost the value that
+    was meant.  Each column is also kept as an int vector (``integer_vector``)
+    for the elimination kernel of ``matadj.linalg``.  The column bases are
+    listed once per representation, on the first call of ``matroid``.
     """
 
-    field: object
-    columns: Tuple[tuple, ...]
-    dim: int
+    _fields = ("field", "columns", "dim")
 
-    def __post_init__(self):
-        char = characteristic(self.field)
-        for col in self.columns:
-            if len(col) != self.dim:
-                raise InputError(f"column {col!r} does not have dimension {self.dim}")
-        columns = tuple(tuple(_entry(x, char) for x in col) for col in self.columns)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_char", char)
-        object.__setattr__(self, "_vectors", [integer_vector(col, char) for col in columns])
-        object.__setattr__(self, "_basis_masks", None)  # set by the first call of matroid
+    def __init__(self, field, columns: Iterable, dim: int):
+        char = characteristic(field)
+        if type(dim) is not int or dim < 0:
+            raise InputError(f"dimension must be a non-negative integer, got {dim!r}")
+        expect(columns, Iterable)
+        columns = tuple(columns)
+        for col in columns:
+            if not isinstance(col, (tuple, list)):
+                raise InputError(f"column {col!r} is not a tuple or list of entries")
+            if len(col) != dim:
+                raise InputError(f"column {col!r} does not have dimension {dim}")
+        columns = tuple(tuple(_entry(x, char) for x in col) for col in columns)
+        _set(self, "field", field)
+        _set(self, "columns", columns)
+        _set(self, "dim", dim)
+        _set(self, "_char", char)
+        _set(self, "_vectors", [integer_vector(col, char) for col in columns])
+        _set(self, "_basis_masks", None)  # set by the first call of matroid
 
     @property
     def n(self) -> int:
@@ -124,7 +130,7 @@ class Representation:
         """
         check_ground_size(self.n)
         if self._basis_masks is None:
-            object.__setattr__(self, "_basis_masks", _column_bases(self._vectors, self._char))
+            _set(self, "_basis_masks", _column_bases(self._vectors, self._char))
         return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
@@ -197,6 +203,8 @@ def _column_bases(vectors: list, char: int) -> tuple:
 
 def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     """The covector adjoint of a represented matroid; verified before returning."""
+    expect(M, Matroid)
+    expect(rep, Representation)
     if M.full_rank < 1:
         raise InputError("adjoint construction needs rank at least 1")
     if rep.matroid() != M:
@@ -222,12 +230,15 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
 # search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchResult:
-    found: Optional[AdjointMap]
-    exhausted: bool
-    candidates_examined: int
-    diagnostic: Optional[str] = None
+class SearchResult(Record):
+    _fields = ("found", "exhausted", "candidates_examined", "diagnostic")
+
+    def __init__(self, found: Optional[AdjointMap], exhausted: bool, candidates_examined: int,
+                 diagnostic: Optional[str] = None):
+        _set(self, "found", found)
+        _set(self, "exhausted", exhausted)
+        _set(self, "candidates_examined", candidates_examined)
+        _set(self, "diagnostic", diagnostic)
 
 
 def search_adjoint(M: Matroid) -> SearchResult:
@@ -241,6 +252,7 @@ def search_adjoint(M: Matroid) -> SearchResult:
     reported in ``diagnostic`` with ``exhausted`` False: this search tries no
     other candidate, so a failure is never a negative answer.
     """
+    expect(M, Matroid)
     r = M.full_rank
     if r == 0:
         target = Matroid(0, [()])

@@ -27,6 +27,10 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+
 def _validated_mask(members: Iterable, universe: int) -> int:
     """The bitmask of ``members``, refusing anything but an int in range; repeats merge."""
     mask = 0
@@ -101,10 +105,7 @@ class ElementSet:
     def full(cls, universe: int) -> "ElementSet":
         return cls.empty(universe).complement()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ElementSet is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return (ElementSet, (self.sorted(), self.universe))
@@ -205,3 +206,27 @@ class ElementSet:
 
 
 _trusted = ElementSet._trusted
+
+
+class Record:
+    """An immutable record: equality (same class, equal fields), hash and repr
+    read the fields named, in order, by ``_fields``.  ``__init__`` sets them and
+    any caches, which equality ignores, by ``_set``; they pickle by ``__dict__``."""
+
+    _fields: tuple = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({inner})"

@@ -129,3 +129,38 @@ def test_rank_of_takes_any_collection_of_labels():
     assert rep.rank_of((2, 3)) == 1
     assert rep.rank_of([]) == 0
 
+
+
+def test_columns_may_come_from_a_generator():
+    columns = ((1, 0), (0, 1), (1, 1))
+    rep = Representation(2, (c for c in columns), 2)
+    assert rep.columns == columns
+    assert rep.matroid() == Representation(2, columns, 2).matroid()
+    assert rep.matroid().n == 3
+
+
+@pytest.mark.parametrize(
+    "columns,dim,message",
+    [((1, 2), 1, "column 1 is not a tuple or list of entries"),
+     (((1, 0), 5), 2, "column 5 is not a tuple or list of entries"),
+     ("10", 1, "column '1' is not a tuple or list of entries"),
+     (((1, 0), iter((0, 1))), 2, "is not a tuple or list of entries"),
+     (None, 2, "expected Iterable, got NoneType"),
+     (3, 2, "expected Iterable, got int")],
+)
+def test_columns_that_are_not_sequences_are_refused(columns, dim, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        Representation(2, columns, dim)
+
+
+@pytest.mark.parametrize("dim", [True, False, -1, "1", 1.0, None])
+def test_dimension_is_a_non_negative_int(dim):
+    with pytest.raises(InputError, match=re.escape(f"dimension must be a non-negative integer, got {dim!r}")):
+        Representation(2, ((1,),), dim)
+    with pytest.raises(InputError, match=re.escape(f"dimension must be a non-negative integer, got {dim!r}")):
+        Representation(2, (), dim)
+
+
+def test_dimension_zero_gives_loops():
+    M = Representation(2, ((), ()), 0).matroid()
+    assert (M.n, M.full_rank) == (2, 0)

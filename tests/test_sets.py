@@ -71,6 +71,8 @@ def test_immutable():
     a = ElementSet.of([0], 2)
     with pytest.raises(AttributeError):
         a.mask = 3
+    with pytest.raises(AttributeError):
+        del a.mask
     assert a == ElementSet.of([0], 2)
     assert pickle.loads(pickle.dumps(a)) == a
 
