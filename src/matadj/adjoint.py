@@ -28,11 +28,11 @@ the non-loop elements, and the bottom flat is the closure of the empty set.
 A map's table is read-only: ``AdjointMap`` keeps its own copy of the
 caller's mapping behind a ``MappingProxyType``, so a map cannot change
 after it is built.  That makes its definition report a function of the map
-alone, and ``verify_adjoint`` computes it once per map and keeps it: the
-check run by the constructors and the ``"definition"`` report of
-``full_verification`` are the same computation.  Target simplicity is read
-off the same closures as the points: the loops are cl'(empty), and a
-parallel pair is a non-loop f in cl'({e}) for a non-loop e < f.
+alone, computed once per map and kept on it: ``verify_adjoint``,
+``full_verification`` and the minor constructions, which refuse a map that
+fails it with a PreconditionError, read the same report.  Target simplicity
+is read off the same closures as the points: the loops are cl'(empty), and
+a parallel pair is a non-loop f in cl'({e}) for a non-loop e < f.
 Chain independence has one kernel for each step: ``lattice.greedy_chain``
 finds a flat's hyperplane chain, and ``_chain_violations`` tests its images.
 The public ``hyperplane_chain`` and ``check_chain_independence`` check their
@@ -46,7 +46,7 @@ the contraction set, once they have passed that verification.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
@@ -134,18 +134,15 @@ class AdjointMap(Record):
 def _derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[ElementSet, ...]]:
     if phi.source.full_rank == 0:
         return ()
-    by_point: dict = {}
+    by_point: dict = {}  # point -> hyperplane; the table is total, and points lie in the target
     for H in phi.source.hyperplanes():
-        img = phi.table.get(H)
-        if img is None or img.mask.bit_count() != 1:
+        img = phi.table[H].mask
+        if img.bit_count() != 1 or img in by_point:
             return None
-        pt = img.mask.bit_length() - 1
-        if pt in by_point:
-            return None
-        by_point[pt] = H
-    if set(by_point) != set(range(phi.target.n)):
+        by_point[img] = H
+    if len(by_point) != phi.target.n:
         return None
-    return tuple(by_point[i] for i in range(phi.target.n))
+    return tuple(by_point[1 << i] for i in range(phi.target.n))
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +183,15 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     """Run the definitional checks; report every violation with a witness.
 
     Checks run in a fixed order without short-circuiting, so reports are
-    reproducible.  A table that is not even total (or maps to a non-flat) is
-    refused with a StructureError when the map is built, so it never gets here.
-    The report is computed on the first call and kept on the map: the map's
-    source, target and table cannot change, so later calls return it as is.
+    reproducible.  A table that is not total, or maps to a non-flat, was
+    refused with a StructureError when the map was built.
     """
     expect(phi, AdjointMap)
+    return _report(phi)
+
+
+def _report(phi: AdjointMap) -> VerificationReport:
+    """phi's definition report, computed once and kept: phi cannot change."""
     report = phi._definition
     if report is None:
         report = _definition_report(phi)
@@ -199,11 +199,18 @@ def verify_adjoint(phi: AdjointMap) -> VerificationReport:
     return report
 
 
+def _require_adjoint(phi: AdjointMap) -> None:
+    """The gate of the minor constructions: refuse phi unless it is an adjoint."""
+    expect(phi, AdjointMap)
+    report = _report(phi)
+    if not report.valid:
+        raise PreconditionError(f"the map is not an adjoint: {report.violations[0]}")
+
+
 def _definition_report(phi: AdjointMap) -> VerificationReport:
     M, Mp = phi.source, phi.target
     table = phi.table
     lattice = M.flats()
-    src_flats = list(lattice.all_flats())
     violations = []
 
     # target simplicity, off the closures of the empty set and the
@@ -232,16 +239,13 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
         else:
             seen[img.mask] = F
 
-    # inclusion reversal, for every pair F1 < F2 of flats.  src_flats runs
-    # layer by layer and a flat strictly above F1 has a higher rank, so only
-    # the flats after F1's layer can contain it.
-    entries = [(F, F.mask, table[F].mask) for F in src_flats]
-    start = 0
-    for layer in lattice.flats_by_rank:
-        start += len(layer)
-        above = entries[start:]
-        for F1, f1, i1 in entries[start - len(layer):start]:
-            for F2, f2, i2 in above:
+    # inclusion reversal, for every cover pair F1 < F2: F2 lies one layer
+    # up and contains F1.  A chain of covers joins any F1 < F2, so these
+    # pairs decide the check.
+    layers = [[(F, F.mask, table[F].mask) for F in layer] for layer in lattice.flats_by_rank]
+    for lower, upper in zip(layers, layers[1:]):
+        for F1, f1, i1 in lower:
+            for F2, f2, i2 in upper:
                 if not f1 & ~f2 and i2 & ~i1:
                     violations.append(Violation(
                         "inclusion_reversal", (F1, F2),
@@ -313,9 +317,11 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
 def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
     """Images of a strictly-decreasing hyperplane chain are independent in the target."""
     expect(phi, AdjointMap)
+    expect(chain, Iterable)
     M = phi.source
     lattice = M.flats()
     running = M._full
+    pairs = []  # filled in the one pass, so that a chain may be an iterator
     for H in chain:
         if not lattice.is_flat(H) or lattice.rank_of(H) != M.full_rank - 1:
             raise PreconditionError(f"{H!r} is not a hyperplane of the source")
@@ -323,7 +329,7 @@ def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
         if nxt == running:
             raise PreconditionError("chain violates the strict running-intersection condition")
         running = nxt
-    pairs = [(H, phi.table[H].mask) for H in chain]
+        pairs.append((H, phi.table[H].mask))
     violations = _chain_violations(phi, pairs, range(len(pairs)))
     return VerificationReport(("chain_independence",), tuple(violations))
 
@@ -446,19 +452,15 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     Built once per map and contraction set: later calls with the same C
     return the map that the first call built and verified.
     """
-    expect(phi, AdjointMap)
+    _require_adjoint(phi)
     M, Mp = phi.source, phi.target
     cm = set_mask(C, M.n)
     cached = phi._contractions.get(cm)
     if cached is not None:
         return cached
     new_source = M.contract(C)
-    lift = new_source.flats().lift
-    gone = Mp._full & ~phi.table[next(iter(lift.values()))].mask  # the first lift is cl(C)
-    for G in lift.values():
-        m = phi.table[G].mask
-        if m & gone:  # phi is not inclusion-reversing above cl(C)
-            raise InputError(f"relabeling undefined on element {bits(m & gone)[0]}")
+    # the first lift is cl(C); an adjoint maps every other lift inside its image
+    gone = Mp._full & ~phi.table[next(iter(new_source.flats().lift.values()))].mask
     result = _verified_minor_map(phi, new_source, gone, "contraction")
     phi._contractions[cm] = result
     return result
@@ -484,7 +486,7 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     target is the old target minus those points.  cl(F) is the lift of F,
     read off the lattice of M\\D.
     """
-    expect(phi, AdjointMap)
+    _require_adjoint(phi)
     M = phi.source
     if not M.is_coindependent(D):
         raise PreconditionError(
@@ -513,7 +515,7 @@ def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> Ad
 
 def minor_adjoint(phi: AdjointMap, spec: MinorSpec) -> AdjointMap:
     """Adjoint of M/C\\D for any disjoint C, D: normalize, contract, delete."""
-    expect(phi, AdjointMap)
+    _require_adjoint(phi)
     nf = minor_normal_form(phi.source, spec)
     after_contract = contract_adjoint(phi, nf.contract)
     relabel = after_contract.source.provenance["relabel"]

@@ -1,4 +1,4 @@
-"""Named fixture matroids with exchange-verified bases and representations.
+"""Named fixture matroids, each the column matroid of its representation.
 
 The catalog is the desk-scale test bed: small uniform matroids, the graphic
 matroid of K4, the Fano plane over GF(2), and the non-Fano matroid over the
@@ -64,29 +64,21 @@ def _k4_columns() -> Tuple[tuple, ...]:
 
 @lru_cache(maxsize=1)
 def catalog() -> Tuple[CatalogEntry, ...]:
-    entries = []
-
-    def add(name: str, rep: Representation, matroid: Optional[Matroid] = None):
-        """Without ``matroid``, the entry's matroid is the column matroid of
-        ``rep``; with it, ``rep`` must represent it."""
-        if matroid is None:
-            matroid = rep.matroid(provenance={"op": "named", "name": name})
-        elif rep.matroid() != matroid:
-            raise InputError(f"catalog entry {name}: representation does not match bases")
-        entries.append(CatalogEntry(name, matroid, rep))
-
-    add("U_1_1", _vandermonde(1, 1), uniform(1, 1))
-    add("U_1_2", Representation("rational", ((1,), (1,)), 1), uniform(1, 2))
-    add("U_2_3", Representation(2, ((1, 0), (0, 1), (1, 1)), 2), uniform(2, 3))
-    add("U_2_4", _vandermonde(2, 4), uniform(2, 4))
-    add("U_2_5", _vandermonde(2, 5), uniform(2, 5))
-    add("U_3_4", _vandermonde(3, 4), uniform(3, 4))
-    add("U_3_5", _vandermonde(3, 5), uniform(3, 5))
-    add("U_3_6", _vandermonde(3, 6), uniform(3, 6))
-    add("M_K4", Representation("rational", _k4_columns(), 3))
-    add("fano", Representation(2, _fano_columns(), 3))
-    add("nonfano", Representation("rational", _fano_columns(), 3))
-    return tuple(entries)
+    reps = (
+        ("U_1_1", _vandermonde(1, 1)),
+        ("U_1_2", Representation("rational", ((1,), (1,)), 1)),
+        ("U_2_3", Representation(2, ((1, 0), (0, 1), (1, 1)), 2)),
+        ("U_2_4", _vandermonde(2, 4)),
+        ("U_2_5", _vandermonde(2, 5)),
+        ("U_3_4", _vandermonde(3, 4)),
+        ("U_3_5", _vandermonde(3, 5)),
+        ("U_3_6", _vandermonde(3, 6)),
+        ("M_K4", Representation("rational", _k4_columns(), 3)),
+        ("fano", Representation(2, _fano_columns(), 3)),
+        ("nonfano", Representation("rational", _fano_columns(), 3)),
+    )
+    return tuple(CatalogEntry(name, rep.matroid(provenance={"op": "named", "name": name}), rep)
+                 for name, rep in reps)
 
 
 def by_name(name: str) -> CatalogEntry:

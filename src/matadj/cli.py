@@ -36,10 +36,6 @@ def _parse_elements(raw: str, n: int) -> ElementSet:
     return ElementSet._trusted(label_mask(members, n, "element list"), n)
 
 
-def _flat_counts(M: Matroid) -> list:
-    return [len(layer) for layer in M.flats().flats_by_rank]
-
-
 def _violation_dict(v) -> dict:
     def ser(x):
         if isinstance(x, ElementSet):
@@ -74,7 +70,7 @@ def cmd_info(args) -> int:
     if name:
         print(f"name={name}")
     hp = len(M.hyperplanes()) if M.full_rank >= 1 else 0
-    counts = ",".join(str(c) for c in _flat_counts(M))
+    counts = ",".join(str(len(layer)) for layer in M.flats().flats_by_rank)
     print(f"n={M.n} rank={M.full_rank} bases={len(M._basis_masks)} flats=[{counts}] hyperplanes={hp}")
     return 0
 

@@ -26,6 +26,7 @@ map's order is always the one derived from its table.
 from __future__ import annotations
 
 import json
+from os import PathLike
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -44,11 +45,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _path(path, kinds: str = "a path") -> Path:
+    if not isinstance(path, (str, PathLike)):
+        raise InputError(f"expected {kinds}, got {type(path).__name__}")
+    return Path(path)
+
+
 def _read(source: Source) -> dict:
     if isinstance(source, dict):
         return source
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        text = _path(source, "a path or a dict").read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {source}: {exc}") from exc
     try:
@@ -129,7 +136,7 @@ def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Opt
 def save_matroid(M: Matroid, path: Union[str, Path], name: Optional[str] = None,
                  rep: Optional[Representation] = None) -> None:
     expect(M, Matroid)
-    Path(path).write_text(canonical_json(matroid_to_dict(M, name, rep)), encoding="utf-8")
+    _path(path).write_text(canonical_json(matroid_to_dict(M, name, rep)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,7 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
 
 def save_adjoint(phi: AdjointMap, path: Union[str, Path]) -> None:
     expect(phi, AdjointMap)
-    Path(path).write_text(canonical_json(adjoint_to_dict(phi)), encoding="utf-8")
+    _path(path).write_text(canonical_json(adjoint_to_dict(phi)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

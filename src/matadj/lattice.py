@@ -72,6 +72,7 @@ class FlatLattice:
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
+        expect(M, Matroid)
         n = M.n
         layers = [(ElementSet._trusted(M._closure(0), n),)]
         for _ in range(M.full_rank):

@@ -14,7 +14,8 @@ every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from collections.abc import Iterable
+from typing import Optional
 
 from .errors import ConstructionError, InputError, expect
 from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
@@ -126,6 +127,7 @@ class Matroid:
         if type(n) is not int:
             raise InputError(f"ground-set size must be an integer, got {n!r}")
         check_ground_size(n)
+        expect(bases, Iterable)
         masks = checked_basis_masks(bases, n)
         if not masks:
             raise InputError("a matroid needs at least one basis (use [[]] for rank 0)")
@@ -507,7 +509,7 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
             d_coind |= 1 << e
     c_final = c_ind | d0 & ~d_coind
 
-    result = MinorSpec(ElementSet.of(bits(c_final), M.n), ElementSet.of(bits(d_coind), M.n))
+    result = MinorSpec(ElementSet._trusted(c_final, M.n), ElementSet._trusted(d_coind, M.n))
     if not M.is_independent(result.contract):
         raise ConstructionError(f"normal form produced dependent contraction set {bits(c_final)}")
     if not M.is_coindependent(result.delete):

@@ -220,9 +220,7 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     phi = induced_map(M, target, bij)
     report = verify_adjoint(phi)
     if not report.valid:
-        raise ConstructionError(
-            f"covector construction failed verification:\n{report.summary()}"
-        )
+        raise ConstructionError(f"covector construction failed verification:\n{report.summary()}")
     return phi
 
 

@@ -8,10 +8,10 @@ bases of a ``Matroid`` all use it.  ``members`` is derived on demand.
 
 Membership is validated once, where a set is made from caller-supplied
 elements: the constructor, ``of``, ``empty``, ``add`` and ``relabel`` refuse
-anything but an int in range (bools included).  Set algebra, ``complement``,
-``full`` and ``Matroid.closure`` build their results through a private path
-that skips the check, since those results lie in the same universe by
-construction.  Instances are immutable and hashable.
+a non-iterable and anything but an int in range (bools included).  Set
+algebra, ``complement``, ``full`` and ``Matroid.closure`` build their results
+through a private path that skips the check, since those results lie in the
+same universe by construction.  Instances are immutable and hashable.
 
 ``label_mask`` holds the one rule for a caller's list of element labels (a
 basis, a map entry, a CLI element list): each is a non-bool int in range, and
@@ -19,9 +19,9 @@ none repeats, where a set would merge it.
 """
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, expect
 
 _new = object.__new__
 _set = object.__setattr__
@@ -82,6 +82,7 @@ class ElementSet:
     def __init__(self, members: Iterable[int], universe: int):
         if type(universe) is not int or universe < 0:
             raise InputError(f"universe size must be a non-negative integer, got {universe!r}")
+        expect(members, Iterable)
         _set(self, "mask", _validated_mask(members, universe))
         _set(self, "universe", universe)
 

@@ -348,6 +348,17 @@ def brute_inclusion_reversal(phi):
     ]
 
 
+def brute_cover_inclusion_reversal(phi):
+    """The pairs of ``brute_inclusion_reversal`` with no flat strictly
+    between F1 and F2, in the same order: the cover pairs, found from the
+    members of the flats rather than from their ranks."""
+    flats = list(phi.source.flats().all_flats())
+    return [
+        (F1, F2) for F1, F2 in brute_inclusion_reversal(phi)
+        if not any(F1.members < G.members < F2.members for G in flats)
+    ]
+
+
 def brute_modular_pairs(phi):
     """Witness pairs (X, Y) whose images are not a modular pair under brute_rank."""
     bases = phi.target.bases

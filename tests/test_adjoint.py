@@ -36,6 +36,7 @@ from matadj import (
 from matadj.catalog import _vandermonde
 from matadj.files import adjoint_to_dict, canonical_json
 from oracles import (
+    brute_cover_inclusion_reversal,
     brute_inclusion_reversal,
     brute_modular_pairs,
     brute_rank_complement,
@@ -155,6 +156,19 @@ def test_chain_precondition_enforced():
         check_chain_independence(phi, [es([0, 1], 3)])  # not a hyperplane
 
 
+def test_chain_may_be_an_iterator():
+    # the chain is read once, so an iterator gives the report a list gives
+    phi = fano_map()
+    M = phi.source
+    reports = []
+    for psi in (phi, *corrupted(phi)):
+        for X in M.flats().all_flats():
+            chain = hyperplane_chain(M, X)
+            reports.append(check_chain_independence(psi, chain))
+            assert check_chain_independence(psi, iter(chain)) == reports[-1]
+    assert not all(report.valid for report in reports)
+
+
 def raised(f, *args):
     """f(*args), or the type and text of the ConstructionError it raises."""
     try:
@@ -208,7 +222,9 @@ def _witnesses(report, check):
        st.data())
 def test_mask_checks_match_brute_force_witnesses(fixture_maps, name, data):
     # a valid map with one to three entries sent to other target flats: the
-    # mask loops report the witnesses, in the order, that the oracles find
+    # mask loops report the witnesses, in the order, that the oracles find.
+    # Inclusion reversal is tested on cover pairs, which decide it: its
+    # verdict is the all-pairs verdict
     phi = fixture_maps[name]
     flats = list(phi.source.flats().all_flats())
     targets = list(phi.target.flats().all_flats())
@@ -216,7 +232,9 @@ def test_mask_checks_match_brute_force_witnesses(fixture_maps, name, data):
     for _ in range(data.draw(st.integers(1, 3))):
         table[data.draw(st.sampled_from(flats))] = data.draw(st.sampled_from(targets))
     bad = AdjointMap(phi.source, phi.target, table)
-    assert _witnesses(verify_adjoint(bad), "inclusion_reversal") == brute_inclusion_reversal(bad)
+    reversal = _witnesses(verify_adjoint(bad), "inclusion_reversal")
+    assert reversal == brute_cover_inclusion_reversal(bad)
+    assert bool(reversal) == bool(brute_inclusion_reversal(bad))
     assert _witnesses(check_modular_pairs(bad), "modular_pairs") == brute_modular_pairs(bad)
     assert [F for (F,) in _witnesses(check_rank_complement(bad), "rank_complement")] \
         == brute_rank_complement(bad)
@@ -388,6 +406,33 @@ def test_failed_contraction_is_not_cached(monkeypatch):
     psi = contract_adjoint(phi, C)
     assert verify_adjoint(psi).valid
     assert contract_adjoint(phi, C) is psi
+
+
+def swapped_points(phi):
+    """phi with the point images of its first two hyperplanes swapped: a
+    sound table that is not inclusion-reversing."""
+    H = phi.source.hyperplanes()
+    return AdjointMap(phi.source, phi.target, {**phi.table, H[0]: phi.table[H[1]], H[1]: phi.table[H[0]]})
+
+
+@pytest.mark.parametrize("name", ["U_3_5", "M_K4", "fano", "nonfano"])
+def test_minor_constructions_refuse_a_map_that_is_not_an_adjoint(fixture_maps, name):
+    bad = swapped_points(fixture_maps[name])
+    report = verify_adjoint(bad)
+    assert not report.valid
+    n = bad.source.n
+    calls = [
+        lambda: contract_adjoint(bad, es([], n)),
+        lambda: contract_adjoint(bad, es([0], n)),
+        lambda: delete_adjoint(bad, es([], n)),
+        lambda: delete_adjoint(bad, es([0], n)),
+        lambda: minor_adjoint(bad, MinorSpec(es([0], n), es([1], n))),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == f"the map is not an adjoint: {report.violations[0]}"
+    assert bad._contractions == {}
 
 
 def test_minor_adjoint_examples():

@@ -1,14 +1,17 @@
 """The public entry points that take a matroid, a map, a minor spec or a
 representation, and ``uniform``, refuse an argument of the wrong class with an
 ``InputError`` that names what they expected, never an AttributeError or a
-TypeError from deep inside."""
+TypeError from deep inside.  So do the entries that take a collection of
+elements, bases or hyperplanes, or a file path."""
 import re
 
 import pytest
 
 from matadj import (
     ElementSet,
+    FlatLattice,
     InputError,
+    Matroid,
     MinorSpec,
     adjoint_from_representation,
     apply_minor,
@@ -21,6 +24,8 @@ from matadj import (
     full_verification,
     hyperplane_chain,
     induced_map,
+    load_adjoint,
+    load_matroid,
     minor_adjoint,
     minor_normal_form,
     save_adjoint,
@@ -77,3 +82,25 @@ def test_wrong_argument_class_is_an_input_error(call, message):
 def test_uniform_range_message_is_unchanged():
     with pytest.raises(InputError, match=re.escape("uniform matroid needs 0 <= r <= n, got r=4, n=3")):
         uniform(4, 3)
+
+
+KIND_CASES = [
+    ("FlatLattice.build(None)", lambda: FlatLattice.build(None), "expected Matroid, got NoneType"),
+    ("FlatLattice.build(5)", lambda: FlatLattice.build(5), "expected Matroid, got int"),
+    ("check_chain_independence(phi, None)", lambda: check_chain_independence(PHI, None),
+     "expected Iterable, got NoneType"),
+    ("ElementSet(None, 3)", lambda: ElementSet(None, 3), "expected Iterable, got NoneType"),
+    ("ElementSet.of(None, 3)", lambda: ElementSet.of(None, 3), "expected Iterable, got NoneType"),
+    ("Matroid(3, None)", lambda: Matroid(3, None), "expected Iterable, got NoneType"),
+    ("Matroid(3, 5)", lambda: Matroid(3, 5), "expected Iterable, got int"),
+    ("load_matroid(None)", lambda: load_matroid(None), "expected a path or a dict, got NoneType"),
+    ("load_adjoint(None)", lambda: load_adjoint(None), "expected a path or a dict, got NoneType"),
+    ("save_matroid(M, None)", lambda: save_matroid(M, None), "expected a path, got NoneType"),
+    ("save_adjoint(phi, None)", lambda: save_adjoint(PHI, None), "expected a path, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in KIND_CASES], ids=[c[0] for c in KIND_CASES])
+def test_wrong_argument_kind_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

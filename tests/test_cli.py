@@ -114,6 +114,33 @@ def test_delete_adjoint_precondition_exit_2(u23_files, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("contract-adjoint", ["--contract", "0"]),
+    ("delete-adjoint", ["--delete", "0"]),
+    ("minor-adjoint", ["--contract", "0", "--delete", "3"]),
+])
+def test_minor_verbs_refuse_a_map_that_fails_verification(tmp_path, capsys, verb, flags):
+    # the nonfano covector map with two point images swapped and no stored
+    # hyperplane order: it loads, fails verify, and no minor verb builds on it
+    source = str(FIXTURES / "nonfano.json")
+    good, bad, target = (tmp_path / f"{name}.json" for name in ("good", "bad", "target"))
+    assert main(["from-rep", source, "-o", str(good)]) == 0
+    data = json.loads(good.read_text())
+    target.write_text(json.dumps(data["target"]))
+    del data["hyperplane_order"]
+    points = [entry for entry in data["map"] if len(entry["image"]) == 1]
+    points[0]["image"], points[1]["image"] = points[1]["image"], points[0]["image"]
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", source, str(target), str(bad)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "minor.json"
+    assert main([verb, source, str(bad), *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: the map is not an adjoint: [inclusion_reversal] witness")
+    assert not out.exists()
+
+
 def test_search_with_log(tmp_path, capsys):
     out = tmp_path / "found.json"
     log = tmp_path / "search.json"

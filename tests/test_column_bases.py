@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matadj import Representation, by_name, catalog
+from matadj import Representation, by_name, catalog, uniform
 from matadj.catalog import _vandermonde
 from matadj.sets import bits
 from oracles import brute_column_bases
@@ -74,6 +74,18 @@ def test_catalog_bases_match_brute_force(name):
     rep = by_name(name).representation
     assert listed_bases(rep) == brute_column_bases(rep)
     assert listed_bases(covector_target(rep)) == brute_column_bases(covector_target(rep))
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog() if e.name.startswith("U_")])
+def test_uniform_entries_are_the_uniform_matroids(name):
+    # each entry is the column matroid of its representation; a uniform one
+    # is the matroid that ``uniform`` builds, with its bases in the same
+    # order and the same provenance
+    r, n = map(int, name.split("_")[1:])
+    M = by_name(name).matroid
+    assert M == uniform(r, n)
+    assert M._basis_masks == uniform(r, n)._basis_masks
+    assert M.provenance == uniform(r, n).provenance == {"op": "named", "name": name}
 
 
 def test_large_covector_target_is_pinned(monkeypatch):
