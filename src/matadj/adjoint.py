@@ -11,13 +11,17 @@ witness) and constructs adjoints of minors from an adjoint of the parent:
   hyperplanes that vanish when D is removed;
 * general minors: normalize the minor spec, contract, then delete.
 
+A map is stored as int masks, and every check and construction here reads
+them.  ``ElementSet`` is the boundary type: the public functions take it,
+and ``table``, ``pairs()``, ``hyperplane_order`` and the witnesses of
+violations are built as ``ElementSet``s only when they are read.
+
 Neither construction closes a set.  Both read the lift of the minor's
-lattice (``FlatLattice.lift``), which maps each flat F of M/C to F u C and
-each flat F of M\\D to cl(F), from one walk of the parent's lattice per
-minor.  The lift of the bottom flat of M/C is cl(C), and the vanishing
-hyperplanes of M\\D are the hyperplanes of M that are no flat's lift.  Both
-constructions end in one builder, which relabels the images, builds the
-map and verifies it.
+lattice, which maps each flat F of M/C to F u C and each flat F of M\\D to
+cl(F), from one walk of the parent's lattice per minor.  The lift of the
+bottom flat of M/C is cl(C), and the vanishing hyperplanes of M\\D are the
+hyperplanes of M that are no flat's lift.  Both constructions end in one
+builder, which relabels the images, builds the map and verifies it.
 
 No target's lattice is ever built.  Checking a map needs three things from
 its target M': whether each image is a flat, the points, and cl'(empty).
@@ -25,24 +29,14 @@ Each comes from the target's memoised closure (``Matroid._closure``): an
 image is a flat when it is its own closure, the points are the closures of
 the non-loop elements, and the bottom flat is the closure of the empty set.
 
-A map's table is read-only: ``AdjointMap`` keeps its own copy of the
-caller's mapping behind a ``MappingProxyType``, so a map cannot change
-after it is built.  That makes its definition report a function of the map
-alone, computed once per map and kept on it: ``verify_adjoint``,
+A map cannot change after it is built, so its definition report is
+computed once per map and kept on it: ``verify_adjoint``,
 ``full_verification`` and the minor constructions, which refuse a map that
-fails it with a PreconditionError, read the same report.  Target simplicity
-is read off the same closures as the points: the loops are cl'(empty), and
-a parallel pair is a non-loop f in cl'({e}) for a non-loop e < f.
-Chain independence has one kernel for each step: ``lattice.greedy_chain``
-finds a flat's hyperplane chain, and ``_chain_violations`` tests its images.
-The public ``hyperplane_chain`` and ``check_chain_independence`` check their
-arguments and call them, and ``full_verification`` calls them for every flat
-on masks read once per map.
-
-Constructed maps are re-verified before being returned; a verification
-failure there is a ConstructionError (an implementation bug), never a
-silently wrong map.  Each map keeps the contractions made from it, keyed by
-the contraction set, once they have passed that verification.
+fails it with a PreconditionError, read the same report.  Constructed maps
+are verified before being returned; a failure there is a ConstructionError
+(an implementation bug), never a silently wrong map.  Each map keeps the
+contractions made from it, keyed by the contraction set, once they have
+passed that verification.
 """
 from __future__ import annotations
 
@@ -52,8 +46,8 @@ from typing import Dict, Optional, Tuple
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError, expect
 from .lattice import greedy_chain
-from .matroid import Matroid, MinorSpec, _squeeze, minor_normal_form
-from .sets import ElementSet, Record, _set, bits, set_mask
+from .matroid import Matroid, MinorSpec, _normal_form, _squeeze
+from .sets import ElementSet, Record, _new, _set, _trusted, bits, set_mask
 
 
 class Violation(Record):
@@ -92,9 +86,11 @@ class VerificationReport(Record):
 class AdjointMap(Record):
     """A total flat-to-flat table from a source matroid into a simple target.
 
-    ``table`` is a read-only view of the map's own copy of the mapping it
-    was given (``dict(phi.table)`` gives a mutable copy back), so later
-    changes to the caller's dict do not reach the map.
+    The map is one dict, ``_table``, from each source flat's mask to its
+    image's mask, made from a mapping of ``ElementSet``s by the public
+    constructor and directly by the package (``_of_masks``), and checked
+    once.  ``table`` is a read-only ``ElementSet`` view of it in the same
+    order, built on first read; ``dict(phi.table)`` gives a mutable copy.
 
     ``hyperplane_order`` lists the source hyperplanes in target-point order:
     entry i is the hyperplane mapped to point {i}.  Always derived from the
@@ -112,34 +108,65 @@ class AdjointMap(Record):
         expect(target, Matroid)
         if not isinstance(table, Mapping):
             raise StructureError(f"table must be a mapping, got {type(table).__name__}")
+        n, t = source.n, target.n
+        # anything but an ElementSet on its ground set goes in a 1-tuple, which the check refuses
+        self._setup(source, target, {
+            F.mask if F.__class__ is ElementSet and F.universe == n else (F,):
+                img.mask if img.__class__ is ElementSet and img.universe == t else (img,)
+            for F, img in table.items()})
+
+    @classmethod
+    def _of_masks(cls, source: Matroid, target: Matroid, table: dict) -> "AdjointMap":
+        return _new(cls)._setup(source, target, table)  # keeps ``table`` as it is
+
+    def _setup(self, source: Matroid, target: Matroid, table: dict) -> "AdjointMap":
         _set(self, "source", source)
         _set(self, "target", target)
-        _set(self, "table", MappingProxyType(dict(table)))
+        _set(self, "_table", table)
         _set(self, "_contractions", {})  # contraction-set mask -> verified contract_adjoint result
         _set(self, "_definition", None)  # the definition report, once verify_adjoint has computed it
         _structural_check(self)
-        _set(self, "hyperplane_order", _derive_hyperplane_order(self))
+        _set(self, "_order", _derive_hyperplane_order(self))
+        return self
+
+    @property
+    def table(self) -> Mapping[ElementSet, ElementSet]:
+        view = self.__dict__.get("_view")
+        if view is None:
+            n, t = self.source.n, self.target.n
+            view = MappingProxyType({_trusted(f, n): _trusted(img, t) for f, img in self._table.items()})
+            _set(self, "_view", view)
+        return view
+
+    @property
+    def hyperplane_order(self) -> Optional[Tuple[ElementSet, ...]]:
+        order = self._order
+        return None if order is None else tuple(_trusted(h, self.source.n) for h in order)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_view"}
 
     def image(self, F: ElementSet) -> ElementSet:
-        try:
-            return self.table[F]
-        except KeyError:
-            raise StructureError(f"table has no entry for flat {F!r}") from None
+        if F.__class__ is not ElementSet or F.universe != self.source.n or F.mask not in self._table:
+            raise StructureError(f"table has no entry for flat {F!r}")
+        return _trusted(self._table[F.mask], self.target.n)
 
     def pairs(self):
         """Table entries in canonical (lexicographic-by-flat) order."""
-        return [(F, self.table[F]) for F in self.source.flats().canonical_order()]
+        n, t, table = self.source.n, self.target.n, self._table
+        return [(_trusted(f, n), _trusted(table[f], t)) for f in self.source.flats().canonical_masks]
 
 
-def _derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[ElementSet, ...]]:
-    if phi.source.full_rank == 0:
+def _derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[int, ...]]:
+    r = phi.source.full_rank
+    if r == 0:
         return ()
     by_point: dict = {}  # point -> hyperplane; the table is total, and points lie in the target
-    for H in phi.source.hyperplanes():
-        img = phi.table[H].mask
+    for h in phi.source.flats().masks[r - 1]:
+        img = phi._table[h]
         if img.bit_count() != 1 or img in by_point:
             return None
-        by_point[img] = H
+        by_point[img] = h
     if len(by_point) != phi.target.n:
         return None
     return tuple(by_point[1 << i] for i in range(phi.target.n))
@@ -162,21 +189,23 @@ DEFINITION_CHECKS = (
 def _structural_check(phi: AdjointMap) -> None:
     """Raise StructureError unless the table is total on source flats with flat values.
 
-    An image is a flat of the target when it equals its own closure there.
-    ``induced_map`` has just closed every image, so on its maps each test is
-    one lookup in the target's closure memo.
+    The one structural check of a map table, on its masks; a key or image
+    kept in a 1-tuple fails it.  An image is a flat of the target when it
+    is its own closure there, one memo lookup on ``induced_map``'s images.
     """
-    src = phi.source.flats()
-    missing = [F for F in src.all_flats() if F not in phi.table]
+    n, table = phi.source.n, phi._table
+    lattice = phi.source.flats()
+    missing = [f for layer in lattice.masks for f in layer if f not in table]
     if missing:
-        raise StructureError(f"table is not total: missing flats {missing[:3]}...")
-    if len(phi.table) != src.flat_count():  # every flat is a key, so some key is not a flat
-        extra = [F for F in phi.table if not src.is_flat(F)]
+        raise StructureError(f"table is not total: missing flats {[_trusted(f, n) for f in missing[:3]]}...")
+    if len(table) != lattice.flat_count():  # every flat is a key, so some key is not a flat
+        extra = [f[0] if f.__class__ is tuple else _trusted(f, n) for f in table if f not in lattice.rank_by_mask]
         raise StructureError(f"table has keys that are not flats of the source: {sorted(extra, key=lambda f: f.key)[:3]}")
-    n, closure = phi.target.n, phi.target._closure
-    for F, img in phi.table.items():
-        if img.__class__ is not ElementSet or img.universe != n or closure(img.mask) != img.mask:
-            raise StructureError(f"image of {F!r} is {img!r}, which is not a flat of the target")
+    t, closure = phi.target.n, phi.target._closure
+    for f, img in table.items():
+        if img.__class__ is tuple or closure(img) != img:
+            shown = img[0] if img.__class__ is tuple else _trusted(img, t)
+            raise StructureError(f"image of {_trusted(f, n)!r} is {shown!r}, which is not a flat of the target")
 
 
 def verify_adjoint(phi: AdjointMap) -> VerificationReport:
@@ -209,8 +238,8 @@ def _require_adjoint(phi: AdjointMap) -> None:
 
 def _definition_report(phi: AdjointMap) -> VerificationReport:
     M, Mp = phi.source, phi.target
-    table = phi.table
-    lattice = M.flats()
+    n, t, table = M.n, Mp.n, phi._table
+    layers = M.flats().masks
     violations = []
 
     # target simplicity, off the closures of the empty set and the
@@ -218,12 +247,13 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
     # non-loop e are the non-loops of cl'({e}) other than e.  Pairs come in
     # ``combinations`` order, e then f > e.
     loops = Mp._closure(0)
-    singles = [Mp._closure(1 << e) for e in range(Mp.n)]
+    singles = [Mp._closure(1 << e) for e in range(t)]
     for e in bits(loops):
         violations.append(Violation("target_simple", (e,), "no loops", f"element {e} is a loop"))
     for e, c in enumerate(singles):
-        if not loops >> e & 1:
-            for f in bits(c & ~loops & ~((2 << e) - 1)):
+        parallel = c & ~loops & ~((2 << e) - 1)
+        if parallel:  # empty for a loop e, whose closure is the loops
+            for f in bits(parallel):
                 violations.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
 
     # rank equality
@@ -231,65 +261,60 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
         violations.append(Violation("rank_match", (), f"target rank {M.full_rank}", str(Mp.full_rank)))
 
     # injectivity
-    seen: dict = {}  # image mask -> first flat with that image
-    for F in lattice.canonical_order():
-        img = table[F]
-        if img.mask in seen:
-            violations.append(Violation("injectivity", (seen[img.mask], F), "distinct images", f"both map to {img!r}"))
-        else:
-            seen[img.mask] = F
+    for f1, f2, img in _repeats((f, table[f]) for f in M.flats().canonical_masks):
+        violations.append(Violation("injectivity", (_trusted(f1, n), _trusted(f2, n)),
+                                    "distinct images", f"both map to {_trusted(img, t)!r}"))
 
     # inclusion reversal, for every cover pair F1 < F2: F2 lies one layer
     # up and contains F1.  A chain of covers joins any F1 < F2, so these
     # pairs decide the check.
-    layers = [[(F, F.mask, table[F].mask) for F in layer] for layer in lattice.flats_by_rank]
-    for lower, upper in zip(layers, layers[1:]):
-        for F1, f1, i1 in lower:
-            for F2, f2, i2 in upper:
+    images = [[(f, table[f]) for f in layer] for layer in layers]
+    for lower, upper in zip(images, images[1:]):
+        for f1, i1 in lower:
+            for f2, i2 in upper:
                 if not f1 & ~f2 and i2 & ~i1:
+                    F1, F2 = _trusted(f1, n), _trusted(f2, n)
                     violations.append(Violation(
-                        "inclusion_reversal", (F1, F2),
-                        f"phi({F2!r}) within phi({F1!r})",
-                        f"{table[F2]!r} is not within {table[F1]!r}",
+                        "inclusion_reversal", (F1, F2), f"phi({F2!r}) within phi({F1!r})",
+                        f"{_trusted(i2, t)!r} is not within {_trusted(i1, t)!r}",
                     ))
 
     # hyperplanes -> points bijectively; the points of M' are the closures
     # of its non-loop elements
-    points = {p: ElementSet._trusted(p, Mp.n)
-              for e, p in enumerate(singles) if not loops >> e & 1}
-    hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
-    images = []
-    for H in hyperplanes:
-        img = table[H]
-        if img.mask not in points:
-            violations.append(Violation("hyperplane_bijection", (H,), "a point of the target", repr(img)))
-        images.append(img.mask)
-    img_set = set(images)
-    if len(img_set) != len(images):
-        seen_pts: dict = {}
-        for H, img in zip(hyperplanes, images):
-            if img in seen_pts:
-                violations.append(Violation(
-                    "hyperplane_bijection", (seen_pts[img], H),
-                    "distinct point images", f"both map to {table[H]!r}",
-                ))
-            else:
-                seen_pts[img] = H
-    uncovered = [P for p, P in points.items() if p not in img_set]
+    points = {p for e, p in enumerate(singles) if not loops >> e & 1}
+    hyperplanes = layers[M.full_rank - 1] if M.full_rank >= 1 else ()
+    images = [table[h] for h in hyperplanes]
+    for h, img in zip(hyperplanes, images):
+        if img not in points:
+            violations.append(Violation("hyperplane_bijection", (_trusted(h, n),), "a point of the target",
+                                        repr(_trusted(img, t))))
+    for h1, h2, img in _repeats(zip(hyperplanes, images)):
+        violations.append(Violation("hyperplane_bijection", (_trusted(h1, n), _trusted(h2, n)),
+                                    "distinct point images", f"both map to {_trusted(img, t)!r}"))
+    uncovered = points.difference(images)
     if uncovered:
         violations.append(Violation(
-            "hyperplane_bijection", tuple(sorted(uncovered, key=lambda f: f.key)),
+            "hyperplane_bijection", tuple(_trusted(p, t) for p in sorted(uncovered, key=bits)),
             "every point covered by a hyperplane image", "uncovered points remain",
         ))
 
     # phi(E) = cl'(empty) (forced for valid maps; checked explicitly): the
     # top flat of M, read from its lattice, and the bottom flat of M'
-    top = lattice.layer(M.full_rank)[0]
-    want = ElementSet._trusted(loops, Mp.n)
-    if table[top] != want:
-        violations.append(Violation("ground_to_empty", (top,), repr(want), repr(table[top])))
+    top = layers[-1][0]
+    if table[top] != loops:
+        violations.append(Violation("ground_to_empty", (_trusted(top, n),), repr(_trusted(loops, t)),
+                                    repr(_trusted(table[top], t))))
 
     return VerificationReport(DEFINITION_CHECKS, tuple(violations))
+
+
+def _repeats(pairs):
+    """(first key, key, image) for each key of (key, image) ``pairs`` whose image an earlier key has."""
+    seen: dict = {}  # image -> first key with that image
+    for key, img in pairs:
+        first = seen.setdefault(img, key)
+        if first != key:
+            yield first, key, img
 
 
 def check_rank_complement(phi: AdjointMap) -> VerificationReport:
@@ -300,15 +325,15 @@ def check_rank_complement(phi: AdjointMap) -> VerificationReport:
     violation text says so.
     """
     expect(phi, AdjointMap)
-    r = phi.source.full_rank
+    r, n, table = phi.source.full_rank, phi.source.n, phi._table
     rank = phi.target._rank
     violations = []
-    for k, layer in enumerate(phi.source.flats().flats_by_rank):
-        for F in layer:
-            got = rank(phi.table[F].mask)
+    for k, layer in enumerate(phi.source.flats().masks):
+        for f in layer:
+            got = rank(table[f])
             if got != r - k:
                 violations.append(Violation(
-                    "rank_complement", (F,), f"target rank {r - k}",
+                    "rank_complement", (_trusted(f, n),), f"target rank {r - k}",
                     f"{got} (a theorem violation: implementation bug, not bad input)",
                 ))
     return VerificationReport(("rank_complement",), tuple(violations))
@@ -329,7 +354,7 @@ def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
         if nxt == running:
             raise PreconditionError("chain violates the strict running-intersection condition")
         running = nxt
-        pairs.append((H, phi.table[H].mask))
+        pairs.append((H.mask, phi._table[H.mask]))
     violations = _chain_violations(phi, pairs, range(len(pairs)))
     return VerificationReport(("chain_independence",), tuple(violations))
 
@@ -337,42 +362,48 @@ def check_chain_independence(phi: AdjointMap, chain) -> VerificationReport:
 def _chain_violations(phi: AdjointMap, pairs: list, chain) -> list:
     """The chain-independence violations of a chain: one for each image that
     is not a point, else one if the images are dependent.  ``pairs`` holds
-    (hyperplane, image mask) pairs, and ``chain`` the indices of the chain's
-    members among them, so that a map's pairs are read once for all its
-    chains.  When every image is a point, the distinct images are the bits
-    of their union."""
+    (hyperplane mask, image mask) pairs, and ``chain`` the indices of the
+    chain's members among them, so that a map's pairs are read once for all
+    its chains.  When every image is a point, the distinct images are the
+    bits of their union."""
+    n, t = phi.source.n, phi.target.n
     union = 0
     for i in chain:
         img = pairs[i][1]
         if img.bit_count() != 1:
-            return [Violation("chain_independence", (H,), "a point image", repr(phi.table[H]))
-                    for H, img in map(pairs.__getitem__, chain) if img.bit_count() != 1]
+            return [Violation("chain_independence", (_trusted(h, n),), "a point image", repr(_trusted(img, t)))
+                    for h, img in map(pairs.__getitem__, chain) if img.bit_count() != 1]
         union |= img
     rank = phi.target._rank(union)
     if rank == union.bit_count():
         return []
     return [Violation(
-        "chain_independence", tuple(pairs[i][0] for i in chain),
+        "chain_independence", tuple(_trusted(pairs[i][0], n) for i in chain),
         f"independent image set of size {union.bit_count()}",
         f"rank {rank}",
     )]
 
 
 def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
-    """phi(X), phi(Y) form a modular pair in the target, for all flats X, Y."""
+    """phi(X), phi(Y) form a modular pair in the target, for all flats X, Y.
+    A pair with nested images, a within b, is skipped: its join is b and its
+    meet a, so r(a) + r(b) = r(join) + r(meet) holds."""
     expect(phi, AdjointMap)
-    rank = phi.target._rank
-    flats = phi.source.flats().canonical_order()
-    images = [(phi.table[X].mask, rank(phi.table[X].mask)) for X in flats]
+    rank, n = phi.target._rank, phi.source.n
+    flats = phi.source.flats().canonical_masks
+    images = [(img, rank(img)) for img in map(phi._table.__getitem__, flats)]
     violations = []
     for i, (a, ra) in enumerate(images):
-        for j in range(i, len(images)):
+        for j in range(i + 1, len(images)):
             b, rb = images[j]
+            meet = a & b
+            if meet == a or meet == b:
+                continue
             # r(cl S) = r(S), so the join's rank needs no closure
-            rj, rm = rank(a | b), rank(a & b)
+            rj, rm = rank(a | b), rank(meet)
             if ra + rb != rj + rm:
                 violations.append(Violation(
-                    "modular_pairs", (flats[i], flats[j]),
+                    "modular_pairs", (_trusted(flats[i], n), _trusted(flats[j], n)),
                     "r(phi X) + r(phi Y) = r(join) + r(meet)",
                     f"{ra}+{rb} != {rj}+{rm}",
                 ))
@@ -383,23 +414,18 @@ def _chain_report(phi: AdjointMap) -> VerificationReport:
     """``check_chain_independence`` of ``hyperplane_chain(M, X)`` for every
     flat X of M, in lattice order, merged into one report: the same
     violations in the same order, and the same ConstructionError where no
-    chain exists.
-
-    The masks of the hyperplanes and of their images are read once, and
-    each flat's chain goes straight to the two kernels, ``greedy_chain``
-    and ``_chain_violations``.  The public check's preconditions hold by
-    construction, so they are not tested.
-    """
+    chain exists.  Each flat's chain goes straight to the two kernels,
+    ``greedy_chain`` and ``_chain_violations``; the public check's
+    preconditions hold by construction, so they are not tested."""
     M = phi.source
     r = M.full_rank
-    lattice = M.flats()
-    hyperplanes = lattice.layer(r - 1) if r >= 1 else ()
-    masks = [H.mask for H in hyperplanes]
-    pairs = [(H, phi.table[H].mask) for H in hyperplanes]
+    layers = M.flats().masks
+    hyperplanes = layers[r - 1] if r >= 1 else ()
+    pairs = [(h, phi._table[h]) for h in hyperplanes]
     violations = []
-    for k, layer in enumerate(lattice.flats_by_rank):
-        for X in layer:
-            violations += _chain_violations(phi, pairs, greedy_chain(M, masks, X, k))
+    for k, layer in enumerate(layers):
+        for x in layer:
+            violations += _chain_violations(phi, pairs, greedy_chain(M, hyperplanes, x, k))
     return VerificationReport(("chain_independence",), tuple(violations))
 
 
@@ -437,13 +463,17 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
         raise InputError("bijection is not total on the source hyperplanes")
     if sorted(bij.values()) != list(range(Mp.n)):
         raise InputError("bijection is not onto the points of the target")
-    labelled = [(H.mask, 1 << bij[H]) for H in hyperplanes]
+    return _induced(M, Mp, [(H.mask, 1 << bij[H]) for H in hyperplanes])
+
+
+def _induced(M: Matroid, Mp: Matroid, labelled: list) -> AdjointMap:
+    """``induced_map`` of the (hyperplane mask, point mask) pairs ``labelled``."""
+    closure = Mp._closure
     table = {}
-    for F in M.flats().all_flats():
-        f = F.mask
-        points = sum(p for h, p in labelled if not f & ~h)
-        table[F] = ElementSet._trusted(Mp._closure(points), Mp.n)
-    return AdjointMap(M, Mp, table)
+    for layer in M.flats().masks:
+        for f in layer:
+            table[f] = closure(sum(p for h, p in labelled if not f & ~h))
+    return AdjointMap._of_masks(M, Mp, table)
 
 
 def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
@@ -453,16 +483,17 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     return the map that the first call built and verified.
     """
     _require_adjoint(phi)
-    M, Mp = phi.source, phi.target
-    cm = set_mask(C, M.n)
-    cached = phi._contractions.get(cm)
-    if cached is not None:
-        return cached
-    new_source = M.contract(C)
-    # the first lift is cl(C); an adjoint maps every other lift inside its image
-    gone = Mp._full & ~phi.table[next(iter(new_source.flats().lift.values()))].mask
-    result = _verified_minor_map(phi, new_source, gone, "contraction")
-    phi._contractions[cm] = result
+    return _contract(phi, set_mask(C, phi.source.n))
+
+
+def _contract(phi: AdjointMap, cm: int) -> AdjointMap:
+    """``contract_adjoint`` of the set with mask cm, for an adjoint phi."""
+    result = phi._contractions.get(cm)
+    if result is None:
+        N = phi.source._minor("contract", cm)
+        # the first lift is cl(C); an adjoint maps every other lift inside its image
+        gone = phi.target._full & ~phi._table[next(iter(N.flats()._lift.values()))]
+        result = phi._contractions[cm] = _verified_minor_map(phi, N, gone, "contraction")
     return result
 
 
@@ -471,12 +502,16 @@ def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
     canonical order: those that lift no flat of M\\D, since the flat H - D
     of M\\D lifts to cl(H - D), which is H unless the rank drops."""
     expect(M, Matroid)
-    set_mask(D, M.n)
+    return tuple(_trusted(h, M.n) for h in _vanishing(M, set_mask(D, M.n)))
+
+
+def _vanishing(M: Matroid, dm: int) -> list:
+    """The masks of ``vanishing_hyperplanes`` of the set with mask dm."""
     if M.full_rank == 0:
-        return ()
-    hyperplanes = M.hyperplanes()  # built first, so that M\\D reads its lattice off M's
-    lifted = set(M.delete(D).flats().lift.values())
-    return tuple(H for H in hyperplanes if H not in lifted)
+        return []
+    hyperplanes = M.flats().masks[M.full_rank - 1]  # built first, so that M\\D reads its lattice off M's
+    lifted = set(M._minor("delete", dm).flats()._lift.values())
+    return [h for h in hyperplanes if h not in lifted]
 
 
 def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
@@ -487,26 +522,29 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     read off the lattice of M\\D.
     """
     _require_adjoint(phi)
-    M = phi.source
-    if not M.is_coindependent(D):
-        raise PreconditionError(
-            f"deletion set {D!r} is not coindependent; use minor_adjoint for general minors"
-        )
+    if not phi.source.is_coindependent(D):
+        raise PreconditionError(f"deletion set {D!r} is not coindependent; use minor_adjoint for general minors")
+    return _delete(phi, D.mask)
+
+
+def _delete(phi: AdjointMap, dm: int) -> AdjointMap:
+    """``delete_adjoint`` of the coindependent set with mask dm, for an adjoint phi."""
     removed = 0
-    for H in vanishing_hyperplanes(M, D):
-        removed |= phi.image(H).mask
-    return _verified_minor_map(phi, M.delete(D), removed, "deletion")
+    for h in _vanishing(phi.source, dm):
+        removed |= phi._table[h]
+    return _verified_minor_map(phi, phi.source._minor("delete", dm), removed, "deletion")
 
 
 def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> AdjointMap:
     """The map F -> phi(lift F) - gone from the minor N of phi's source into
     phi's target minus ``gone``, relabeled as ``Matroid.delete`` relabels,
     after it passes verify_adjoint."""
-    target = phi.target.delete(ElementSet._trusted(gone, phi.target.n))
-    lift, table = N.flats().lift, phi.table
-    flats = list(N.flats().all_flats())
-    images = _squeeze([table[lift[F.mask]].mask & ~gone for F in flats], gone)
-    result = AdjointMap(N, target, dict(zip(flats, (ElementSet._trusted(m, target.n) for m in images))))
+    target = phi.target._minor("delete", gone)
+    lattice = N.flats()
+    lift, table = lattice._lift, phi._table
+    flats = [f for layer in lattice.masks for f in layer]
+    images = _squeeze([table[lift[f]] & ~gone for f in flats], gone)
+    result = AdjointMap._of_masks(N, target, dict(zip(flats, images)))
     report = verify_adjoint(result)
     if not report.valid:
         raise ConstructionError(f"{kind} adjoint failed verification:\n{report.summary()}")
@@ -516,11 +554,13 @@ def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> Ad
 def minor_adjoint(phi: AdjointMap, spec: MinorSpec) -> AdjointMap:
     """Adjoint of M/C\\D for any disjoint C, D: normalize, contract, delete."""
     _require_adjoint(phi)
-    nf = minor_normal_form(phi.source, spec)
-    after_contract = contract_adjoint(phi, nf.contract)
-    relabel = after_contract.source.provenance["relabel"]
-    D_new = nf.delete.relabel(relabel, after_contract.source.n)
-    if not after_contract.source.is_coindependent(D_new):
+    expect(spec, MinorSpec)
+    M = phi.source
+    c, d = _normal_form(M, set_mask(spec.contract, M.n), set_mask(spec.delete, M.n))
+    psi = _contract(phi, c)
+    N = psi.source
+    d = _squeeze([d], c)[0]
+    if N._rank(N._full & ~d) != N.full_rank:
         # contraction of a disjoint set preserves coindependence; reaching this is a bug
-        raise ConstructionError(f"{D_new!r} lost coindependence under contraction")
-    return delete_adjoint(after_contract, D_new)
+        raise ConstructionError(f"{_trusted(d, N.n)!r} lost coindependence under contraction")
+    return _delete(psi, d)

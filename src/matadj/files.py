@@ -8,12 +8,8 @@ Matroid files (UTF-8 JSON), three variants:
 
 Matrix rows are coordinates; columns are elements.  GF(p) entries are
 integers; rational entries are integers or strings that ``Fraction`` parses,
-such as "1/2" or "0.1".  ``Representation`` checks them, and refuses floats,
-booleans and exponent notation such as "1e5", which ``Fraction`` would
-expand into an int as long as the exponent.  Element sets serialize as
-sorted integer arrays.
-
-Adjoint map files:
+such as "1/2", checked by ``Representation``.  Element sets serialize as
+sorted integer arrays.  Adjoint map files:
 
     {"source": <matroid-dict>, "target": <matroid-dict>,
      "map": [{"flat": [...], "image": [...]}, ...],
@@ -144,15 +140,14 @@ def save_matroid(M: Matroid, path: Union[str, Path], name: Optional[str] = None,
 # ---------------------------------------------------------------------------
 
 def adjoint_to_dict(phi: AdjointMap) -> dict:
-    if phi.hyperplane_order is None:
+    if phi._order is None:
         raise InputError("cannot serialize a map whose hyperplane restriction is not point-bijective")
+    table = phi._table
     return {
         "source": matroid_to_dict(phi.source),
         "target": matroid_to_dict(phi.target),
-        "map": [
-            {"flat": F.sorted(), "image": img.sorted()} for F, img in phi.pairs()
-        ],
-        "hyperplane_order": [H.sorted() for H in phi.hyperplane_order],
+        "map": [{"flat": bits(f), "image": bits(table[f])} for f in phi.source.flats().canonical_masks],
+        "hyperplane_order": [bits(h) for h in phi._order],
     }
 
 
@@ -176,16 +171,17 @@ def _describes(spec, M: Matroid, role: str) -> bool:
     return _resolve_matroid(spec, role) == M
 
 
-def _element_set(values, n: int, what: str) -> ElementSet:
+def _labels(values, n: int, what: str) -> int:
     if not isinstance(values, list):
         raise InputError(f"{what} must be a list of integers, got {values!r}")
-    return ElementSet._trusted(label_mask(values, n, what), n)
+    return label_mask(values, n, what)
 
 
 def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
                  target_matroid: Optional[Matroid] = None) -> AdjointMap:
     """Load a map file; explicit matroids override (and are checked against)
-    any embedded ones."""
+    any embedded ones.  Entries and the hyperplane order are read straight
+    to masks."""
     data = _read(source)
     if "map" not in data or not isinstance(data["map"], list):
         raise InputError("adjoint file needs a 'map' list")
@@ -206,21 +202,22 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
     for entry in data["map"]:
         if not isinstance(entry, dict) or "flat" not in entry or "image" not in entry:
             raise InputError("each map entry needs 'flat' and 'image' arrays")
-        F = _element_set(entry["flat"], M.n, "map flat")
-        if F in table:
-            raise InputError(f"duplicate map entry for flat {F!r}")
-        table[F] = _element_set(entry["image"], Mp.n, "map image")
+        f = _labels(entry["flat"], M.n, "map flat")
+        if f in table:
+            raise InputError(f"duplicate map entry for flat {ElementSet._trusted(f, M.n)!r}")
+        table[f] = _labels(entry["image"], Mp.n, "map image")
     stored = data.get("hyperplane_order")
     order = None
     if stored is not None:
         if not isinstance(stored, list) or not all(isinstance(h, list) for h in stored):
             raise InputError("'hyperplane_order' must be a list of lists")
-        order = tuple(_element_set(h, M.n, "hyperplane_order entry") for h in stored)
-        hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
-        if sorted(order, key=lambda h: h.key) != list(hyperplanes):
+        order = tuple(_labels(h, M.n, "hyperplane_order entry") for h in stored)
+        hyperplanes = M.flats().masks[M.full_rank - 1] if M.full_rank >= 1 else ()
+        # the hyperplanes are distinct, so equal lengths and sets make a permutation
+        if len(order) != len(hyperplanes) or set(order) != set(hyperplanes):
             raise InputError("stored hyperplane_order is not a permutation of the source hyperplanes")
-    phi = AdjointMap(M, Mp, table)
-    if order is not None and phi.hyperplane_order is not None and phi.hyperplane_order != order:
+    phi = AdjointMap._of_masks(M, Mp, table)
+    if order is not None and phi._order is not None and phi._order != order:
         raise InputError("stored hyperplane_order disagrees with the map table")
     return phi
 

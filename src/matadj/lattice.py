@@ -25,11 +25,7 @@ A lattice is made in one of two ways.
   M\\D (F on M's labels).  The minor adjoints read their images through it.
 
 The build relies on M being a matroid, since only a matroid's closure gives
-a geometric lattice, but it does not check the exchange axiom itself.  That
-is checked where bases enter from outside the package: by the public
-``Matroid`` constructor (bases files too), and by an explicit call on the
-search candidate in rank 4 and above.  Column matroids and the minors, duals and simplifications
-of a ``Matroid`` are matroids by a theorem and skip it; see ``Matroid``.
+a geometric lattice; see ``Matroid`` for where the exchange axiom is checked.
 """
 from __future__ import annotations
 
@@ -38,23 +34,23 @@ from typing import Dict, Iterator, Tuple
 
 from .errors import ConstructionError, InputError, expect
 from .matroid import Matroid, _squeeze
-from .sets import ElementSet
+from .sets import ElementSet, _trusted, bits
 
 
 def _lift_walk(N) -> tuple:
     """(lift, layers) of N = M/C or M\\D from one rank-order walk of the
-    lattice of M: the lift maps each flat mask of N to its least flat of M,
-    and the layers hold the flat masks of N by rank."""
+    lattice of M: the lift maps each flat mask of N to the mask of its least
+    flat of M, and the layers hold the flat masks of N by rank."""
     if N._minor_of is None:
         raise InputError(f"{N!r} was not made by contract or delete, so its flats have no lift")
     M, removed, contracted = N._minor_of
     keep, over = M._full & ~removed, removed if contracted else 0
     least: dict = {}  # trace on keep -> the first flat of M met with it
     ends = []  # len(least) after each rank of M
-    for layer in M.flats().flats_by_rank:
-        for G in layer:
-            if not over & ~G.mask:
-                least.setdefault(G.mask & keep, G)
+    for layer in M.flats().masks:
+        for g in layer:
+            if not over & ~g:
+                least.setdefault(g & keep, g)
         ends.append(len(least))
     masks = _squeeze(least, removed)
     # M's ranks below r(cl C), or above r(E - D), add no trace
@@ -63,59 +59,72 @@ def _lift_walk(N) -> tuple:
 
 
 class FlatLattice:
-    """All flats of a matroid, grouped by rank; covers (the Hasse diagram) on demand."""
+    """All flats of a matroid, grouped by rank; covers (the Hasse diagram) on demand.
 
-    def __init__(self, owner, flats_by_rank: Tuple[Tuple[ElementSet, ...], ...]):
+    The one stored form is ``masks``: the flat masks by rank, each layer in
+    lexicographic order.  ``flats_by_rank``, ``layer``, ``all_flats`` and
+    ``canonical_order`` build ``ElementSet``s from it on each read.
+    """
+
+    def __init__(self, owner, masks: list):
+        # top layer is the single rank-r flat (the ground set's closure)
+        if len(masks[-1]) != 1:
+            raise ConstructionError("expected a unique top flat")
         self.owner = owner
-        self.flats_by_rank = flats_by_rank
-        self._canonical = None
+        self.masks = tuple(masks)
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
         expect(M, Matroid)
         n = M.n
-        layers = [(ElementSet._trusted(M._closure(0), n),)]
+        layers = [(M._closure(0),)]
         for _ in range(M.full_rank):
             nxt = set()
-            for F in layers[-1]:
-                f = reached = F.mask
+            for f in layers[-1]:
+                reached = f
                 for e in range(n):
                     if not reached >> e & 1:
                         g = M._closure(f | 1 << e)
                         nxt.add(g)
                         reached |= g
-            layers.append(tuple(sorted((ElementSet._trusted(g, n) for g in nxt), key=lambda f: f.key)))
-        return cls._checked(M, layers)
+            layers.append(tuple(sorted(nxt, key=bits)))
+        return cls(M, layers)
 
     @classmethod
     def of_minor(cls, N) -> "FlatLattice":
         """The lattice of N = M/C or M\\D, as made by ``Matroid.contract`` or
         ``Matroid.delete``, read off the built lattice of M with its lift."""
         lift, by_rank = _lift_walk(N)
-        layers = [tuple(sorted((ElementSet._trusted(m, N.n) for m in masks), key=lambda f: f.key))
-                  for masks in by_rank]
-        lattice = cls._checked(N, layers)
-        lattice.lift = lift  # fills the cached property, so no second walk
+        lattice = cls(N, [tuple(sorted(masks, key=bits)) for masks in by_rank])
+        lattice._lift = lift  # fills the cached property, so no second walk
         return lattice
 
-    @classmethod
-    def _checked(cls, M, layers: list) -> "FlatLattice":
-        # top layer is the single rank-r flat (the ground set's closure)
-        if len(layers[-1]) != 1:
-            raise ConstructionError("expected a unique top flat")
-        return cls(M, tuple(layers))
+    @property
+    def flats_by_rank(self) -> Tuple[Tuple[ElementSet, ...], ...]:
+        return tuple(map(self.layer, range(len(self.masks))))
 
     @cached_property
-    def lift(self) -> Dict[int, ElementSet]:
-        """Flat mask -> the least flat of the parent over it, for the lattice
-        of a minor made by ``Matroid.contract`` (F u C) or ``Matroid.delete``
-        (cl(F)); a lattice built by closures walks the parent on first read."""
+    def _lift(self) -> Dict[int, int]:
+        """``lift`` on masks; a lattice built by closures walks the parent on first read."""
         return _lift_walk(self.owner)[0]
+
+    @property
+    def lift(self) -> Dict[int, ElementSet]:
+        """Flat mask -> the least flat of the parent over it, for the lattice of
+        a minor made by ``Matroid.contract`` (F u C) or ``Matroid.delete`` (cl(F))."""
+        lift = self._lift
+        return {f: _trusted(g, self.owner._minor_of[0].n) for f, g in lift.items()}
 
     @cached_property
     def rank_by_mask(self) -> Dict[int, int]:
         """Flat mask -> rank, computed on first read."""
-        return {f.mask: k for k, layer in enumerate(self.flats_by_rank) for f in layer}
+        return {f: k for k, layer in enumerate(self.masks) for f in layer}
+
+    @cached_property
+    def canonical_masks(self) -> Tuple[int, ...]:
+        """All flat masks by size, then lexicographically.  Map files and the
+        injectivity and modular-pair witnesses follow this order."""
+        return tuple(sorted((f for layer in self.masks for f in layer), key=lambda f: (f.bit_count(), bits(f))))
 
     @cached_property
     def covers(self) -> Dict[ElementSet, frozenset]:
@@ -133,23 +142,22 @@ class FlatLattice:
     # -- queries ------------------------------------------------------------
 
     def layer(self, k: int) -> Tuple[ElementSet, ...]:
-        if k < 0 or k >= len(self.flats_by_rank):
-            raise InputError(f"no rank-{k} layer in a rank-{len(self.flats_by_rank) - 1} lattice")
-        return self.flats_by_rank[k]
+        if k < 0 or k >= len(self.masks):
+            raise InputError(f"no rank-{k} layer in a rank-{len(self.masks) - 1} lattice")
+        n = self.owner.n
+        return tuple(_trusted(f, n) for f in self.masks[k])
 
     def all_flats(self) -> Iterator[ElementSet]:
         for layer in self.flats_by_rank:
             yield from layer
 
     def canonical_order(self) -> Tuple[ElementSet, ...]:
-        """All flats by size, then lexicographically (cached).  Map files and
-        the injectivity and modular-pair witnesses follow this order."""
-        if self._canonical is None:
-            self._canonical = tuple(sorted(self.all_flats(), key=lambda f: (len(f), f.key)))
-        return self._canonical
+        """The flats in the order of ``canonical_masks``."""
+        n = self.owner.n
+        return tuple(_trusted(f, n) for f in self.canonical_masks)
 
     def flat_count(self) -> int:
-        return sum(len(layer) for layer in self.flats_by_rank)
+        return sum(map(len, self.masks))
 
     def is_flat(self, F: ElementSet) -> bool:
         return (F.__class__ is ElementSet and F.universe == self.owner.n
@@ -179,13 +187,13 @@ def hyperplane_chain(M, X: ElementSet) -> list:
     k = lattice.rank_of(X)
     if k == M.full_rank:
         return []
-    hyperplanes = M.hyperplanes()
-    return [hyperplanes[i] for i in greedy_chain(M, [H.mask for H in hyperplanes], X, k)]
+    hyperplanes = lattice.masks[M.full_rank - 1]
+    return [_trusted(hyperplanes[i], M.n) for i in greedy_chain(M, hyperplanes, X.mask, k)]
 
 
-def greedy_chain(M, hyperplanes: list, X: ElementSet, k: int) -> list:
-    """The indices of ``hyperplane_chain(M, X)`` in ``hyperplanes``, the
-    masks of M's hyperplanes in canonical order, for the rank-k flat X.
+def greedy_chain(M, hyperplanes: tuple, x: int, k: int) -> list:
+    """The indices of ``hyperplane_chain(M, X)`` in ``hyperplanes``, the masks
+    of M's hyperplanes in canonical order, for the rank-k flat X of mask x.
 
     One forward pass over the hyperplanes finds the greedy chain: a
     hyperplane passed over either misses X or contains the running
@@ -194,7 +202,6 @@ def greedy_chain(M, hyperplanes: list, X: ElementSet, k: int) -> list:
     means M is not a matroid: no hyperplane separates the running
     intersection from X, or the chain's length is not r - k.
     """
-    x = X.mask
     running = M._full
     chain = []
     for i, h in enumerate(hyperplanes):
@@ -204,9 +211,7 @@ def greedy_chain(M, hyperplanes: list, X: ElementSet, k: int) -> list:
             chain.append(i)
             running &= h
     if running != x:
-        raise ConstructionError(
-            f"no hyperplane separates {ElementSet._trusted(running, M.n)!r} from {X!r}"
-        )
+        raise ConstructionError(f"no hyperplane separates {_trusted(running, M.n)!r} from {_trusted(x, M.n)!r}")
     if len(chain) != M.full_rank - k:
         raise ConstructionError("hyperplane chain has the wrong length")
     return chain

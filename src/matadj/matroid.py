@@ -1,15 +1,10 @@
 """Matroids backed by explicit bases lists.
 
-A matroid is stored as its ground-set size plus its bases, as int bitmasks.
-Matrices and other input formats are converted to bases at load time, so
-there is a single source of truth for rank.  A rank or closure query is
-answered by one of two kernels, chosen by the number of bases: a scan of
-every basis when there are at most ``4 << r`` of them, and otherwise a
-greedy pass over an index of every independent set, built from the bases
-on the first query (see ``Matroid``).
-
-All instances are immutable after construction (internal caches aside) and
-every operation is a pure function of its inputs.
+A matroid is stored as its ground-set size plus its bases, as int bitmasks;
+matrices and other input formats are converted to bases at load time, so
+there is a single source of truth for rank.  Rank and closure queries go to
+one of two kernels, chosen by the number of bases (see ``Matroid``).  All
+instances are immutable after construction (internal caches aside).
 """
 from __future__ import annotations
 
@@ -62,10 +57,10 @@ def checked_basis_masks(bases: Iterable, n: int) -> tuple:
 class Matroid:
     """A matroid on ground set {0, ..., n-1} given by its bases.
 
-    Every set is an int bitmask, as in ``ElementSet``.  The bases are stored
-    once, as the mask tuple ``_basis_masks``; ``bases`` (frozensets) is derived
-    on demand.  The one rank cache maps a subset's mask to its rank, and the
-    closure memo maps it to the mask of its closure.
+    Every set is an int bitmask.  The bases are stored once, as the mask
+    tuple ``_basis_masks``; ``bases`` (frozensets) is derived on demand.  The
+    one rank cache maps a subset's mask to its rank, and the closure memo
+    maps it to the mask of its closure.
 
     A cache miss goes to one of two kernels, chosen once per matroid by its
     number of bases.  With at most ``SCAN_LIMIT << r`` bases it scans them:
@@ -73,10 +68,10 @@ class Matroid:
     the bases that meet S in r(S) elements.  With more, the first miss
     builds the index ``_indep``, whose entry k is the set of the masks of
     the independent k-sets: the bases for k = r, and below that each member
-    of entry k + 1 less one element, one level at a time.  Then the greedy
-    independent subset I of S, taken in label order, gives r(S) = |I| with
-    one set lookup per element, stopping at r, and cl(S) is S plus every e
-    for which I + e is not in the index, or E when |I| = r.
+    of entry k + 1 less one element.  Then the greedy independent subset I
+    of S, taken in label order, gives r(S) = |I| with one set lookup per
+    element, stopping at r, and cl(S) is S plus every e for which I + e is
+    not in the index, or E when |I| = r.
 
     This is exact.  The independent sets are exactly the subsets of bases,
     so the index holds them all.  Each element of S - I was refused because
@@ -86,41 +81,32 @@ class Matroid:
     I + e is independent then r(S + e) > r(S).  If r(S + e) > r(S), then I
     extends to an independent subset of S + e with r(S) + 1 elements, which
     must hold e and so is I + e.  Greedy rank is wrong on a family that is
-    not a matroid's bases, so the index is built only after the family is
-    known to be a matroid: ``_check_exchange`` reads the bases directly,
-    and every caller of ``_unchecked`` either passes a matroid by a theorem
-    or, as search does in rank 4 and above, runs ``_check_exchange`` before
-    any rank query.
+    not a matroid's bases, so the index is built only on a known matroid:
+    ``_check_exchange`` reads the bases directly, and every caller of
+    ``_unchecked`` passes a matroid by a theorem or, as search does in rank
+    4 and above, runs ``_check_exchange`` before any rank query.
 
     Cost: a scan is O(|B|) per miss; the index is O(r |B|) once, then O(n)
-    per miss.  It holds at most r |B| + 1 masks, one set per size, and
-    shares the basis ints with ``_basis_masks``, so the bases level is the
-    one large set: for U_4_8's covector target (307,398 bases and 28,741
-    smaller independent sets) that is 8 MB of set table, and the peak memory
-    of building and verifying the adjoint goes from 30 to 42 MB.  The gate
-    was timed on drawn column matroids of rank 2 to 4, on a lattice build
-    and on the closure of every set of at most two elements, the index
-    paying for its build.  The index breaks even at 16 to 31 bases in rank
-    3 and 4, and at 8 to 127 in rank 2.  At ``4 << r`` bases it takes 0.4
-    to 1.1 times the scan's time, and on the smallest matroids up to 2.6
-    times; search's candidates, with at most 16 bases, stay on the scan.
+    per miss, and holds at most r |B| + 1 masks, sharing the basis ints.
+    For U_4_8's covector target (307,398 bases) that is 8 MB of set table.
+    Timed on drawn column matroids of rank 2 to 4, the index breaks even at
+    16 to 31 bases in rank 3 and 4 and at 8 to 127 in rank 2, and at
+    ``4 << r`` bases takes 0.4 to 1.1 times the scan's time; search's
+    candidates, with at most 16 bases, stay on the scan.
 
     The public constructor is the trust boundary.  It refuses a non-int or
     bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
     repeated basis, a ground set above the cap of ``check_ground_size``, an
     empty family, bases of unequal sizes, and a family that fails the
-    basis-exchange axiom, which costs O(|B|^2 r^2), naming a violating pair;
-    user code and bases files go through it.  ``_unchecked`` takes masks and
-    checks none of this, for outputs that are matroids by a theorem: the
-    column matroid of a matrix (``Representation.matroid``), by the Steinitz
-    exchange lemma, the contraction, deletion, dual and simplification of a
-    ``Matroid``, and the freest adjoint target that search builds in rank at
-    most 3.  Of these, only the column matroid and the freest target bring a
-    new ground set, and they check the cap themselves; the others are no
-    larger than their parent.  In rank 4 and above search builds the freest
-    target with ``_unchecked`` and then calls ``_check_exchange`` on it
-    explicitly, which returns the violating pair unformatted, so a rejected
-    candidate costs no message.
+    basis-exchange axiom, which costs O(|B|^2 r^2), naming a violating pair.
+    ``_unchecked`` takes masks and checks none of this, for outputs that are
+    matroids by a theorem: column matroids (``Representation.matroid``), by
+    the Steinitz exchange lemma, the contraction, deletion, dual and
+    simplification of a ``Matroid``, and search's freest adjoint target in
+    rank at most 3.  Only the column matroid and the freest target bring a
+    new ground set, and they check the cap themselves.  In rank 4 and above
+    search calls ``_check_exchange`` on its candidate explicitly, which
+    returns the violating pair unformatted, so a rejection costs no message.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
@@ -330,14 +316,11 @@ class Matroid:
     # -- flats --------------------------------------------------------------
 
     def flats(self):
-        """The full lattice of flats (cached).
-
-        A contraction or deletion made by ``contract`` or ``delete`` reads its
-        lattice, and the lift of its flats to its parent's, off its parent's
-        lattice, with no closure, when the parent's lattice is already built;
-        every other matroid builds its own by closures.  Both paths give the
-        same lattice, layers in the same order; see ``matadj.lattice``.
-        """
+        """The full lattice of flats (cached).  A contraction or deletion made
+        by ``contract`` or ``delete`` reads its lattice and lift off its
+        parent's lattice, with no closure, when that is already built; every
+        other matroid builds its own by closures.  Both give the same lattice,
+        layers in the same order; see ``matadj.lattice``."""
         if self._lattice is None:
             from .lattice import FlatLattice
 
@@ -364,18 +347,21 @@ class Matroid:
         """Order-preserving dense relabeling of the elements outside the mask."""
         return {e: i for i, e in enumerate(bits(self._full & ~removed))}
 
-    def _minor(self, op: str, S: ElementSet, basis_masks) -> "Matroid":
-        """M/S or M\\S (``op`` "contract" or "delete"), cached per set and
-        relabeled densely, the map recorded in provenance.  ``basis_masks``
-        gives the minor's bases, on M's labels, from the mask of S."""
-        m = set_mask(S, self.n)
+    def _minor(self, op: str, m: int) -> "Matroid":
+        """M/S or M\\S (``op`` "contract" or "delete") for the set S with mask
+        m, cached per set and relabeled densely, the map recorded in
+        provenance.  The bases are those of ``contract`` and ``delete``."""
         result = self._minor_cache.get((op, m))
         if result is None:
-            result = Matroid._unchecked(
-                self.n - m.bit_count(),
-                _squeeze(basis_masks(m), m),
-                provenance={"op": op, "removed": bits(m), "relabel": self._relabel_out(m), "parent": self},
-            )
+            if op == "contract":
+                ind = self._independent_part(m)
+                masks = [b & ~ind for b in self._basis_masks if b & m == ind]
+            else:
+                keep = self._full & ~m
+                r2 = self._rank(keep)
+                masks = dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
+            provenance = {"op": op, "removed": bits(m), "relabel": self._relabel_out(m), "parent": self}
+            result = Matroid._unchecked(self.n - m.bit_count(), _squeeze(masks, m), provenance)
             result._minor_of = (self, m, op == "contract")
             self._minor_cache[(op, m)] = result
         return result
@@ -386,11 +372,7 @@ class Matroid:
         With I a maximal independent subset of C, the bases of M/C are the
         sets B - I for the bases B of M that meet C exactly in I.
         """
-        def basis_masks(cm: int) -> list:
-            ind = self._independent_part(cm)
-            return [b & ~ind for b in self._basis_masks if b & cm == ind]
-
-        return self._minor("contract", C, basis_masks)
+        return self._minor("contract", set_mask(C, self.n))
 
     def delete(self, D: ElementSet) -> "Matroid":
         """M\\D: the restriction to E-D, relabeled densely.
@@ -398,12 +380,7 @@ class Matroid:
         Every independent subset of E-D extends to a basis of M, so the bases
         of M\\D are the sets B n (E-D) of r(E-D) elements, for bases B of M.
         """
-        def basis_masks(dm: int) -> dict:
-            keep = self._full & ~dm
-            r2 = self._rank(keep)
-            return dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
-
-        return self._minor("delete", D, basis_masks)
+        return self._minor("delete", set_mask(D, self.n))
 
     def restrict(self, S: ElementSet) -> "Matroid":
         """M|S, i.e. delete the complement of S."""
@@ -430,7 +407,7 @@ class Matroid:
             parallel = self._closure(1 << e) & ~loops
             class_map[e] = (parallel & -parallel).bit_length() - 1
         reps = [e for e, rep in class_map.items() if e == rep]
-        m = self.delete(ElementSet.of(reps, self.n).complement())
+        m = self._minor("delete", self._full & ~sum(1 << e for e in reps))
         return Matroid._unchecked(
             m.n,
             m._basis_masks,
@@ -497,9 +474,12 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
     """
     expect(M, Matroid)
     expect(spec, MinorSpec)
-    C = set_mask(spec.contract, M.n)
-    D = set_mask(spec.delete, M.n)
+    c, d = _normal_form(M, set_mask(spec.contract, M.n), set_mask(spec.delete, M.n))
+    return MinorSpec(ElementSet._trusted(c, M.n), ElementSet._trusted(d, M.n))
 
+
+def _normal_form(M: Matroid, C: int, D: int) -> tuple:
+    """``minor_normal_form`` on masks: the masks of C' and D'."""
     c_ind = M._independent_part(C)
     d0 = D | C & ~c_ind
 
@@ -509,12 +489,11 @@ def minor_normal_form(M: Matroid, spec: MinorSpec) -> MinorSpec:
             d_coind |= 1 << e
     c_final = c_ind | d0 & ~d_coind
 
-    result = MinorSpec(ElementSet._trusted(c_final, M.n), ElementSet._trusted(d_coind, M.n))
-    if not M.is_independent(result.contract):
+    if M._rank(c_final) != c_final.bit_count():
         raise ConstructionError(f"normal form produced dependent contraction set {bits(c_final)}")
-    if not M.is_coindependent(result.delete):
+    if M._rank(M._full & ~d_coind) != M.full_rank:
         raise ConstructionError(f"normal form produced codependent deletion set {bits(d_coind)}")
-    return result
+    return c_final, d_coind
 
 
 def apply_minor(M: Matroid, spec: MinorSpec) -> Matroid:

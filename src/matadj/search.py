@@ -1,17 +1,10 @@
 """Adjoint fixtures: construction from matrix representations, and search.
 
-Two independent routes to an adjoint:
-
-* ``adjoint_from_representation`` builds the classical covector adjoint of a
-  representable matroid: each hyperplane's covector is the (1-dimensional)
-  space of linear functionals vanishing on its columns, and the target is
-  the matroid of those covectors.
-* ``search_adjoint`` needs only the bases.  In every rank it builds one
-  candidate, the freest target on the hyperplane labels: all r-subsets
-  that meet the labels of the hyperplanes through each flat F in at most
-  r - r(F) labels.  In rank at most 3 that is an adjoint by a theorem.  In
-  rank 4 and above it is checked and verified, and a failure is reported
-  as not-exhausted, never as a negative answer.
+Two independent routes to an adjoint: ``adjoint_from_representation`` builds
+the classical covector adjoint of a representable matroid, whose target is
+the matroid of the hyperplanes' covectors (the linear functionals vanishing
+on their columns), and ``search_adjoint`` builds one candidate from the
+bases alone, the freest target on the hyperplane labels.
 """
 from __future__ import annotations
 
@@ -20,11 +13,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .adjoint import AdjointMap, induced_map, verify_adjoint
+from .adjoint import AdjointMap, _induced, verify_adjoint
 from .errors import ConstructionError, InputError, expect
 from .linalg import characteristic, direction, echelon, eliminate, integer_vector, leading_index, null_vector
 from .matroid import Matroid, check_ground_size
-from .sets import ElementSet, Record, _set, label_mask, set_mask
+from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
 
 
 def _entry(x, char: int):
@@ -53,13 +46,12 @@ class Representation(Record):
 
     The field, ``dim`` (an int >= 0), the columns (an iterable of tuples or
     lists of ``dim`` entries) and every entry are checked once, here.  Over
-    GF(p) an entry must be an int, and is stored reduced into 0..p-1.  Over
-    the rationals it must be an int, a ``Fraction`` or a string that
-    ``Fraction`` parses, such as "1/2" or "0.1", but not in exponent notation
-    such as "1e5", and is stored as a ``Fraction``.  Bools and floats are
-    refused over every field: a float has usually already lost the value that
-    was meant.  Each column is also kept as an int vector (``integer_vector``)
-    for the elimination kernel of ``matadj.linalg``.  The column bases are
+    GF(p) an entry must be an int, stored reduced into 0..p-1.  Over the
+    rationals it must be an int, a ``Fraction`` or a string that ``Fraction``
+    parses, such as "1/2" or "0.1" but not "1e5", stored as a ``Fraction``.
+    Bools and floats, which have usually lost the value meant, are refused.
+    Each column is also kept as an int vector (``integer_vector``) for the
+    elimination kernel of ``matadj.linalg``.  The column bases are
     listed once per representation, on the first call of ``matroid``.
     """
 
@@ -98,35 +90,25 @@ class Representation(Record):
         """The column matroid: its bases are the r-sets of independent columns.
 
         The bases are listed by one depth-first walk over the columns, which
-        extends a prefix of chosen columns by each later column in turn.  Every
-        column after the prefix is kept reduced against the prefix's echelon
-        rows, so extending the prefix by one column costs one ``eliminate``
-        step per later column.  A column that reduces to zero depends on the
-        prefix, and every set holding both is dependent, so the walk never
-        enters that subtree.
+        extends a prefix of chosen columns by each later column in turn.
+        Every later column is kept reduced against the prefix's echelon
+        rows, one ``eliminate`` step per column and extension, and a column
+        that reduces to zero depends on the prefix, so the walk skips that
+        subtree.  In rank 2 and above the walk stops at prefixes of r - 2
+        columns: two later columns complete such a prefix to a basis exactly
+        when both are nonzero and not parallel, once reduced.  (A reduced
+        column is zero at every pivot of the prefix's rows, and a nonzero
+        combination of echelon rows is nonzero at the pivot of the first row
+        it uses, so a reduced column lies in the span of the prefix and
+        another reduced column u exactly when it is a multiple of u.)  So
+        each later column costs one ``direction`` per (r - 2)-prefix.  The
+        r-subsets come in lexicographic order, that of ``combinations``.
 
-        In rank 2 and above the walk stops at prefixes of r - 2 columns and
-        finishes each by parallel classes.  Two later columns complete such
-        a prefix to a basis exactly when both are nonzero and not parallel,
-        once reduced.  A reduced column is zero at every pivot of the
-        prefix's rows, and every nonzero combination of echelon rows is
-        nonzero at some pivot (the pivot of the first row it uses: the rows
-        after it are zero there).  So a reduced column lies in the span of
-        the prefix and another reduced column u exactly when it is a
-        multiple of u.  Each later column thus costs one ``direction`` per
-        (r - 2)-prefix, not one ``eliminate`` per (r - 1)-prefix.  The walk
-        emits the r-subsets in lexicographic order, the order of
-        ``itertools.combinations``.
-
-        The walk runs on the int vectors of the columns: over the rationals
-        each column is scaled by the lcm of its denominators.  Scaling a
-        column by a nonzero scalar changes no set's independence, so the
-        matroid is the same, and the fraction-free elimination on ints that
-        follows is exact.
-
-        The masks are kept, so each later call only wraps them in a fresh
-        ``Matroid``, with fresh caches and the caller's provenance.  The
-        ground-size cap is checked on every call, before any basis is listed.
+        The walk runs on the int vectors of the columns (over the rationals,
+        each scaled by the lcm of its denominators, which changes no set's
+        independence), so the fraction-free elimination is exact.  The masks
+        are kept: each later call wraps them in a fresh ``Matroid`` with the
+        caller's provenance.  The ground-size cap is checked on every call.
         """
         check_ground_size(self.n)
         if self._basis_masks is None:
@@ -134,28 +116,25 @@ class Representation(Record):
         return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
-        """The canonical linear functional vanishing on the columns of H.
-
-        H must be an ``ElementSet`` on the n column labels.  The solution
-        space must be 1-dimensional, which holds exactly when H spans a
-        hyperplane of the column space.  Its one line is spanned by
-        ``null_vector`` of the echelon rows of H's columns, in normal form:
-        over GF(p) ints with first nonzero entry 1, over the rationals a
-        primitive integer vector, as ``Fraction`` values, with positive first
-        nonzero entry.
+        """The canonical linear functional vanishing on the columns of H, an
+        ``ElementSet`` on the column labels that spans a hyperplane of the
+        column space, so that the solution space is 1-dimensional.  Its one
+        line is spanned by ``null_vector`` of the echelon rows of H's
+        columns, in normal form: over GF(p) ints with first nonzero entry 1,
+        over the rationals a primitive integer vector, as ``Fraction``
+        values, with positive first nonzero entry.
         """
-        set_mask(H, self.n)
-        x = self._null_vector(H)
+        x = self._null_vector(set_mask(H, self.n))
         return x if self._char else tuple(map(Fraction, x))
 
-    def _null_vector(self, H: ElementSet) -> tuple:
-        """``covector`` of H as ints, for an H known to lie on the columns."""
-        rows = echelon([self._vectors[e] for e in H], self._char)
+    def _null_vector(self, h: int) -> tuple:
+        """``covector`` as ints of the set with mask h, which lies on the columns."""
+        rows = echelon([self._vectors[e] for e in bits(h)], self._char)
         free = self.dim - len(rows)
         if free != 1:
-            if not H:
+            if not h:
                 raise InputError("covector space of the empty set is not 1-dimensional")
-            raise InputError(f"covector space of {H!r} has dimension {free}, expected 1")
+            raise InputError(f"covector space of {ElementSet._trusted(h, self.n)!r} has dimension {free}, expected 1")
         return null_vector(rows, self.dim, self._char)
 
 
@@ -209,15 +188,14 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
         raise InputError("adjoint construction needs rank at least 1")
     if rep.matroid() != M:
         raise InputError("representation does not match the matroid's bases")
-    hyperplanes = M.hyperplanes()
+    hyperplanes = M.flats().masks[M.full_rank - 1]
     # the covectors are the columns of the target: listed from their int
     # vectors, which are already in the field's normal form
     check_ground_size(len(hyperplanes))
-    covectors = [rep._null_vector(H) for H in hyperplanes]
+    covectors = [rep._null_vector(h) for h in hyperplanes]
     target = Matroid._unchecked(len(hyperplanes), _column_bases(covectors, rep._char),
                                 provenance={"op": "covector-adjoint"})
-    bij = {H: i for i, H in enumerate(hyperplanes)}
-    phi = induced_map(M, target, bij)
+    phi = _induced(M, target, [(h, 1 << i) for i, h in enumerate(hyperplanes)])
     report = verify_adjoint(phi)
     if not report.valid:
         raise ConstructionError(f"covector construction failed verification:\n{report.summary()}")
@@ -256,11 +234,11 @@ def search_adjoint(M: Matroid) -> SearchResult:
         target = Matroid(0, [()])
         phi = AdjointMap(M, target, {M.closure(M.groundset()): ElementSet.empty(0)})
         return SearchResult(phi, True, 1)
-    hyperplanes = M.hyperplanes()
+    hyperplanes = M.flats().masks[r - 1]
     target = _freest_target(M, hyperplanes)
     fault = _fault(target) if r >= 4 else None
     if fault is None:
-        phi = induced_map(M, target, {H: i for i, H in enumerate(hyperplanes)})
+        phi = _induced(M, target, [(h, 1 << i) for i, h in enumerate(hyperplanes)])
         report = verify_adjoint(phi)
         if report.valid:
             return SearchResult(phi, False, 1)
@@ -286,7 +264,8 @@ def _fault(target: Optional[Matroid]) -> Optional[str]:
 
 
 def _freest_target(M: Matroid, hyperplanes: tuple) -> Optional[Matroid]:
-    """The freest candidate adjoint target of M, on the hyperplane labels.
+    """The freest candidate adjoint target of M, on the labels of the
+    hyperplane masks ``hyperplanes``.
 
     Label the hyperplanes H_i in canonical order, and for a flat F let P(F)
     be the set of labels i with F inside H_i.  An adjoint sends F to a flat
@@ -298,12 +277,11 @@ def _freest_target(M: Matroid, hyperplanes: tuple) -> Optional[Matroid]:
     |P(F)| > r - r(F); a hyperplane's P is its own label, so the flats of
     rank 1 to r - 2 suffice.  None when no r-subset is within the limits.
 
-    The ground-size cap is checked before the C(m, r) subsets are listed.
-    The target is built with ``_unchecked``.  In rank at most 3 it is a
-    simple rank-r matroid by a theorem.  In rank 1 the one label gives
-    U_1_1, and in rank 2 there are no limits, which gives U_2_m.  In rank 3
-    only the points bind: S is dependent exactly when it lies in P(p) for a
-    point p.  The H_i are lines, and two distinct lines meet in at most one
+    The ground-size cap is checked before the C(m, r) subsets are listed,
+    and the target is built with ``_unchecked``: in rank at most 3 it is a
+    simple rank-r matroid by a theorem.  Rank 1 gives U_1_1 and rank 2,
+    with no limits, U_2_m.  In rank 3 only the points bind: S is dependent
+    exactly when it lies in P(p) for a point p.  The H_i are lines, and two distinct lines meet in at most one
     point, so two labels share at most one P(p).  The P(p) of two or more
     labels, with every pair of labels that shares none, are then the lines
     of a linear space on the labels, and the triples off its lines are the
@@ -316,12 +294,10 @@ def _freest_target(M: Matroid, hyperplanes: tuple) -> Optional[Matroid]:
     r = M.full_rank
     m = len(hyperplanes)
     check_ground_size(m)
-    hmasks = [H.mask for H in hyperplanes]
     limits = []  # (P(F) as a mask of labels, r - r(F))
-    for k, layer in enumerate(M.flats().flats_by_rank[1:r - 1], start=1):
-        for F in layer:
-            f = F.mask
-            block = sum(1 << i for i, h in enumerate(hmasks) if not f & ~h)
+    for k, layer in enumerate(M.flats().masks[1:r - 1], start=1):
+        for f in layer:
+            block = sum(1 << i for i, h in enumerate(hyperplanes) if not f & ~h)
             if block.bit_count() > r - k:
                 limits.append((block, r - k))
     bases = []

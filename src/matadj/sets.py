@@ -1,21 +1,19 @@
 """Subsets of a fixed ground set {0, ..., n-1}.
 
-ElementSet is the universal currency of the package: flats, contraction and
-deletion sets are all ElementSets.  Each one is an int bitmask (bit e set
-when e is a member) plus the universe size n, and the mask is the one internal
-representation: set algebra, subset tests, hashing, rank queries and the
-bases of a ``Matroid`` all use it.  ``members`` is derived on demand.
+Inside the package a set is an int bitmask, bit e set when e is a member:
+bases, flats, rank and closure queries and the tables of adjoint maps are
+all masks.  ``ElementSet``, a mask plus the universe size n, is the
+boundary type: public functions take and return it, and the package builds
+one only where a caller reads a set.  Instances are immutable and hashable.
 
 Membership is validated once, where a set is made from caller-supplied
 elements: the constructor, ``of``, ``empty``, ``add`` and ``relabel`` refuse
 a non-iterable and anything but an int in range (bools included).  Set
-algebra, ``complement``, ``full`` and ``Matroid.closure`` build their results
-through a private path that skips the check, since those results lie in the
-same universe by construction.  Instances are immutable and hashable.
-
-``label_mask`` holds the one rule for a caller's list of element labels (a
-basis, a map entry, a CLI element list): each is a non-bool int in range, and
-none repeats, where a set would merge it.
+algebra, ``complement``, ``full`` and ``_trusted`` make sets from masks in
+the universe and check nothing.  ``label_mask`` holds the one rule for a
+caller's list of labels (a basis, a map entry, a CLI element list): a
+collection of non-bool ints in range, none repeated, where a set would
+merge it.
 """
 from __future__ import annotations
 
@@ -44,12 +42,16 @@ def _validated_mask(members: Iterable, universe: int) -> int:
 
 
 def label_mask(labels: Collection, universe: int, what: str) -> int:
-    """The mask of a caller's list of labels, each a non-bool int in range, none repeated."""
+    """The mask of a caller's list of labels, each a non-bool int in range, none
+    repeated; labels that are no sized iterable raise the TypeError caught here."""
     try:
         mask = _validated_mask(labels, universe)
+        size = len(labels)
     except InputError as exc:
         raise InputError(f"{what} {labels!r} has {exc}") from None
-    if mask.bit_count() != len(labels):
+    except TypeError:
+        raise InputError(f"{what} {labels!r} is not a collection of element labels") from None
+    if mask.bit_count() != size:
         raise InputError(f"{what} {labels!r} repeats an element")
     return mask
 

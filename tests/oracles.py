@@ -26,7 +26,8 @@ independence test by rank over the target's bases
 (``chain_violations_by_rank``); it shares no code with the library's chain
 kernels, which the public chain functions and ``full_verification`` both
 call.  Target simplicity is checked by a rank query on every pair of
-elements.
+elements.  ``modular_pairs_by_all_pairs`` is the modular-pair check that
+tests every pair of flats, including those whose images are nested.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -371,6 +372,27 @@ def brute_modular_pairs(phi):
                     != _rank_in(bases, a | b) + _rank_in(bases, a & b)):
                 out.append((X, Y))
     return out
+
+
+def modular_pairs_by_all_pairs(phi):
+    """``check_modular_pairs`` as it was before nested pairs were skipped:
+    every pair of flats, a flat with itself too, in canonical order, each
+    tested by the target's rank."""
+    rank = phi.target._rank
+    flats = phi.source.flats().canonical_order()
+    images = [(phi.table[X].mask, rank(phi.table[X].mask)) for X in flats]
+    violations = []
+    for i, (a, ra) in enumerate(images):
+        for j in range(i, len(images)):
+            b, rb = images[j]
+            rj, rm = rank(a | b), rank(a & b)
+            if ra + rb != rj + rm:
+                violations.append(Violation(
+                    "modular_pairs", (flats[i], flats[j]),
+                    "r(phi X) + r(phi Y) = r(join) + r(meet)",
+                    f"{ra}+{rb} != {rj}+{rm}",
+                ))
+    return VerificationReport(("modular_pairs",), tuple(violations))
 
 
 def brute_rank_complement(phi):
