@@ -31,13 +31,9 @@ from .files import (
     write_catalog_fixtures,
 )
 from .lattice import FlatLattice, hyperplane_chain
+from .linalg import Representation, adjoint_from_representation
 from .matroid import Matroid, MinorSpec, apply_minor, minor_normal_form
-from .search import (
-    Representation,
-    SearchResult,
-    adjoint_from_representation,
-    search_adjoint,
-)
+from .search import SearchResult, search_adjoint
 from .sets import ElementSet
 
 __all__ = [

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Dict, Optional, Tuple
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError, expect
 from .lattice import greedy_chain
@@ -67,7 +66,7 @@ class Violation(Record):
 class VerificationReport(Record):
     _fields = ("checks_run", "violations")
 
-    def __init__(self, checks_run: Tuple[str, ...], violations: Tuple[Violation, ...]):
+    def __init__(self, checks_run: tuple[str, ...], violations: tuple[Violation, ...]):
         _set(self, "checks_run", checks_run)
         _set(self, "violations", violations)
 
@@ -139,7 +138,7 @@ class AdjointMap(Record):
         return view
 
     @property
-    def hyperplane_order(self) -> Optional[Tuple[ElementSet, ...]]:
+    def hyperplane_order(self) -> tuple[ElementSet, ...] | None:
         order = self._order
         return None if order is None else tuple(_trusted(h, self.source.n) for h in order)
 
@@ -157,18 +156,17 @@ class AdjointMap(Record):
         return [(_trusted(f, n), _trusted(table[f], t)) for f in self.source.flats().canonical_masks]
 
 
-def _derive_hyperplane_order(phi: AdjointMap) -> Optional[Tuple[int, ...]]:
-    r = phi.source.full_rank
-    if r == 0:
-        return ()
+def _derive_hyperplane_order(phi: AdjointMap) -> tuple[int, ...] | None:
+    hyperplanes = phi.source.flats().hyperplane_masks
     by_point: dict = {}  # point -> hyperplane; the table is total, and points lie in the target
-    for h in phi.source.flats().masks[r - 1]:
+    for h in hyperplanes:
         img = phi._table[h]
         if img.bit_count() != 1 or img in by_point:
             return None
         by_point[img] = h
     if len(by_point) != phi.target.n:
-        return None
+        # in rank 0 there is no hyperplane, and the order is empty whatever the target
+        return None if hyperplanes else ()
     return tuple(by_point[1 << i] for i in range(phi.target.n))
 
 
@@ -200,7 +198,8 @@ def _structural_check(phi: AdjointMap) -> None:
         raise StructureError(f"table is not total: missing flats {[_trusted(f, n) for f in missing[:3]]}...")
     if len(table) != lattice.flat_count():  # every flat is a key, so some key is not a flat
         extra = [f[0] if f.__class__ is tuple else _trusted(f, n) for f in table if f not in lattice.rank_by_mask]
-        raise StructureError(f"table has keys that are not flats of the source: {sorted(extra, key=lambda f: f.key)[:3]}")
+        extra.sort(key=lambda f: (0, f.key) if f.__class__ is ElementSet else (1,))  # other keys stay in table order
+        raise StructureError(f"table has keys that are not flats of the source: {extra[:3]}")
     t, closure = phi.target.n, phi.target._closure
     for f, img in table.items():
         if img.__class__ is tuple or closure(img) != img:
@@ -239,7 +238,8 @@ def _require_adjoint(phi: AdjointMap) -> None:
 def _definition_report(phi: AdjointMap) -> VerificationReport:
     M, Mp = phi.source, phi.target
     n, t, table = M.n, Mp.n, phi._table
-    layers = M.flats().masks
+    lattice = M.flats()
+    layers = lattice.masks
     violations = []
 
     # target simplicity, off the closures of the empty set and the
@@ -261,7 +261,7 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
         violations.append(Violation("rank_match", (), f"target rank {M.full_rank}", str(Mp.full_rank)))
 
     # injectivity
-    for f1, f2, img in _repeats((f, table[f]) for f in M.flats().canonical_masks):
+    for f1, f2, img in _repeats((f, table[f]) for f in lattice.canonical_masks):
         violations.append(Violation("injectivity", (_trusted(f1, n), _trusted(f2, n)),
                                     "distinct images", f"both map to {_trusted(img, t)!r}"))
 
@@ -282,7 +282,7 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
     # hyperplanes -> points bijectively; the points of M' are the closures
     # of its non-loop elements
     points = {p for e, p in enumerate(singles) if not loops >> e & 1}
-    hyperplanes = layers[M.full_rank - 1] if M.full_rank >= 1 else ()
+    hyperplanes = lattice.hyperplane_masks
     images = [table[h] for h in hyperplanes]
     for h, img in zip(hyperplanes, images):
         if img not in points:
@@ -418,18 +418,17 @@ def _chain_report(phi: AdjointMap) -> VerificationReport:
     ``greedy_chain`` and ``_chain_violations``; the public check's
     preconditions hold by construction, so they are not tested."""
     M = phi.source
-    r = M.full_rank
-    layers = M.flats().masks
-    hyperplanes = layers[r - 1] if r >= 1 else ()
+    lattice = M.flats()
+    hyperplanes = lattice.hyperplane_masks
     pairs = [(h, phi._table[h]) for h in hyperplanes]
     violations = []
-    for k, layer in enumerate(layers):
+    for k, layer in enumerate(lattice.masks):
         for x in layer:
             violations += _chain_violations(phi, pairs, greedy_chain(M, hyperplanes, x, k))
     return VerificationReport(("chain_independence",), tuple(violations))
 
 
-def full_verification(phi: AdjointMap) -> Dict[str, VerificationReport]:
+def full_verification(phi: AdjointMap) -> dict[str, VerificationReport]:
     """Definition checks, rank complement, chain independence for every flat's
     canonical chain, and modular pairs.  Keys in a fixed order."""
     return {
@@ -461,6 +460,9 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
     hyperplanes = M.hyperplanes() if M.full_rank >= 1 else ()
     if set(bij) != set(hyperplanes):
         raise InputError("bijection is not total on the source hyperplanes")
+    for label in bij.values():
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise InputError(f"bijection value {label!r} is not a point label: expected an int")
     if sorted(bij.values()) != list(range(Mp.n)):
         raise InputError("bijection is not onto the points of the target")
     return _induced(M, Mp, [(H.mask, 1 << bij[H]) for H in hyperplanes])
@@ -507,9 +509,7 @@ def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
 
 def _vanishing(M: Matroid, dm: int) -> list:
     """The masks of ``vanishing_hyperplanes`` of the set with mask dm."""
-    if M.full_rank == 0:
-        return []
-    hyperplanes = M.flats().masks[M.full_rank - 1]  # built first, so that M\\D reads its lattice off M's
+    hyperplanes = M.flats().hyperplane_masks  # built first, so that M\\D reads its lattice off M's
     lifted = set(M._minor("delete", dm).flats()._lift.values())
     return [h for h in hyperplanes if h not in lifted]
 

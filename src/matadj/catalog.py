@@ -8,24 +8,23 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Tuple
 
 from .errors import InputError
+from .linalg import Representation
 from .matroid import Matroid
-from .search import Representation
 from .sets import Record, _set
 
 
 class CatalogEntry(Record):
     _fields = ("name", "matroid", "representation")
 
-    def __init__(self, name: str, matroid: Matroid, representation: Optional[Representation]):
+    def __init__(self, name: str, matroid: Matroid, representation: Representation | None):
         _set(self, "name", name)
         _set(self, "matroid", matroid)
         _set(self, "representation", representation)
 
 
-def uniform(r: int, n: int, name: Optional[str] = None) -> Matroid:
+def uniform(r: int, n: int, name: str | None = None) -> Matroid:
     """U_{r,n}: every r-subset is a basis."""
     if type(r) is not int or type(n) is not int:
         raise InputError(f"uniform matroid needs integers r and n, got r={r!r}, n={n!r}")
@@ -43,12 +42,12 @@ def _vandermonde(r: int, n: int) -> Representation:
     return Representation("rational", cols, r)
 
 
-def _fano_columns() -> Tuple[tuple, ...]:
+def _fano_columns() -> tuple[tuple, ...]:
     # columns are the binary digits of 1..7; the first three are collinear
     return tuple(tuple((v >> k) & 1 for k in (2, 1, 0)) for v in range(1, 8))
 
 
-def _k4_columns() -> Tuple[tuple, ...]:
+def _k4_columns() -> tuple[tuple, ...]:
     # edges of K4 as e_u - e_v, coordinate of vertex 3 dropped
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     cols = []
@@ -63,7 +62,7 @@ def _k4_columns() -> Tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=1)
-def catalog() -> Tuple[CatalogEntry, ...]:
+def catalog() -> tuple[CatalogEntry, ...]:
     reps = (
         ("U_1_1", _vandermonde(1, 1)),
         ("U_1_2", Representation("rational", ((1,), (1,)), 1)),

@@ -20,8 +20,9 @@ from .adjoint import (
 )
 from .errors import InputError, MatadjError, PreconditionError, StructureError
 from .files import canonical_json, load_adjoint, load_matroid, save_adjoint
+from .linalg import adjoint_from_representation
 from .matroid import Matroid, MinorSpec
-from .search import adjoint_from_representation, search_adjoint
+from .search import search_adjoint
 from .sets import ElementSet, label_mask
 
 

@@ -24,16 +24,15 @@ from __future__ import annotations
 import json
 from os import PathLike
 from pathlib import Path
-from typing import Optional, Tuple, Union
 
 from .adjoint import AdjointMap
 from .catalog import by_name
 from .errors import InputError, expect
+from .linalg import Representation
 from .matroid import Matroid, checked_basis_masks
-from .search import Representation
 from .sets import ElementSet, bits, label_mask
 
-Source = Union[str, Path, dict]
+Source = str | Path | dict
 
 
 def canonical_json(obj) -> str:
@@ -67,8 +66,7 @@ def _read(source: Source) -> dict:
 # matroids
 # ---------------------------------------------------------------------------
 
-def matroid_to_dict(M: Matroid, name: Optional[str] = None,
-                    rep: Optional[Representation] = None) -> dict:
+def matroid_to_dict(M: Matroid, name: str | None = None, rep: Representation | None = None) -> dict:
     if rep is not None:
         if rep.field == "rational":
             field = "rational"
@@ -97,7 +95,7 @@ def _read_n(data: dict) -> int:
     return n
 
 
-def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Optional[str]]:
+def load_matroid(source: Source) -> tuple[Matroid, Representation | None, str | None]:
     """Returns (matroid, representation-or-None, name-or-None)."""
     data = _read(source)
     name = data.get("name")
@@ -129,8 +127,8 @@ def load_matroid(source: Source) -> Tuple[Matroid, Optional[Representation], Opt
     raise InputError("matroid file needs either 'bases' or 'matrix'")
 
 
-def save_matroid(M: Matroid, path: Union[str, Path], name: Optional[str] = None,
-                 rep: Optional[Representation] = None) -> None:
+def save_matroid(M: Matroid, path: str | Path, name: str | None = None,
+                 rep: Representation | None = None) -> None:
     expect(M, Matroid)
     _path(path).write_text(canonical_json(matroid_to_dict(M, name, rep)), encoding="utf-8")
 
@@ -177,8 +175,8 @@ def _labels(values, n: int, what: str) -> int:
     return label_mask(values, n, what)
 
 
-def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
-                 target_matroid: Optional[Matroid] = None) -> AdjointMap:
+def load_adjoint(source: Source, source_matroid: Matroid | None = None,
+                 target_matroid: Matroid | None = None) -> AdjointMap:
     """Load a map file; explicit matroids override (and are checked against)
     any embedded ones.  Entries and the hyperplane order are read straight
     to masks."""
@@ -186,7 +184,7 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
     if "map" not in data or not isinstance(data["map"], list):
         raise InputError("adjoint file needs a 'map' list")
 
-    def pick(key: str, override: Optional[Matroid]) -> Matroid:
+    def pick(key: str, override: Matroid | None) -> Matroid:
         embedded = data.get(key)
         if override is None:
             if embedded is None:
@@ -212,7 +210,7 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
         if not isinstance(stored, list) or not all(isinstance(h, list) for h in stored):
             raise InputError("'hyperplane_order' must be a list of lists")
         order = tuple(_labels(h, M.n, "hyperplane_order entry") for h in stored)
-        hyperplanes = M.flats().masks[M.full_rank - 1] if M.full_rank >= 1 else ()
+        hyperplanes = M.flats().hyperplane_masks
         # the hyperplanes are distinct, so equal lengths and sets make a permutation
         if len(order) != len(hyperplanes) or set(order) != set(hyperplanes):
             raise InputError("stored hyperplane_order is not a permutation of the source hyperplanes")
@@ -222,7 +220,7 @@ def load_adjoint(source: Source, source_matroid: Optional[Matroid] = None,
     return phi
 
 
-def save_adjoint(phi: AdjointMap, path: Union[str, Path]) -> None:
+def save_adjoint(phi: AdjointMap, path: str | Path) -> None:
     expect(phi, AdjointMap)
     _path(path).write_text(canonical_json(adjoint_to_dict(phi)), encoding="utf-8")
 
@@ -231,7 +229,7 @@ def save_adjoint(phi: AdjointMap, path: Union[str, Path]) -> None:
 # fixtures
 # ---------------------------------------------------------------------------
 
-def write_catalog_fixtures(directory: Union[str, Path]) -> list:
+def write_catalog_fixtures(directory: str | Path) -> list:
     """Write every catalog entry as a matroid JSON file; returns the paths."""
     from .catalog import catalog
 

@@ -29,8 +29,8 @@ a geometric lattice; see ``Matroid`` for where the exchange axiom is checked.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Dict, Iterator, Tuple
 
 from .errors import ConstructionError, InputError, expect
 from .matroid import Matroid, _squeeze
@@ -100,34 +100,39 @@ class FlatLattice:
         return lattice
 
     @property
-    def flats_by_rank(self) -> Tuple[Tuple[ElementSet, ...], ...]:
+    def flats_by_rank(self) -> tuple[tuple[ElementSet, ...], ...]:
         return tuple(map(self.layer, range(len(self.masks))))
 
     @cached_property
-    def _lift(self) -> Dict[int, int]:
+    def _lift(self) -> dict[int, int]:
         """``lift`` on masks; a lattice built by closures walks the parent on first read."""
         return _lift_walk(self.owner)[0]
 
     @property
-    def lift(self) -> Dict[int, ElementSet]:
+    def lift(self) -> dict[int, ElementSet]:
         """Flat mask -> the least flat of the parent over it, for the lattice of
         a minor made by ``Matroid.contract`` (F u C) or ``Matroid.delete`` (cl(F))."""
         lift = self._lift
         return {f: _trusted(g, self.owner._minor_of[0].n) for f, g in lift.items()}
 
+    @property
+    def hyperplane_masks(self) -> tuple[int, ...]:
+        """The hyperplane masks, the rank-(r - 1) layer; empty in rank 0."""
+        return self.masks[-2] if len(self.masks) > 1 else ()
+
     @cached_property
-    def rank_by_mask(self) -> Dict[int, int]:
+    def rank_by_mask(self) -> dict[int, int]:
         """Flat mask -> rank, computed on first read."""
         return {f: k for k, layer in enumerate(self.masks) for f in layer}
 
     @cached_property
-    def canonical_masks(self) -> Tuple[int, ...]:
+    def canonical_masks(self) -> tuple[int, ...]:
         """All flat masks by size, then lexicographically.  Map files and the
         injectivity and modular-pair witnesses follow this order."""
         return tuple(sorted((f for layer in self.masks for f in layer), key=lambda f: (f.bit_count(), bits(f))))
 
     @cached_property
-    def covers(self) -> Dict[ElementSet, frozenset]:
+    def covers(self) -> dict[ElementSet, frozenset]:
         """Flat -> the flats covering it, computed on first read: the covers
         of F are the flats one rank up that contain F."""
         layers = self.flats_by_rank
@@ -141,7 +146,7 @@ class FlatLattice:
 
     # -- queries ------------------------------------------------------------
 
-    def layer(self, k: int) -> Tuple[ElementSet, ...]:
+    def layer(self, k: int) -> tuple[ElementSet, ...]:
         if k < 0 or k >= len(self.masks):
             raise InputError(f"no rank-{k} layer in a rank-{len(self.masks) - 1} lattice")
         n = self.owner.n
@@ -151,7 +156,7 @@ class FlatLattice:
         for layer in self.flats_by_rank:
             yield from layer
 
-    def canonical_order(self) -> Tuple[ElementSet, ...]:
+    def canonical_order(self) -> tuple[ElementSet, ...]:
         """The flats in the order of ``canonical_masks``."""
         n = self.owner.n
         return tuple(_trusted(f, n) for f in self.canonical_masks)
@@ -187,7 +192,7 @@ def hyperplane_chain(M, X: ElementSet) -> list:
     k = lattice.rank_of(X)
     if k == M.full_rank:
         return []
-    hyperplanes = lattice.masks[M.full_rank - 1]
+    hyperplanes = lattice.hyperplane_masks
     return [_trusted(hyperplanes[i], M.n) for i in greedy_chain(M, hyperplanes, X.mask, k)]
 
 

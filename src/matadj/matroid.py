@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from typing import Optional
 
 from .errors import ConstructionError, InputError, expect
 from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
@@ -109,7 +108,7 @@ class Matroid:
     returns the violating pair unformatted, so a rejection costs no message.
     """
 
-    def __init__(self, n: int, bases: Iterable, provenance: Optional[dict] = None):
+    def __init__(self, n: int, bases: Iterable, provenance: dict | None = None):
         if type(n) is not int:
             raise InputError(f"ground-set size must be an integer, got {n!r}")
         check_ground_size(n)
@@ -127,7 +126,7 @@ class Matroid:
             raise InputError(f"basis exchange fails for pair B1={bits(b1)}, B2={bits(b2)} at element {e}")
 
     @classmethod
-    def _unchecked(cls, n: int, masks: Iterable, provenance: Optional[dict] = None) -> "Matroid":
+    def _unchecked(cls, n: int, masks: Iterable, provenance: dict | None = None) -> "Matroid":
         """A matroid whose distinct basis masks, at least one and all of one
         size, pass the exchange axiom by a theorem.
 
@@ -138,7 +137,7 @@ class Matroid:
         matroid._setup(n, tuple(masks), provenance)
         return matroid
 
-    def _setup(self, n: int, masks: tuple, provenance: Optional[dict]) -> None:
+    def _setup(self, n: int, masks: tuple, provenance: dict | None) -> None:
         self.n = n
         self.full_rank = masks[0].bit_count()
         self.provenance = provenance
@@ -147,7 +146,7 @@ class Matroid:
         self._rank_cache: dict = {}  # subset mask -> rank
         self._closure_cache: dict = {}  # subset mask -> mask of its closure
         self._indexed = len(masks) > SCAN_LIMIT << self.full_rank  # which kernel answers a miss
-        self._indep: Optional[tuple] = None  # the independent-set index, built on first use
+        self._indep: tuple | None = None  # the independent-set index, built on first use
         self._minor_cache: dict = {}
         self._lattice = None
         self._minor_of = None  # (parent, removed mask, contracted), set by contract and delete
@@ -157,7 +156,7 @@ class Matroid:
         """The bases as a frozenset of frozensets, derived from the masks."""
         return frozenset(frozenset(bits(b)) for b in self._basis_masks)
 
-    def _check_exchange(self) -> Optional[tuple]:
+    def _check_exchange(self) -> tuple | None:
         """The first violation of the basis-exchange axiom, or None if there is none.
 
         A violation is (B1, B2, e): bases B1 != B2 and e in B1 - B2 such that

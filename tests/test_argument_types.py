@@ -2,17 +2,20 @@
 representation, and ``uniform``, refuse an argument of the wrong class with an
 ``InputError`` that names what they expected, never an AttributeError or a
 TypeError from deep inside.  So do the entries that take a collection of
-elements, bases or hyperplanes, or a file path."""
+elements, bases or hyperplanes, or a file path, and a map table's keys and an
+induced map's point labels."""
 import re
 
 import pytest
 
 from matadj import (
+    AdjointMap,
     ElementSet,
     FlatLattice,
     InputError,
     Matroid,
     MinorSpec,
+    StructureError,
     adjoint_from_representation,
     apply_minor,
     by_name,
@@ -104,3 +107,25 @@ KIND_CASES = [
 def test_wrong_argument_kind_is_an_input_error(call, message):
     with pytest.raises(InputError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("key", [5, "x", (1,)], ids=repr)
+def test_table_key_that_is_not_an_element_set_is_a_structure_error(key):
+    table = {**PHI.table, key: ElementSet.empty(3)}
+    with pytest.raises(StructureError, match=re.escape(f"table has keys that are not flats of the source: [{key!r}]")):
+        AdjointMap(M, PHI.target, table)
+
+
+def test_table_keys_that_are_not_flats_list_element_sets_first():
+    # element sets in lexicographic order, then other keys in table order
+    table = {**PHI.table, "x": EMPTY, ElementSet.of([1, 2], 3): EMPTY, 5: EMPTY, ElementSet.of([0, 1], 3): EMPTY}
+    with pytest.raises(StructureError, match=re.escape(
+            "table has keys that are not flats of the source: [{0,1}/3, {1,2}/3, 'x']")):
+        AdjointMap(M, PHI.target, table)
+
+
+@pytest.mark.parametrize("label", [True, 1.0, "a"], ids=repr)
+def test_induced_map_point_label_must_be_an_int(label):
+    H = M.hyperplanes()
+    with pytest.raises(InputError, match=re.escape(f"bijection value {label!r} is not a point label: expected an int")):
+        induced_map(M, uniform(2, 3), {H[0]: 0, H[1]: label, H[2]: 2})

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from matadj import (
+    AdjointMap,
     ElementSet,
     FlatLattice,
     InputError,
@@ -93,6 +94,23 @@ def test_hyperplanes():
 def test_hyperplanes_of_rank_zero_rejected():
     with pytest.raises(InputError, match="no hyperplanes"):
         Matroid(2, [[]]).hyperplanes()
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_hyperplane_masks_are_the_hyperplanes(name):
+    M = by_name(name).matroid
+    assert M.flats().hyperplane_masks == tuple(H.mask for H in M.hyperplanes())
+    N = M.contract(es([0], M.n))  # a lattice read off its parent's
+    expected = tuple(H.mask for H in N.hyperplanes()) if N.full_rank else ()
+    assert N.flats().hyperplane_masks == expected
+
+
+def test_hyperplane_masks_of_rank_zero_are_empty():
+    for M in (Matroid(0, [()]), Matroid(2, [[]])):
+        assert M.flats().hyperplane_masks == ()
+    # so a rank-0 map's hyperplane order is empty, into a target with loops too
+    phi = AdjointMap(Matroid(0, [()]), Matroid(1, [[]]), {es([], 0): es([0], 1)})
+    assert phi.hyperplane_order == ()
 
 
 def test_chain_examples():

@@ -25,7 +25,7 @@ from matadj import (
 )
 from matadj.cli import main
 from matadj.files import adjoint_to_dict, canonical_json, save_matroid
-from matadj.search import Representation
+from matadj.linalg import Representation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from matadj import (
+    AdjointMap,
     ElementSet,
     InputError,
     Matroid,
     MinorSpec,
     Representation,
+    SearchResult,
     adjoint_from_representation,
     by_name,
     catalog,
@@ -286,6 +288,18 @@ def test_cap_refusal_is_not_a_negative_answer(monkeypatch):
     monkeypatch.setenv("MATADJ_MAX_N", "5")
     with pytest.raises(InputError, match="exceeds cap"):
         search_adjoint(uniform(3, 4))
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_rank_zero_search_is_the_empty_adjoint(n):
+    # the freest target in rank 0 is U_0_0, and its map is the one map
+    # that the public constructors build
+    M = Matroid(n, [()])
+    empty = AdjointMap(M, Matroid(0, [()]), {M.closure(M.groundset()): ElementSet.empty(0)})
+    result = search_adjoint(M)
+    assert result == SearchResult(empty, True, 1)
+    assert verify_adjoint(result.found).valid
+    assert canonical_json(adjoint_to_dict(result.found)) == canonical_json(adjoint_to_dict(empty))
 
 
 def test_search_rank_zero_and_point():
