@@ -386,16 +386,27 @@ def _chain_violations(phi: AdjointMap, pairs: list, chain) -> list:
 
 def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
     """phi(X), phi(Y) form a modular pair in the target, for all flats X, Y.
-    A pair with nested images, a within b, is skipped: its join is b and its
-    meet a, so r(a) + r(b) = r(join) + r(meet) holds."""
+
+    Only pairs whose images both have target rank 2 to r' - 1 are tested,
+    in canonical pair order; no other pair can fail, on any map.  Every
+    image is a target flat (the structural check).  A pair with nested
+    images, a within b, has join b and meet a, so r(a) + r(b) = r(join) +
+    r(meet).  An image of rank 0 is cl'(empty), and one of rank r' is E';
+    each is nested with every flat.  For an image a of rank 1 (a point)
+    and a flat b that does not contain it, a n b is a flat strictly inside
+    a, so of rank 0, and r(a u b) = r(b) + 1: more than r(b), since the
+    flat b misses an element of a, and at most r(a) + r(b).  So r(a) + r(b)
+    = r(a u b) + r(a n b).  That is, points are modular elements of every
+    geometric lattice (R. P. Stanley, "Modular elements of geometric
+    lattices", Algebra Universalis 1, 1971)."""
     expect(phi, AdjointMap)
-    rank, n = phi.target._rank, phi.source.n
+    rank, n, top = phi.target._rank, phi.source.n, phi.target.full_rank
     flats = phi.source.flats().canonical_masks
-    images = [(img, rank(img)) for img in map(phi._table.__getitem__, flats)]
+    images = [(f, img, ra) for f, img in zip(flats, map(phi._table.__getitem__, flats))
+              if 2 <= (ra := rank(img)) < top]
     violations = []
-    for i, (a, ra) in enumerate(images):
-        for j in range(i + 1, len(images)):
-            b, rb = images[j]
+    for i, (x, a, ra) in enumerate(images):
+        for y, b, rb in images[i + 1:]:
             meet = a & b
             if meet == a or meet == b:
                 continue
@@ -403,7 +414,7 @@ def check_modular_pairs(phi: AdjointMap) -> VerificationReport:
             rj, rm = rank(a | b), rank(meet)
             if ra + rb != rj + rm:
                 violations.append(Violation(
-                    "modular_pairs", (_trusted(flats[i], n), _trusted(flats[j], n)),
+                    "modular_pairs", (_trusted(x, n), _trusted(y, n)),
                     "r(phi X) + r(phi Y) = r(join) + r(meet)",
                     f"{ra}+{rb} != {rj}+{rm}",
                 ))

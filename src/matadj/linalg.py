@@ -99,19 +99,20 @@ def eliminate(vec: list, echelon, char: int) -> list:
     found, each row zero at the pivots of the rows before it, as the vectors
     this function returns are.  Each step is v <- a*v - x*e, with a = e[pivot]
     and x = v[pivot], which zeroes v[pivot] and keeps the earlier pivots zero.
-    Over GF(p) (``char`` = p) the entries are then taken mod p; over the
-    rationals (``char`` = 0) v is divided by the gcd of its entries, so the
-    ints stay small and no fraction is ever formed.  The result is zero
-    exactly when ``vec`` lies in the span of the rows.
+    Over GF(p) (``char`` = p) each entry of the combination is taken mod p
+    as it is formed, in the same pass; over the rationals (``char`` = 0) v
+    is then divided by the gcd of its entries, so the ints stay small and
+    no fraction is ever formed.  The result is zero exactly when ``vec``
+    lies in the span of the rows.
     """
     for pivot, row in echelon:
         x = vec[pivot]
         if x:
             a = row[pivot]
-            vec = [a * v - x * e for v, e in zip(vec, row)]
             if char:
-                vec = [v % char for v in vec]
+                vec = [(a * v - x * e) % char for v, e in zip(vec, row)]
             else:
+                vec = [a * v - x * e for v, e in zip(vec, row)]
                 g = gcd(*vec)
                 if g > 1:
                     vec = [v // g for v in vec]

@@ -10,13 +10,18 @@ against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
 
-``enumerate_families`` and ``rank_table`` are the exceptions to "no
-bitmasks".  The first is the exhaustive family enumeration that
-``search_adjoint`` replaced with the freest target, kept here as the
-reference search it is compared against.  The second indexes all 2^n
-subsets by mask, so that every subset of a 15-element target can be
-checked; it reads independence off the bases by a transform over the
-subset lattice, with no greedy and no rank query.
+``enumerate_families``, ``rank_table`` and
+``independent_sets_by_derivation`` are the exceptions to "no bitmasks".
+The first is the exhaustive family enumeration that ``search_adjoint``
+replaced with the freest target, kept here as the reference search it is
+compared against.  The second indexes all 2^n subsets by mask, so that
+every subset of a 15-element target can be checked; it reads independence
+off the bases by a transform over the subset lattice, with no greedy and no
+rank query.  The third is the level-by-level derivation of the
+independent-set index that ``Matroid._independent_sets`` replaced, where
+cheaper, with a test of the candidate sets, and ``eliminate_in_two_passes``
+is the elimination step that took the combination and its reduction mod p
+in two passes.
 
 ``chain_report_by_merging`` and ``simple_violations_by_pairs`` are the
 reference forms of two checks that the library makes in one pass.  The
@@ -100,6 +105,28 @@ def rank_table(M):
             if s & bit and ranks[s ^ bit] > ranks[s]:
                 ranks[s] = ranks[s ^ bit]
     return ranks
+
+
+def independent_sets_by_derivation(M):
+    """``Matroid._independent_sets`` as it was: entry k holds the masks of
+    the independent k-sets, the bases for k = r and, below that, every member
+    of entry k + 1 less one element."""
+    levels = [set(M._basis_masks)]
+    for _ in range(M.full_rank):
+        levels.append({b & ~(1 << e) for b in levels[-1] for e in range(M.n) if b >> e & 1})
+    return tuple(reversed(levels))
+
+
+def eliminate_in_two_passes(vec, echelon, p):
+    """``linalg.eliminate`` over GF(p) with each step in two passes: the
+    combination a*v - x*e, then every entry mod p."""
+    for pivot, row in echelon:
+        x = vec[pivot]
+        if x:
+            a = row[pivot]
+            vec = [a * v - x * e for v, e in zip(vec, row)]
+            vec = [v % p for v in vec]
+    return vec
 
 
 def brute_restriction_bases(M, keep):

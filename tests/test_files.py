@@ -275,6 +275,32 @@ def test_malformed_embedding_refused_with_an_override(fixture_maps, embedded, me
         load_adjoint(data, source_matroid=phi.source)
 
 
+@pytest.mark.parametrize("label", [True, 1.0])
+def test_a_label_equal_to_an_int_is_refused_in_an_embedded_basis(fixture_maps, label):
+    # [0, True] == [0, 1] in Python, so a bare comparison of the lists would
+    # take this basis for the override's; the label check refuses it
+    phi = fixture_maps["U_2_3"]
+    data = adjoint_to_dict(phi)
+    data["source"]["bases"][0][1] = label
+    with pytest.raises(InputError, match=rf"^basis \[0, {label}\] has non-integer element {label}$"):
+        load_adjoint(data, source_matroid=phi.source)
+
+
+def test_a_basis_that_is_not_a_list_is_refused_with_an_override(fixture_maps):
+    phi = fixture_maps["U_2_3"]
+    data = adjoint_to_dict(phi)
+    data["source"]["bases"][0] = tuple(data["source"]["bases"][0])
+    with pytest.raises(InputError, match="^'bases' must be a list of lists$"):
+        load_adjoint(data, source_matroid=phi.source)
+
+
+def test_reordered_embedded_bases_agree_with_an_override(fixture_maps):
+    phi = fixture_maps["U_2_4"]
+    data = adjoint_to_dict(phi)
+    data["source"]["bases"] = [basis[::-1] for basis in reversed(data["source"]["bases"])]
+    assert load_adjoint(data, source_matroid=phi.source).table == phi.table
+
+
 def test_map_without_embedded_matroids(fixture_maps):
     phi = fixture_maps["U_2_3"]
     data = adjoint_to_dict(phi)

@@ -6,8 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matadj import InputError
-from matadj.linalg import PRIME_BOUND, characteristic, direction, echelon, integer_vector, is_prime, null_vector
-from oracles import is_prime_by_trial_division, rref
+from matadj.linalg import (
+    PRIME_BOUND,
+    characteristic,
+    direction,
+    echelon,
+    eliminate,
+    integer_vector,
+    is_prime,
+    leading_index,
+    null_vector,
+)
+from oracles import eliminate_in_two_passes, is_prime_by_trial_division, rref
 
 FIELDS = [2, 3, 5, "rational"]
 
@@ -126,3 +136,26 @@ def test_null_vector_is_its_own_direction(drawn):
     for _, row in rows:
         dot = sum(e * v for e, v in zip(row, x))
         assert (dot % char if char else dot) == 0
+
+
+@st.composite
+def reductions(draw):
+    """A prime p, echelon rows over GF(p) built by the two-pass step, and a
+    vector to reduce against them, whose entries run outside 0..p-1 too."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(-p, 2 * p), min_size=dim, max_size=dim)
+    rows = []
+    for vec in draw(st.lists(vector, max_size=dim)):
+        vec = eliminate_in_two_passes([x % p for x in vec], rows, p)
+        pivot = leading_index(vec)
+        if pivot is not None:
+            rows.append((pivot, vec))
+    return p, rows, draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions())
+def test_one_pass_elimination_matches_two_passes_over_gf_p(drawn):
+    p, rows, vec = drawn
+    assert eliminate(vec, rows, p) == eliminate_in_two_passes(vec, rows, p)

@@ -6,15 +6,24 @@ Each query goes to a fresh copy of the matroid, one for ranks and one for
 closures, and the closure memo is cleared before each closure, so that no
 answer comes from a cache.  Every test also asserts that the index was
 built, so that it cannot pass on the scan path.
+
+The index itself is compared, level by level, with the derivation of each
+level from the one above (``oracles.independent_sets_by_derivation``), and
+the levels built from candidate sets are recorded, so that both routes of
+``_independent_sets`` are shown to be taken where its rule says.
 """
+from math import comb
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import matadj.matroid
 from matadj import Matroid, Representation, adjoint_from_representation, by_name, uniform
 from matadj.catalog import _vandermonde
-from matadj.matroid import SCAN_LIMIT
-from oracles import brute_closure, brute_rank, rank_table
+from matadj.matroid import CANDIDATE_COST, SCAN_LIMIT
+from oracles import brute_closure, brute_rank, independent_sets_by_derivation, rank_table
+from test_trust_boundaries import representations
 
 
 def fresh(M):
@@ -132,6 +141,57 @@ def test_the_index_is_built_above_the_gate_only():
             N._rank(m)
             N._closure(m)
         assert (N._indep is not None) == indexed, M
+
+
+def routes(M):
+    """Assert that M's index equals the derivation oracle's, level by level,
+    and that exactly the levels the rule names were built from candidate
+    sets; return the sizes of the levels built from candidates and of those
+    derived from the level above."""
+    combinations = matadj.matroid.combinations
+    candidates = []  # the size of each level built from candidate sets
+
+    def recording(singles, size):
+        candidates.append(size)
+        return combinations(singles, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matadj.matroid, "combinations", recording)
+        got = fresh(M)._independent_sets()
+    want = independent_sets_by_derivation(M)
+    r = M.full_rank
+    assert len(got) == len(want) == r + 1
+    for size, (level, expected) in enumerate(zip(got, want)):
+        assert level == expected, size
+    rule = [k - 1 for k in range(r, 0, -1) if CANDIDATE_COST * comb(M.n, k - 1) < k * len(want[k])]
+    assert candidates == rule
+    return set(candidates), set(range(r)) - set(candidates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(representations(min_dim=1, max_dim=4, max_n=8))
+def test_drawn_indexes_match_the_derivation(rep):
+    routes(rep.matroid())
+
+
+def test_catalog_target_indexes_match_the_derivation(fixture_maps):
+    built = set()
+    for phi in fixture_maps.values():
+        built |= routes(phi.target)[0]
+    assert built == {0, 1, 2}  # every level below the bases of a rank-3 target, somewhere
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 4), (2, 4, 5), (1, 5, 7)])
+def test_sparse_index_derives_a_level(sizes):
+    # three parallel classes of the given sizes, spanning rank 3, and loops up
+    # to 16 labels: a.b.c bases, between 33 and 40, so more than 4 << 3 and
+    # too few to test the C(16, 2) pairs as candidates; the 33 to 47
+    # independent pairs are too few to test the 16 singletons
+    columns = [col for col, size in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), sizes) for _ in range(size)]
+    columns += [(0, 0, 0)] * (16 - len(columns))
+    M = Representation(2, tuple(columns), 3).matroid()
+    assert 33 <= len(M._basis_masks) <= 40 and M._indexed
+    assert routes(M) == ({0}, {1, 2})
 
 
 def _members(m):
