@@ -96,9 +96,12 @@ def _read_n(data: dict) -> int:
 
 
 def load_matroid(source: Source) -> tuple[Matroid, Representation | None, str | None]:
-    """Returns (matroid, representation-or-None, name-or-None)."""
+    """Returns (matroid, representation-or-None, name-or-None); a name, when
+    present and not null, must be a string."""
     data = _read(source)
     name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InputError(f"'name' must be a string, got {type(name).__name__}")
     n = _read_n(data)
     if "bases" in data:
         bases = data["bases"]

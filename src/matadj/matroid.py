@@ -30,14 +30,18 @@ CANDIDATE_COST = 6
 
 
 def max_ground_size() -> int:
-    """Hard cap on ground-set size; override with the MATADJ_MAX_N env var."""
+    """Hard cap on ground-set size; override with the MATADJ_MAX_N env var,
+    which must be a non-negative integer."""
     raw = os.environ.get(_ENV_MAX_N)
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise InputError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
+    if cap < 0:
+        raise InputError(f"{_ENV_MAX_N} must be non-negative, got {raw!r}")
+    return cap
 
 
 def check_ground_size(n: int) -> None:
@@ -119,15 +123,17 @@ class Matroid:
     bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
     repeated basis, a ground set above the cap of ``check_ground_size``, an
     empty family, bases of unequal sizes, and a family that fails the
-    basis-exchange axiom, which costs O(|B|^2 r^2), naming a violating pair.
-    ``_unchecked`` takes masks and checks none of this, for outputs that are
-    matroids by a theorem: column matroids (``Representation.matroid``), by
-    the Steinitz exchange lemma, the contraction, deletion, dual and
-    simplification of a ``Matroid``, and search's freest adjoint target in
-    rank at most 3.  Only the column matroid and the freest target bring a
-    new ground set, and they check the cap themselves.  In rank 4 and above
-    search calls ``_check_exchange`` on its candidate explicitly, which
-    returns the violating pair unformatted, so a rejection costs no message.
+    basis-exchange axiom, naming a violating pair.  That check costs |B| r n
+    basis lookups plus one scan of the bases per distinct exit set
+    (``_check_exchange``).  ``_unchecked`` takes masks and checks none of
+    this, for outputs that are matroids by a theorem: column matroids
+    (``Representation.matroid``), by the Steinitz exchange lemma, the
+    contraction, deletion, dual and simplification of a ``Matroid``, and
+    search's freest adjoint target in rank at most 3.  Only the column
+    matroid and the freest target bring a new ground set, and they check the
+    cap themselves.  In rank 4 and above search calls ``_check_exchange`` on
+    its candidate explicitly, which returns the violating pair unformatted,
+    so a rejection costs no message.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: dict | None = None):
@@ -184,28 +190,34 @@ class Matroid:
         A violation is (B1, B2, e): bases B1 != B2 and e in B1 - B2 such that
         no f in B2 - B1 makes B1 - e + f a basis.  The masks are returned as
         they are; only the public constructor formats them into a message.
+
+        For I = B1 - e, the exit set S(I) is the set of f that make I + f a
+        basis; e is one of them.  (B1, B2, e) is a violation exactly when B2
+        misses S(I): an f in both sets is not e, since e is not in B2, nor
+        in I, since I + f would then have r - 1 elements.  So no B2 that
+        holds e, B1 among them, misses S(I).  For each B1 in basis order,
+        each S(B1 - e) is found with n basis lookups, and the first basis
+        that misses it with one scan of the bases per distinct exit set; the
+        first B1 with such a basis, paired with the least (basis index, e),
+        is the violation that a scan of B1, then B2, then e, meets first.
+        Cost: |B| r n lookups, plus one scan of the bases per exit set.
         """
         masks = self._basis_masks
         mask_set = frozenset(masks)
+        singles = [1 << f for f in range(self.n)]
+        first_miss: dict = {}  # exit set -> index of the first basis that misses it, or None
         for b1 in masks:
-            for b2 in masks:
-                if b1 == b2:
-                    continue
-                only1 = b1 & ~b2
-                only2 = b2 & ~b1
-                rest = only1
-                while rest:
-                    ebit = rest & -rest
-                    rest ^= ebit
-                    base = b1 ^ ebit
-                    cand = only2
-                    while cand:
-                        fbit = cand & -cand
-                        cand ^= fbit
-                        if base | fbit in mask_set:
-                            break
-                    else:
-                        return b1, b2, ebit.bit_length() - 1
+            found = []
+            for e in bits(b1):
+                base = b1 ^ 1 << e
+                exits = sum(s for s in singles if base | s in mask_set)
+                if exits not in first_miss:
+                    first_miss[exits] = next((j for j, b in enumerate(masks) if not b & exits), None)
+                if first_miss[exits] is not None:
+                    found.append((first_miss[exits], e))
+            if found:
+                j, e = min(found)
+                return b1, masks[j], e
         return None
 
     # -- basic queries ------------------------------------------------------

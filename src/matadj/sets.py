@@ -8,12 +8,13 @@ one only where a caller reads a set.  Instances are immutable and hashable.
 
 Membership is validated once, where a set is made from caller-supplied
 elements: the constructor, ``of``, ``empty``, ``add`` and ``relabel`` refuse
-a non-iterable and anything but an int in range (bools included).  Set
-algebra, ``complement``, ``full`` and ``_trusted`` make sets from masks in
-the universe and check nothing.  ``label_mask`` holds the one rule for a
-caller's list of labels (a basis, a map entry, a CLI element list): a
-collection of non-bool ints in range, none repeated, where a set would
-merge it.
+a non-iterable and anything but an int in range (bools included).  The
+queries ``in`` and ``remove`` take any value: one that is no label, a bool
+among them, is not a member.  Set algebra, ``complement``, ``full`` and
+``_trusted`` make sets from masks in the universe and check nothing.
+``label_mask`` holds the one rule for a caller's list of labels (a basis, a
+map entry, a CLI element list): a collection of non-bool ints in range,
+none repeated, where a set would merge it.
 """
 from __future__ import annotations
 
@@ -29,11 +30,16 @@ def _immutable(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
 
 
+def _is_label(e) -> bool:
+    """Whether e is an int and not a bool: the only values that can be elements."""
+    return type(e) is int or isinstance(e, int) and not isinstance(e, bool)
+
+
 def _validated_mask(members: Iterable, universe: int) -> int:
     """The bitmask of ``members``, refusing anything but an int in range; repeats merge."""
     mask = 0
     for e in members:
-        if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
+        if type(e) is not int and not _is_label(e):  # plain ints skip the call
             raise InputError(f"non-integer element {e!r}")
         if e < 0 or e >= universe:
             raise InputError(f"element {e!r} out of range for ground set of size {universe}")
@@ -137,7 +143,7 @@ class ElementSet:
         return self.mask.bit_count()
 
     def __contains__(self, e) -> bool:
-        return isinstance(e, int) and e >= 0 and bool(self.mask >> e & 1)
+        return _is_label(e) and e >= 0 and bool(self.mask >> e & 1)
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -182,7 +188,7 @@ class ElementSet:
         return _trusted(self.mask | _validated_mask((e,), self.universe), self.universe)
 
     def remove(self, e: int) -> "ElementSet":
-        if isinstance(e, int) and 0 <= e < self.universe:
+        if _is_label(e) and 0 <= e < self.universe:
             return _trusted(self.mask & ~(1 << e), self.universe)
         return self
 

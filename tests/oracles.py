@@ -10,8 +10,8 @@ against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
 
-``enumerate_families``, ``rank_table`` and
-``independent_sets_by_derivation`` are the exceptions to "no bitmasks".
+``enumerate_families``, ``rank_table``, ``independent_sets_by_derivation``
+and ``exchange_violation_by_pairs`` are the exceptions to "no bitmasks".
 The first is the exhaustive family enumeration that ``search_adjoint``
 replaced with the freest target, kept here as the reference search it is
 compared against.  The second indexes all 2^n subsets by mask, so that
@@ -19,9 +19,10 @@ every subset of a 15-element target can be checked; it reads independence
 off the bases by a transform over the subset lattice, with no greedy and no
 rank query.  The third is the level-by-level derivation of the
 independent-set index that ``Matroid._independent_sets`` replaced, where
-cheaper, with a test of the candidate sets, and ``eliminate_in_two_passes``
-is the elimination step that took the combination and its reduction mod p
-in two passes.
+cheaper, with a test of the candidate sets.  The fourth is the pairwise
+scan that ``Matroid._check_exchange`` replaced with one pass over exit
+sets, and ``eliminate_in_two_passes`` is the elimination step that took the
+combination and its reduction mod p in two passes.
 
 ``chain_report_by_merging`` and ``simple_violations_by_pairs`` are the
 reference forms of two checks that the library makes in one pass.  The
@@ -115,6 +116,34 @@ def independent_sets_by_derivation(M):
     for _ in range(M.full_rank):
         levels.append({b & ~(1 << e) for b in levels[-1] for e in range(M.n) if b >> e & 1})
     return tuple(reversed(levels))
+
+
+def exchange_violation_by_pairs(M):
+    """``Matroid._check_exchange`` as it was: the first (B1, B2, e), scanning
+    B1, then B2, in basis order, then e in B1 - B2 by label, such that no f
+    in B2 - B1 makes B1 - e + f a basis; None if there is none."""
+    masks = M._basis_masks
+    mask_set = frozenset(masks)
+    for b1 in masks:
+        for b2 in masks:
+            if b1 == b2:
+                continue
+            only1 = b1 & ~b2
+            only2 = b2 & ~b1
+            rest = only1
+            while rest:
+                ebit = rest & -rest
+                rest ^= ebit
+                base = b1 ^ ebit
+                cand = only2
+                while cand:
+                    fbit = cand & -cand
+                    cand ^= fbit
+                    if base | fbit in mask_set:
+                        break
+                else:
+                    return b1, b2, ebit.bit_length() - 1
+    return None
 
 
 def eliminate_in_two_passes(vec, echelon, p):

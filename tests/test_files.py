@@ -107,6 +107,20 @@ def test_bad_matroid_files(data, message):
         load_matroid(data)
 
 
+@pytest.mark.parametrize("name, kind", [([1, 2], "list"), (7, "int"), (True, "bool"), ({"a": 1}, "dict")])
+def test_a_name_that_is_not_a_string_is_refused(name, kind):
+    for data in ({"n": 2, "bases": [[0]]}, {"n": 2, "field": {"prime": 2}, "matrix": [[1, 0]]}):
+        with pytest.raises(InputError, match=f"^'name' must be a string, got {kind}$"):
+            load_matroid({**data, "name": name})
+
+
+def test_a_null_or_absent_name_and_every_fixture_load():
+    assert load_matroid({"n": 2, "bases": [[0]], "name": None})[2] is None
+    assert load_matroid({"n": 2, "bases": [[0]]})[2] is None
+    for path in sorted(FIXTURES.glob("*.json")):
+        assert load_matroid(path)[2] == path.stem
+
+
 def test_rational_strings_are_exact():
     _, rep, _ = load_matroid({"n": 2, "field": "rational", "matrix": [["0.1", "1/3"], [1, "-2"]]})
     assert rep.columns == ((Fraction(1, 10), Fraction(1)), (Fraction(1, 3), Fraction(-2)))

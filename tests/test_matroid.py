@@ -15,6 +15,7 @@ from matadj import (
     minor_normal_form,
     uniform,
 )
+from matadj.matroid import max_ground_size
 from oracles import (
     brute_closure,
     brute_rank,
@@ -342,6 +343,16 @@ def test_ground_size_is_checked_before_the_bases_are_read(monkeypatch, n, messag
 
     with pytest.raises(InputError, match=message):
         Matroid(n, unread())
+
+
+@pytest.mark.parametrize("raw", ["-3", "-1"])
+def test_a_negative_cap_is_refused(monkeypatch, raw):
+    monkeypatch.setenv("MATADJ_MAX_N", raw)
+    for read in (max_ground_size, lambda: Matroid(0, [[]])):
+        with pytest.raises(InputError, match=f"^MATADJ_MAX_N must be non-negative, got '{raw}'$"):
+            read()
+    monkeypatch.setenv("MATADJ_MAX_N", "0")
+    assert max_ground_size() == 0 and Matroid(0, [[]]).full_rank == 0
 
 
 def test_ground_size_cap(monkeypatch):

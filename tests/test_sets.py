@@ -67,6 +67,16 @@ def test_non_int_labels_refused(make):
         make()
 
 
+def test_bools_are_never_members():
+    # True == 1, but a bool is no label: it is not found, and removing it
+    # changes nothing, as for the string "1"
+    a = ElementSet.of([0, 1], 3)
+    for e in (True, False, "1"):
+        assert e not in a
+        assert a.remove(e) == a
+    assert 1 in a and a.remove(1) == ElementSet.of([0], 3)
+
+
 def test_immutable():
     a = ElementSet.of([0], 2)
     with pytest.raises(AttributeError):
