@@ -6,9 +6,10 @@ Matroid files (UTF-8 JSON), three variants:
     {"name": ..., "n": 7, "field": {"prime": 2}, "matrix": [[...], ...]}
     {"name": ..., "n": 4, "field": "rational", "matrix": [["1","0",...], ...]}
 
-Matrix rows are coordinates; columns are elements.  GF(p) entries are
-integers; rational entries are integers or strings that ``Fraction`` parses,
-such as "1/2", checked by ``Representation``.  Element sets serialize as
+A matroid dict gives exactly one of "bases" and "matrix".  Matrix rows are
+coordinates; columns are elements.  GF(p) entries are integers; rational
+entries are integers or strings that ``Fraction`` parses, such as "1/2",
+checked by ``Representation``.  Element sets serialize as
 sorted integer arrays.  Adjoint map files:
 
     {"source": <matroid-dict>, "target": <matroid-dict>,
@@ -88,21 +89,25 @@ def _check_bases(bases) -> None:
         raise InputError("'bases' must be a list of lists")
 
 
-def _read_n(data: dict) -> int:
-    n = data.get("n")
-    if type(n) is not int:
-        raise InputError("matroid file needs an integer 'n'")
-    return n
-
-
-def load_matroid(source: Source) -> tuple[Matroid, Representation | None, str | None]:
-    """Returns (matroid, representation-or-None, name-or-None); a name, when
-    present and not null, must be a string."""
-    data = _read(source)
+def _read_fields(data: dict) -> tuple[str | None, int]:
+    """(name, n) of a matroid dict: a name, when present and not null, must
+    be a string, n an int, and the dict gives at most one of 'bases' and
+    'matrix'."""
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"'name' must be a string, got {type(name).__name__}")
-    n = _read_n(data)
+    n = data.get("n")
+    if type(n) is not int:
+        raise InputError("matroid file needs an integer 'n'")
+    if "bases" in data and "matrix" in data:
+        raise InputError("matroid file gives both 'bases' and 'matrix'; it needs exactly one")
+    return name, n
+
+
+def load_matroid(source: Source) -> tuple[Matroid, Representation | None, str | None]:
+    """Returns (matroid, representation-or-None, name-or-None); see ``_read_fields``."""
+    data = _read(source)
+    name, n = _read_fields(data)
     if "bases" in data:
         bases = data["bases"]
         _check_bases(bases)
@@ -161,12 +166,13 @@ def _resolve_matroid(spec, role: str) -> Matroid:
 
 
 def _describes(spec, M: Matroid, role: str) -> bool:
-    """Whether an embedded matroid is M.  A bases list is validated and
-    compared as a set, without a Matroid built from it: M passed the
-    exchange check when it was built, so equal bases pass it too.  A matrix
-    is compared through its column matroid, a name through the catalog."""
+    """Whether an embedded matroid is M.  A bases list is validated, with the
+    fields that ``load_matroid`` checks, and compared as a set, without a
+    Matroid built from it: M passed the exchange check when it was built, so
+    equal bases pass it too.  A matrix is compared through its column
+    matroid, a name through the catalog."""
     if isinstance(spec, dict) and "bases" in spec:
-        n = _read_n(spec)
+        _, n = _read_fields(spec)
         _check_bases(spec["bases"])
         return n == M.n and set(checked_basis_masks(spec["bases"], n)) == set(M._basis_masks)
     return _resolve_matroid(spec, role) == M

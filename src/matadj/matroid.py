@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from itertools import combinations
-from math import comb
 
 from .errors import ConstructionError, InputError, expect
 from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
@@ -20,13 +18,12 @@ DEFAULT_MAX_N = 16
 _ENV_MAX_N = "MATADJ_MAX_N"
 
 # A rank-r matroid with more than SCAN_LIMIT << r bases answers rank and
-# closure from its independent-set index; at or below it, by basis scans.
+# closure from its table of basis holders; at or below it, by basis scans.
 SCAN_LIMIT = 4
 
-# The index builds a level from candidate sets when CANDIDATE_COST times their
-# number is below the set operations of deriving it from the level above:
-# one candidate, made and tested, takes about that many derived operations.
-CANDIDATE_COST = 6
+# Entry k is a bytes.translate table that maps each byte to its bit k, as
+# the digit b"0" or b"1".
+_BIT_DIGITS = tuple(bytes(48 + (v >> k & 1) for v in range(256)) for k in range(8))
 
 
 def max_ground_size() -> int:
@@ -72,61 +69,54 @@ class Matroid:
     one rank cache maps a subset's mask to its rank, and the closure memo
     maps it to the mask of its closure.
 
+    The table of basis holders ``_holders``, built on first use by
+    ``_basis_holders``, serves both the exchange check and the rank and
+    closure of large matroids.  Its entry f is an int bitset whose bit j is
+    set when basis j holds f, so the bases that hold a set are the AND of
+    its elements' entries, and the bases that miss it are the complement of
+    their OR: one C-level operation on |B|-bit ints per element.  It takes n
+    such ints; for U_4_8's covector target (56 points, 307,398 bases) that
+    is 2.3 MB, built in about 0.2 s.
+
     A cache miss goes to one of two kernels, chosen once per matroid by its
     number of bases.  With at most ``SCAN_LIMIT << r`` bases it scans them:
     r(S) is the largest |B n S|, and cl(S) is E minus the parts outside S of
-    the bases that meet S in r(S) elements.  With more, the first miss
-    builds the index ``_indep``, whose entry k is the set of the masks of
-    the independent k-sets: the bases for k = r, and below that the k-sets
-    that some one-element extension makes a member of entry k + 1, found
-    among all C(n, k) k-sets or as the members of entry k + 1 less one
-    element, whichever is estimated to be faster (``_independent_sets``).
-    Then the greedy independent subset I of S, taken in label order, gives
-    r(S) = |I| with one set lookup per element, stopping at r, and cl(S) is
-    S plus every e for which I + e is not in the index, or E when |I| = r.
+    the bases that meet S in r(S) elements.  With more, ``_greedy`` takes
+    the greedy independent subset I of S in label order, with the bitset
+    ``held`` of the bases that hold I: e joins I when ``held & holders[e]``
+    is nonzero, that is when some basis holds I + e, and ``held`` becomes
+    that AND.  Then r(S) = |I|, and cl(S) is S plus every e with
+    ``held & holders[e] == 0``; when |I| = r the one basis that holds I is
+    I itself, so that is E.
 
-    This is exact.  The independent sets are exactly the subsets of bases,
-    so the index holds them all.  Each element of S - I was refused because
-    I, as it stood then, plus that element is dependent, and so is every
-    superset, so I is a maximal independent subset of S; in a matroid every
-    maximal independent subset of S has r(S) elements.  For e outside S, if
-    I + e is independent then r(S + e) > r(S).  If r(S + e) > r(S), then I
-    extends to an independent subset of S + e with r(S) + 1 elements, which
-    must hold e and so is I + e.  Greedy rank is wrong on a family that is
-    not a matroid's bases, so the index is built only on a known matroid:
-    ``_check_exchange`` reads the bases directly, and every caller of
-    ``_unchecked`` passes a matroid by a theorem or, as search does in rank
-    4 and above, runs ``_check_exchange`` before any rank query.
+    This is exact.  A set is independent exactly when some basis holds it,
+    so e joins I exactly when I + e is independent.  Each element of S - I
+    was refused because I, as it stood then, plus that element is
+    dependent, and so is every superset, so I is a maximal independent
+    subset of S; in a matroid every maximal independent subset of S has
+    r(S) elements.  For e outside S, if I + e is independent then
+    r(S + e) > r(S).  If r(S + e) > r(S), then I extends to an independent
+    subset of S + e with r(S) + 1 elements, which must hold e and so is
+    I + e.  Greedy rank is wrong on a family that is not a matroid's bases,
+    so the greedy kernel runs only on a known matroid: ``_check_exchange``
+    reads the table but no rank, and every caller of ``_unchecked`` passes
+    a matroid by a theorem or, as search does in rank 4 and above, runs
+    ``_check_exchange`` before any rank query.
 
-    Cost: a scan is O(|B|) per miss.  The index is built once, each entry
-    k - 1 in about min(k |L_k|, CANDIDATE_COST C(n, k - 1)) set operations,
-    with L_k the entry above; then a miss costs O(n).  A candidate costs
-    more than a derived operation: it is summed from its elements and
-    tested against up to n extensions.  Timed route against route on 401
-    levels with C(n, k - 1) / (k |L_k|) between 0.03 and 10, of drawn GF(2)
-    to GF(7) column matroids of rank 2 to 5 on up to 16 labels with
-    parallel classes and loops, a candidate took the time of 3 to 38
-    derived operations (median 7.8), more where more candidates are
-    dependent.  Over those levels the rule's routes took 1.01 times the
-    faster route's total time with the factor 6, 2.6 times with the factor
-    1, and deriving every level 1.08 times.  It holds at most r |B| + 1
-    masks, sharing the basis ints.  For U_4_8's covector target (307,398
-    bases) that is 8 MB of set table, built in about 0.1 s.  Timed on
-    drawn GF(2), GF(3), GF(5) and GF(7) column matroids of rank 2 to 4, by
-    a lattice build and by the closures of every set of at most two
-    elements, with the index's build counted, the index breaks even at 16
-    to 31 bases in rank 3 and 4 and at 16 to 63 in rank 2, and at
-    ``4 << r`` bases takes 0.4 to 1.2 times the scan's time; search's
-    candidates, with at most 16 bases, stay on the scan.
+    Cost: a scan is a Python loop over the bases per miss; a greedy miss is
+    at most 2n ANDs of |B|-bit ints.  Small matroids stay on the scan: read
+    through the table instead, the median op of the search and minor_sweep
+    bench workloads, whose matroids have at most a few dozen bases, took 10
+    to 12 % longer.
 
     The public constructor is the trust boundary.  It refuses a non-int or
     bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
     repeated basis, a ground set above the cap of ``check_ground_size``, an
     empty family, bases of unequal sizes, and a family that fails the
-    basis-exchange axiom, naming a violating pair.  That check costs |B| r n
-    basis lookups plus one scan of the bases per distinct exit set
-    (``_check_exchange``).  ``_unchecked`` takes masks and checks none of
-    this, for outputs that are matroids by a theorem: column matroids
+    basis-exchange axiom, naming a violating pair.  That check costs |B| r
+    dict updates plus one OR of table entries per element of each distinct
+    exit set (``_check_exchange``).  ``_unchecked`` takes masks and checks
+    none of this, for outputs that are matroids by a theorem: column matroids
     (``Representation.matroid``), by the Steinitz exchange lemma, the
     contraction, deletion, dual and simplification of a ``Matroid``, and
     search's freest adjoint target in rank at most 3.  Only the column
@@ -174,7 +164,7 @@ class Matroid:
         self._rank_cache: dict = {}  # subset mask -> rank
         self._closure_cache: dict = {}  # subset mask -> mask of its closure
         self._indexed = len(masks) > SCAN_LIMIT << self.full_rank  # which kernel answers a miss
-        self._indep: tuple | None = None  # the independent-set index, built on first use
+        self._holders: tuple | None = None  # the table of basis holders, built on first use
         self._minor_cache: dict = {}
         self._lattice = None
         self._minor_of = None  # (parent, removed mask, contracted), set by contract and delete
@@ -183,6 +173,23 @@ class Matroid:
     def bases(self) -> frozenset:
         """The bases as a frozenset of frozensets, derived from the masks."""
         return frozenset(frozenset(bits(b)) for b in self._basis_masks)
+
+    def _basis_holders(self) -> tuple:
+        """The table of basis holders: entry f has bit j set when basis j holds f.
+
+        The masks are packed little-endian, ``width`` bytes each, last basis
+        first; byte f >> 3 of every basis is one strided slice, whose bits
+        f & 7 ``translate`` spells as digits, basis 0 last, so they parse in
+        base 2.
+        """
+        holders = self._holders
+        if holders is None:
+            width = (self.n + 7) >> 3
+            packed = b"".join(b.to_bytes(width, "little") for b in reversed(self._basis_masks))
+            holders = self._holders = tuple(
+                int(packed[f >> 3::width].translate(_BIT_DIGITS[f & 7]), 2) for f in range(self.n)
+            )
+        return holders
 
     def _check_exchange(self) -> tuple | None:
         """The first violation of the basis-exchange axiom, or None if there is none.
@@ -195,26 +202,38 @@ class Matroid:
         basis; e is one of them.  (B1, B2, e) is a violation exactly when B2
         misses S(I): an f in both sets is not e, since e is not in B2, nor
         in I, since I + f would then have r - 1 elements.  So no B2 that
-        holds e, B1 among them, misses S(I).  For each B1 in basis order,
-        each S(B1 - e) is found with n basis lookups, and the first basis
-        that misses it with one scan of the bases per distinct exit set; the
+        holds e, B1 among them, misses S(I).  One pass over each basis B and
+        its elements e adds e to S(B - e), which gives every exit set.  The
+        bases that miss S are the complement of the OR of the table entries
+        of its elements, and the lowest set bit is the first of them.  The
         first B1 with such a basis, paired with the least (basis index, e),
         is the violation that a scan of B1, then B2, then e, meets first.
-        Cost: |B| r n lookups, plus one scan of the bases per exit set.
+        Cost: |B| r dict updates, plus one OR per element of each distinct
+        exit set.
         """
         masks = self._basis_masks
-        mask_set = frozenset(masks)
-        singles = [1 << f for f in range(self.n)]
-        first_miss: dict = {}  # exit set -> index of the first basis that misses it, or None
+        holders = self._basis_holders()
+        exits: dict = {}  # I -> S(I), for each I = B - e
+        for b in masks:
+            rest = b
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                exits[b ^ low] = exits.get(b ^ low, 0) | low
+        everyone = (1 << len(masks)) - 1
+        missing: dict = {}  # exit set -> bitset of the bases that miss it
         for b1 in masks:
             found = []
             for e in bits(b1):
-                base = b1 ^ 1 << e
-                exits = sum(s for s in singles if base | s in mask_set)
-                if exits not in first_miss:
-                    first_miss[exits] = next((j for j, b in enumerate(masks) if not b & exits), None)
-                if first_miss[exits] is not None:
-                    found.append((first_miss[exits], e))
+                exit_set = exits[b1 ^ 1 << e]
+                miss = missing.get(exit_set)
+                if miss is None:
+                    held = 0
+                    for f in bits(exit_set):
+                        held |= holders[f]
+                    miss = missing[exit_set] = everyone ^ held
+                if miss:
+                    found.append(((miss & -miss).bit_length() - 1, e))
             if found:
                 j, e = min(found)
                 return b1, masks[j], e
@@ -230,7 +249,7 @@ class Matroid:
         r = self._rank_cache.get(m)
         if r is None:
             if self._indexed:
-                r = self._greedy(m).bit_count()
+                r = self._greedy(m)[0].bit_count()
             else:
                 bound = min(m.bit_count(), self.full_rank)
                 r = 0
@@ -243,53 +262,22 @@ class Matroid:
             self._rank_cache[m] = r
         return r
 
-    def _greedy(self, m: int) -> int:
-        """The greedy independent subset of m, in label order, read off the index."""
-        indep = self._indep
-        if indep is None:
-            indep = self._indep = self._independent_sets()
+    def _greedy(self, m: int) -> tuple:
+        """(I, held): the greedy independent subset I of m, in label order,
+        and the bitset of the bases that hold I, read off the table."""
+        holders = self._basis_holders()
         r = self.full_rank
+        held = (1 << len(self._basis_masks)) - 1
         ind = size = 0
         while m and size < r:
             low = m & -m
             m ^= low
-            if ind | low in indep[size + 1]:
+            both = held & holders[low.bit_length() - 1]
+            if both:
+                held = both
                 ind |= low
                 size += 1
-        return ind
-
-    def _independent_sets(self) -> tuple:
-        """The index: entry k holds the masks of the independent k-sets.
-
-        Entry r is the bases.  Below it, entry k - 1 is made from entry k
-        by the faster of two routes: from the C(n, k - 1) candidate
-        (k - 1)-sets, keeping each that some one-element extension makes a
-        member of entry k, when CANDIDATE_COST C(n, k - 1) < k |entry k|;
-        otherwise as the sets one element short of a member of entry k.
-        Both give every independent (k - 1)-set: each is a subset of an
-        independent k-set, by augmentation from a basis, and each subset of
-        one is independent.
-        """
-        singles = [1 << e for e in range(self.n)]
-        upper = set(self._basis_masks)
-        levels = [upper]
-        for k in range(self.full_rank, 0, -1):
-            if CANDIDATE_COST * comb(self.n, k - 1) < k * len(upper):
-                # c | s is a k-set, and so can be in ``upper``, only for s outside c
-                lower = {c for c in map(sum, combinations(singles, k - 1))
-                         if not upper.isdisjoint(map(c.__or__, singles))}
-            else:
-                lower = set()
-                add = lower.add
-                for b in upper:
-                    rest = b
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        add(b ^ low)
-            levels.append(lower)
-            upper = lower
-        return tuple(reversed(levels))
+        return ind, held
 
     def _independent_part(self, m: int) -> int:
         """A maximal independent subset of m, grown greedily by label."""
@@ -309,7 +297,7 @@ class Matroid:
 
         On the scan path, one pass over the bases: e outside S raises the
         rank exactly when it lies in a basis B with |B n S| = r(S), so
-        cl(S) = E - U{B - S : |B n S| = r(S)}.  On the index path, with I
+        cl(S) = E - U{B - S : |B n S| = r(S)}.  On the table path, with I
         the greedy independent subset of S, cl(S) = S u {e : I + e dependent}.
         The result is recorded as its own closure too, so that asking whether
         it is a flat is one lookup.
@@ -317,19 +305,12 @@ class Matroid:
         c = self._closure_cache.get(m)
         if c is None:
             if self._indexed:
-                ind = self._greedy(m)
+                ind, held = self._greedy(m)
                 best = ind.bit_count()
-                if best == self.full_rank:
-                    c = self._full
-                else:
-                    indep = self._indep[best + 1]
-                    c = m
-                    rest = self._full & ~m
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        if ind | low not in indep:
-                            c |= low
+                c = m
+                for e, holder in enumerate(self._holders):
+                    if not held & holder:
+                        c |= 1 << e
             else:
                 best = -1
                 spanned = 0  # union of the bases that meet S in r(S) elements

@@ -10,19 +10,16 @@ against these.  Each public oracle reads ``M.bases`` (frozensets)
 once and hands them to the ``_in`` helpers below it, since that property is
 rebuilt on every read.
 
-``enumerate_families``, ``rank_table``, ``independent_sets_by_derivation``
-and ``exchange_violation_by_pairs`` are the exceptions to "no bitmasks".
-The first is the exhaustive family enumeration that ``search_adjoint``
-replaced with the freest target, kept here as the reference search it is
-compared against.  The second indexes all 2^n subsets by mask, so that
-every subset of a 15-element target can be checked; it reads independence
-off the bases by a transform over the subset lattice, with no greedy and no
-rank query.  The third is the level-by-level derivation of the
-independent-set index that ``Matroid._independent_sets`` replaced, where
-cheaper, with a test of the candidate sets.  The fourth is the pairwise
-scan that ``Matroid._check_exchange`` replaced with one pass over exit
-sets, and ``eliminate_in_two_passes`` is the elimination step that took the
-combination and its reduction mod p in two passes.
+``enumerate_families``, ``rank_table`` and ``exchange_violation_by_pairs``
+are the exceptions to "no bitmasks".  The first is the exhaustive family
+enumeration that ``search_adjoint`` replaced with the freest target, kept
+here as the reference search it is compared against.  The second indexes
+all 2^n subsets by mask, so that every subset of a 15-element target can be
+checked; it reads independence off the bases by a transform over the
+subset lattice, with no greedy and no rank query.  The third is the
+pairwise scan that ``Matroid._check_exchange`` replaced with one pass over
+exit sets, and ``eliminate_in_two_passes`` is the elimination step that
+took the combination and its reduction mod p in two passes.
 
 ``chain_report_by_merging`` and ``simple_violations_by_pairs`` are the
 reference forms of two checks that the library makes in one pass.  The
@@ -106,16 +103,6 @@ def rank_table(M):
             if s & bit and ranks[s ^ bit] > ranks[s]:
                 ranks[s] = ranks[s ^ bit]
     return ranks
-
-
-def independent_sets_by_derivation(M):
-    """``Matroid._independent_sets`` as it was: entry k holds the masks of
-    the independent k-sets, the bases for k = r and, below that, every member
-    of entry k + 1 less one element."""
-    levels = [set(M._basis_masks)]
-    for _ in range(M.full_rank):
-        levels.append({b & ~(1 << e) for b in levels[-1] for e in range(M.n) if b >> e & 1})
-    return tuple(reversed(levels))
 
 
 def exchange_violation_by_pairs(M):

@@ -508,7 +508,7 @@ def test_u47_covector_adjoint_is_pinned(monkeypatch):
 
 def test_u48_covector_adjoint_verifies(monkeypatch):
     # U_4_8's covector adjoint: 56 points and 307,398 bases in the target,
-    # whose rank and closure queries read its independent-set index; no
+    # whose rank and closure queries read its table of basis holders; no
     # digest, since the saved map would list every basis
     monkeypatch.setenv("MATADJ_MAX_N", "56")
     rep = _vandermonde(4, 8)
@@ -517,4 +517,4 @@ def test_u48_covector_adjoint_verifies(monkeypatch):
     reports = full_verification(phi)
     assert set(reports) == {"definition", "rank_complement", "chain_independence", "modular_pairs"}
     assert all(report.valid for report in reports.values())
-    assert phi.target._lattice is None and phi.target._indep is not None
+    assert phi.target._lattice is None and phi.target._holders is not None

@@ -114,6 +114,13 @@ def test_a_name_that_is_not_a_string_is_refused(name, kind):
             load_matroid({**data, "name": name})
 
 
+def test_a_dict_with_both_bases_and_matrix_is_refused():
+    # the matrix's one nonzero column makes {1} the basis, which the bases contradict
+    data = {"n": 2, "bases": [[0]], "field": "rational", "matrix": [[0, 1]]}
+    with pytest.raises(InputError, match="^matroid file gives both 'bases' and 'matrix'; it needs exactly one$"):
+        load_matroid(data)
+
+
 def test_a_null_or_absent_name_and_every_fixture_load():
     assert load_matroid({"n": 2, "bases": [[0]], "name": None})[2] is None
     assert load_matroid({"n": 2, "bases": [[0]]})[2] is None
@@ -160,6 +167,21 @@ def test_adjoint_override_consistency(tmp_path, fixture_maps):
     load_adjoint(path, source_matroid=phi.source)  # agreeing override is fine
     with pytest.raises(InputError, match="disagrees"):
         load_adjoint(path, source_matroid=uniform(2, 4))
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("source", {"name": [1, 2]}, "^'name' must be a string, got list$"),
+    ("target", {"name": 7}, "^'name' must be a string, got int$"),
+    ("target", {"field": {"prime": 2}, "matrix": [[1, 1, 1]]}, "gives both 'bases' and 'matrix'"),
+])
+def test_an_embedded_matroid_is_refused_with_or_without_an_override(fixture_maps, key, edit, message):
+    phi = fixture_maps["U_2_3"]
+    data = adjoint_to_dict(phi)
+    data[key].update(edit)
+    overrides = {"source": {"source_matroid": phi.source}, "target": {"target_matroid": phi.target}}[key]
+    for kwargs in ({}, overrides):
+        with pytest.raises(InputError, match=message):
+            load_adjoint(data, **kwargs)
 
 
 def test_stored_hyperplane_order_cross_checked(tmp_path, fixture_maps):

@@ -1,33 +1,30 @@
 """A matroid with more than ``SCAN_LIMIT << r`` bases answers rank and closure
-from its independent-set index; these tests hold that path to oracles that
+from its table of basis holders; these tests hold that path to oracles that
 read the bases only.
 
 Each query goes to a fresh copy of the matroid, one for ranks and one for
 closures, and the closure memo is cleared before each closure, so that no
-answer comes from a cache.  Every test also asserts that the index was
+answer comes from a cache.  Every test also asserts that the table was
 built, so that it cannot pass on the scan path.
 
-The index itself is compared, level by level, with the derivation of each
-level from the one above (``oracles.independent_sets_by_derivation``), and
-the levels built from candidate sets are recorded, so that both routes of
-``_independent_sets`` are shown to be taken where its rule says.
+The table itself is compared with its definition, bit by bit, on the
+catalog, on covector targets, on drawn families and at the byte boundaries
+of its packing; and ``_greedy`` with a greedy by ``oracles.brute_rank``.
 """
-from math import comb
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import matadj.matroid
-from matadj import Matroid, Representation, adjoint_from_representation, by_name, uniform
+from matadj import Matroid, Representation, adjoint_from_representation, by_name, catalog, uniform
 from matadj.catalog import _vandermonde
-from matadj.matroid import CANDIDATE_COST, SCAN_LIMIT
-from oracles import brute_closure, brute_rank, independent_sets_by_derivation, rank_table
+from matadj.matroid import SCAN_LIMIT
+from oracles import brute_closure, brute_rank, rank_table
+from test_exchange_check import families, r_sets
 from test_trust_boundaries import representations
 
 
 def fresh(M):
-    """A copy of M with empty caches and no index."""
+    """A copy of M with empty caches and no table."""
     return Matroid._unchecked(M.n, M._basis_masks)
 
 
@@ -43,7 +40,7 @@ def assert_index_agrees(M, masks, rank_of, closure_of):
         assert ranks._rank(m) == rank_of(m), m
         closures._closure_cache.clear()
         assert closures._closure(m) == closure_of(m), m
-    assert ranks._indep is not None and closures._indep is not None
+    assert ranks._holders is not None and closures._holders is not None
 
 
 def target_of(name):
@@ -133,65 +130,70 @@ def test_drawn_dense_matroids_match_brute_force_on_drawn_sets(M, data):
 
 
 def test_the_index_is_built_above_the_gate_only():
-    # U_1_8 has 8 = 4 << 1 bases and keeps the scan; U_1_9 has 9 and builds the index
+    # U_1_8 has 8 = 4 << 1 bases and keeps the scan; U_1_9 has 9 and builds the table
     for M, indexed in ((uniform(1, 8), False), (uniform(1, 9), True), (uniform(3, 6), False),
                        (by_name("fano").matroid, False), (uniform(4, 9), True)):
         N = fresh(M)
         for m in range(1 << N.n):
             N._rank(m)
             N._closure(m)
-        assert (N._indep is not None) == indexed, M
-
-
-def routes(M):
-    """Assert that M's index equals the derivation oracle's, level by level,
-    and that exactly the levels the rule names were built from candidate
-    sets; return the sizes of the levels built from candidates and of those
-    derived from the level above."""
-    combinations = matadj.matroid.combinations
-    candidates = []  # the size of each level built from candidate sets
-
-    def recording(singles, size):
-        candidates.append(size)
-        return combinations(singles, size)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matadj.matroid, "combinations", recording)
-        got = fresh(M)._independent_sets()
-    want = independent_sets_by_derivation(M)
-    r = M.full_rank
-    assert len(got) == len(want) == r + 1
-    for size, (level, expected) in enumerate(zip(got, want)):
-        assert level == expected, size
-    rule = [k - 1 for k in range(r, 0, -1) if CANDIDATE_COST * comb(M.n, k - 1) < k * len(want[k])]
-    assert candidates == rule
-    return set(candidates), set(range(r)) - set(candidates)
-
-
-@settings(max_examples=80, deadline=None)
-@given(representations(min_dim=1, max_dim=4, max_n=8))
-def test_drawn_indexes_match_the_derivation(rep):
-    routes(rep.matroid())
-
-
-def test_catalog_target_indexes_match_the_derivation(fixture_maps):
-    built = set()
-    for phi in fixture_maps.values():
-        built |= routes(phi.target)[0]
-    assert built == {0, 1, 2}  # every level below the bases of a rank-3 target, somewhere
+        assert (N._holders is not None) == indexed, M
 
 
 @pytest.mark.parametrize("sizes", [(3, 3, 4), (2, 4, 5), (1, 5, 7)])
 def test_sparse_index_derives_a_level(sizes):
     # three parallel classes of the given sizes, spanning rank 3, and loops up
-    # to 16 labels: a.b.c bases, between 33 and 40, so more than 4 << 3 and
-    # too few to test the C(16, 2) pairs as candidates; the 33 to 47
-    # independent pairs are too few to test the 16 singletons
+    # to 16 labels: a.b.c bases, between 33 and 40, so more than 4 << 3, in
+    # two bytes of labels, most of them in no basis
     columns = [col for col, size in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), sizes) for _ in range(size)]
     columns += [(0, 0, 0)] * (16 - len(columns))
     M = Representation(2, tuple(columns), 3).matroid()
     assert 33 <= len(M._basis_masks) <= 40 and M._indexed
-    assert routes(M) == ({0}, {1, 2})
+    ranks = rank_table(M)
+    assert_index_agrees(M, range(1 << M.n), ranks.__getitem__, lambda m: _closure_from(ranks, M.n, m))
+
+
+def holders_by_definition(M):
+    """Entry f: the bitset of the indices j of the bases that hold f."""
+    return tuple(sum(1 << j for j, b in enumerate(M._basis_masks) if b >> f & 1) for f in range(M.n))
+
+
+def assert_table_agrees(M):
+    assert fresh(M)._basis_holders() == holders_by_definition(M)
+
+
+def test_catalog_tables_match_the_definition():
+    for entry in catalog():
+        assert_table_agrees(entry.matroid)
+        assert_table_agrees(adjoint_from_representation(entry.matroid, entry.representation).target)
+
+
+@pytest.mark.parametrize("n", [0, 8, 9, 16, 17])
+def test_tables_at_byte_boundaries_match_the_definition(n):
+    # each basis packs into (n + 7) >> 3 bytes: U_0_n, U_1_n, whose last basis
+    # is the last label alone, and U_2_n
+    for r in range(min(n, 2) + 1):
+        assert_table_agrees(Matroid._unchecked(n, r_sets(n, r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_drawn_family_tables_match_the_definition(M):
+    assert_table_agrees(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(representations(min_dim=1, max_dim=4, max_n=10), st.data())
+def test_greedy_matches_a_brute_force_greedy(rep, data):
+    M = rep.matroid()
+    m = data.draw(st.integers(0, (1 << M.n) - 1))
+    ind, held = fresh(M)._greedy(m)
+    picked = []
+    for e in _members(m):
+        if brute_rank(M, picked + [e]) == len(picked) + 1:
+            picked.append(e)
+    assert ind == mask(picked)
+    assert held == sum(1 << j for j, b in enumerate(M._basis_masks) if b & ind == ind)
 
 
 def _members(m):
