@@ -255,15 +255,17 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
         if parallel:  # empty for a loop e, whose closure is the loops
             for f in bits(parallel):
                 violations.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
+    simple = not violations
 
     # rank equality
     if M.full_rank != Mp.full_rank:
         violations.append(Violation("rank_match", (), f"target rank {M.full_rank}", str(Mp.full_rank)))
 
-    # injectivity
-    for f1, f2, img in _repeats((f, table[f]) for f in lattice.canonical_masks):
-        violations.append(Violation("injectivity", (_trusted(f1, n), _trusted(f2, n)),
-                                    "distinct images", f"both map to {_trusted(img, t)!r}"))
+    # injectivity; the keys are the flats, so distinct images leave nothing to find
+    if len(set(table.values())) != len(table):
+        for f1, f2, img in _repeats((f, table[f]) for f in lattice.canonical_masks):
+            violations.append(Violation("injectivity", (_trusted(f1, n), _trusted(f2, n)),
+                                        "distinct images", f"both map to {_trusted(img, t)!r}"))
 
     # inclusion reversal, for every cover pair F1 < F2: F2 lies one layer
     # up and contains F1.  A chain of covers joins any F1 < F2, so these
@@ -280,23 +282,26 @@ def _definition_report(phi: AdjointMap) -> VerificationReport:
                     ))
 
     # hyperplanes -> points bijectively; the points of M' are the closures
-    # of its non-loop elements
-    points = {p for e, p in enumerate(singles) if not loops >> e & 1}
-    hyperplanes = lattice.hyperplane_masks
-    images = [table[h] for h in hyperplanes]
-    for h, img in zip(hyperplanes, images):
-        if img not in points:
-            violations.append(Violation("hyperplane_bijection", (_trusted(h, n),), "a point of the target",
-                                        repr(_trusted(img, t))))
-    for h1, h2, img in _repeats(zip(hyperplanes, images)):
-        violations.append(Violation("hyperplane_bijection", (_trusted(h1, n), _trusted(h2, n)),
-                                    "distinct point images", f"both map to {_trusted(img, t)!r}"))
-    uncovered = points.difference(images)
-    if uncovered:
-        violations.append(Violation(
-            "hyperplane_bijection", tuple(_trusted(p, t) for p in sorted(uncovered, key=bits)),
-            "every point covered by a hyperplane image", "uncovered points remain",
-        ))
+    # of its non-loop elements.  When M' is simple its points are its t
+    # singletons, and a hyperplane order of length t says the hyperplane
+    # images are t distinct singletons: a bijection, with nothing to find.
+    if not (simple and phi._order is not None and len(phi._order) == t):
+        points = {p for e, p in enumerate(singles) if not loops >> e & 1}
+        hyperplanes = lattice.hyperplane_masks
+        images = [table[h] for h in hyperplanes]
+        for h, img in zip(hyperplanes, images):
+            if img not in points:
+                violations.append(Violation("hyperplane_bijection", (_trusted(h, n),), "a point of the target",
+                                            repr(_trusted(img, t))))
+        for h1, h2, img in _repeats(zip(hyperplanes, images)):
+            violations.append(Violation("hyperplane_bijection", (_trusted(h1, n), _trusted(h2, n)),
+                                        "distinct point images", f"both map to {_trusted(img, t)!r}"))
+        uncovered = points.difference(images)
+        if uncovered:
+            violations.append(Violation(
+                "hyperplane_bijection", tuple(_trusted(p, t) for p in sorted(uncovered, key=bits)),
+                "every point covered by a hyperplane image", "uncovered points remain",
+            ))
 
     # phi(E) = cl'(empty) (forced for valid maps; checked explicitly): the
     # top flat of M, read from its lattice, and the bottom flat of M'

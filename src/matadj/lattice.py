@@ -2,13 +2,19 @@
 
 A lattice is made in one of two ways.
 
-* **By closures** (``FlatLattice.build``).  Flats are enumerated level by
-  level: the rank-0 flat is cl(empty), and the flats covering a flat F are
-  exactly the closures cl(F u {e}) for e outside F.  The sets G - F, for G
-  covering F, partition E - F, so each cover is closed once: an element that
-  already lies in a cover found for F is skipped.  This avoids closing all
-  2^n subsets; the exhaustive version lives in the test suite as an
-  independent oracle.
+* **By closures** (``FlatLattice.build``), one closure per flat.  Flats
+  are enumerated level by level: the rank-0 flat is cl(empty), and the
+  flats covering a flat F are exactly the closures cl(F u {e}) for e
+  outside F; the sets G - F, for G covering F, partition E - F (Oxley,
+  *Matroid Theory*, 2nd ed., ch. 1).  Before closing anything for a rank-k
+  flat F, the build marks as reached every rank-(k + 1) flat already found
+  that contains F: each such G covers F, and cl(F u {e}) = G for e in
+  G - F.  An element still unreached lies in no cover found so far, so its
+  closure is a new flat, which marks its own elements reached in turn.  The
+  rank-r layer is (E,) by theorem, since E is closed and of rank r.  So a
+  build of rank r >= 1 closes ``flat_count() - 1`` sets, and one of rank 0
+  closes the empty set only.  This avoids closing all 2^n subsets; the
+  exhaustive version lives in the test suite as an independent oracle.
 * **Off a built parent lattice** (``FlatLattice.of_minor``), for a deletion
   or a contraction of a matroid whose lattice is already built, with no
   closure at all.  The flats of M\\D are the traces G - D of the flats G of
@@ -67,7 +73,8 @@ class FlatLattice:
     """
 
     def __init__(self, owner, masks: list):
-        # top layer is the single rank-r flat (the ground set's closure)
+        # the top layer is the single rank-r flat, E: ``build`` makes it so by
+        # theorem, and this guards the layers that ``of_minor`` reads off
         if len(masks[-1]) != 1:
             raise ConstructionError("expected a unique top flat")
         self.owner = owner
@@ -75,19 +82,27 @@ class FlatLattice:
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
+        """The lattice of M by closures, one per flat below the top: the
+        covers of a flat already found are marked reached, so each closure
+        gives a new flat of the next rank, and the top layer is (E,)."""
         expect(M, Matroid)
-        n = M.n
-        layers = [(M._closure(0),)]
-        for _ in range(M.full_rank):
-            nxt = set()
+        n, closure = M.n, M._closure
+        layers = [(closure(0),)]
+        for _ in range(1, M.full_rank):
+            found = []  # the flats of the next rank, each closed once
             for f in layers[-1]:
                 reached = f
+                for g in found:
+                    if not f & ~g:  # g covers f
+                        reached |= g
                 for e in range(n):
                     if not reached >> e & 1:
-                        g = M._closure(f | 1 << e)
-                        nxt.add(g)
+                        g = closure(f | 1 << e)
+                        found.append(g)
                         reached |= g
-            layers.append(tuple(sorted(nxt, key=bits)))
+            layers.append(tuple(sorted(found, key=bits)))
+        if M.full_rank:
+            layers.append((M._full,))
         return cls(M, layers)
 
     @classmethod

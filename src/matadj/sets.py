@@ -72,8 +72,27 @@ def set_mask(S, universe: int) -> int:
     return S.mask
 
 
+def _ascending(first: int) -> tuple:
+    """Entry v is the tuple of the positions first + k of the set bits k of
+    the byte v, ascending; built by doubling, one bit at a time."""
+    table = [()]
+    for k in range(first, first + 8):
+        table += [t + (k,) for t in table]
+    return tuple(table)
+
+
+_LOW_BITS, _HIGH_BITS = _ascending(0), _ascending(8)
+
+
 def bits(mask: int) -> list:
-    """The positions of the set bits of ``mask``, ascending."""
+    """The positions of the set bits of the non-negative ``mask``, ascending,
+    in a new list.
+
+    A mask below 2^16 is read off two 256-entry tables, one per byte; a
+    larger one is decoded a set bit at a time.
+    """
+    if mask < 0x10000:
+        return [*_LOW_BITS[mask & 255], *_HIGH_BITS[mask >> 8]]
     out = []
     while mask:
         low = mask & -mask

@@ -31,6 +31,9 @@ kernels, which the public chain functions and ``full_verification`` both
 call.  Target simplicity is checked by a rank query on every pair of
 elements.  ``modular_pairs_by_all_pairs`` is the modular-pair check that
 tests every pair of flats, including those whose images are nested.
+``definition_report_by_loops`` is the definition report as it was before
+two of its checks were decided by the sizes of the image sets: every
+injectivity and hyperplane-bijection loop runs on every map.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -47,7 +50,8 @@ from matadj import (
     induced_map,
     verify_adjoint,
 )
-from matadj.sets import ElementSet
+from matadj.adjoint import DEFINITION_CHECKS
+from matadj.sets import ElementSet, bits
 
 
 def powerset(iterable):
@@ -512,6 +516,70 @@ def simple_violations_by_pairs(M):
         if _rank_in(bases, {e, f}) == 1 and _rank_in(bases, {e}) == 1 and _rank_in(bases, {f}) == 1:
             out.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
     return out
+
+
+def definition_report_by_loops(phi):
+    """``verify_adjoint``'s report with every check run in full: injectivity
+    by a scan of the images in canonical order, and the hyperplane bijection
+    by testing each hyperplane image, each repeat and each uncovered point,
+    whatever the sizes of the image sets say."""
+    M, Mp = phi.source, phi.target
+    n, t, table = M.n, Mp.n, phi._table
+    lattice = M.flats()
+    layers = lattice.masks
+    es = ElementSet._trusted
+    violations = []
+
+    def repeats(pairs):
+        seen = {}
+        for key, img in pairs:
+            first = seen.setdefault(img, key)
+            if first != key:
+                yield first, key, img
+
+    loops = Mp._closure(0)
+    singles = [Mp._closure(1 << e) for e in range(t)]
+    for e in bits(loops):
+        violations.append(Violation("target_simple", (e,), "no loops", f"element {e} is a loop"))
+    for e, c in enumerate(singles):
+        for f in bits(c & ~loops & ~((2 << e) - 1)):
+            violations.append(Violation("target_simple", (e, f), "no parallel pairs", f"{{{e},{f}}} has rank 1"))
+    if M.full_rank != Mp.full_rank:
+        violations.append(Violation("rank_match", (), f"target rank {M.full_rank}", str(Mp.full_rank)))
+    for f1, f2, img in repeats((f, table[f]) for f in lattice.canonical_masks):
+        violations.append(Violation("injectivity", (es(f1, n), es(f2, n)),
+                                    "distinct images", f"both map to {es(img, t)!r}"))
+    images = [[(f, table[f]) for f in layer] for layer in layers]
+    for lower, upper in zip(images, images[1:]):
+        for f1, i1 in lower:
+            for f2, i2 in upper:
+                if not f1 & ~f2 and i2 & ~i1:
+                    F1, F2 = es(f1, n), es(f2, n)
+                    violations.append(Violation(
+                        "inclusion_reversal", (F1, F2), f"phi({F2!r}) within phi({F1!r})",
+                        f"{es(i2, t)!r} is not within {es(i1, t)!r}",
+                    ))
+    points = {p for e, p in enumerate(singles) if not loops >> e & 1}
+    hyperplanes = lattice.hyperplane_masks
+    images = [table[h] for h in hyperplanes]
+    for h, img in zip(hyperplanes, images):
+        if img not in points:
+            violations.append(Violation("hyperplane_bijection", (es(h, n),),
+                                        "a point of the target", repr(es(img, t))))
+    for h1, h2, img in repeats(zip(hyperplanes, images)):
+        violations.append(Violation("hyperplane_bijection", (es(h1, n), es(h2, n)),
+                                    "distinct point images", f"both map to {es(img, t)!r}"))
+    uncovered = points.difference(images)
+    if uncovered:
+        violations.append(Violation(
+            "hyperplane_bijection", tuple(es(p, t) for p in sorted(uncovered, key=bits)),
+            "every point covered by a hyperplane image", "uncovered points remain",
+        ))
+    top = layers[-1][0]
+    if table[top] != loops:
+        violations.append(Violation("ground_to_empty", (es(top, n),),
+                                    repr(es(loops, t)), repr(es(table[top], t))))
+    return VerificationReport(DEFINITION_CHECKS, tuple(violations))
 
 
 def simplify_by_pairs(M):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -41,6 +42,17 @@ def test_flats_and_hyperplanes(capsys):
 
     assert main(["hyperplanes", str(FIXTURES / "U_2_3.json")]) == 0
     assert capsys.readouterr().out.splitlines() == ["{0}", "{1}", "{2}"]
+
+
+def test_flats_json_of_every_fixture_is_pinned(capsys):
+    # the SHA-256 of each fixture's name and "flats --json" output, in name order
+    paths = sorted(FIXTURES.glob("*.json"))
+    assert len(paths) == 11
+    blob = ""
+    for path in paths:
+        assert main(["flats", str(path), "--json"]) == 0
+        blob += path.name + "\n" + capsys.readouterr().out
+    assert hashlib.sha256(blob.encode()).hexdigest() == "76b58591e37e0ad154626479c37ffa29b17f84bd14920a7f1d1b65790185aa7f"
 
 
 def test_verify_valid(u23_files, capsys):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matadj import (
     AdjointMap,
@@ -21,7 +22,8 @@ from matadj import (
     uniform,
 )
 from matadj.files import adjoint_to_dict, canonical_json
-from oracles import brute_closure, brute_covers, brute_flats
+from oracles import brute_closure, brute_covers, brute_flats, brute_rank
+from test_single_pass_checks import columns_with_zeros_and_repeats
 from test_trust_boundaries import representations
 
 
@@ -272,3 +274,48 @@ def test_caller_provenance_does_not_select_the_path():
     deletion = M.delete(es([0], 7))
     N = Matroid(6, deletion.bases, provenance={"op": "contract", "removed": [0], "parent": M})
     assert N.flats().flats_by_rank == deletion.flats().flats_by_rank
+
+
+# -- one closure per flat --------------------------------------------------------
+
+def closures_per_build(monkeypatch, M):
+    """(closure calls, lattice) of ``FlatLattice.build`` on a fresh copy of M."""
+    calls = []
+    closure = Matroid._closure
+    monkeypatch.setattr(Matroid, "_closure", lambda self, m: calls.append(m) or closure(self, m))
+    lattice = FlatLattice.build(Matroid._unchecked(M.n, M._basis_masks))
+    monkeypatch.undo()
+    return len(calls), lattice
+
+
+@pytest.mark.parametrize("M", [e.matroid for e in catalog()] + [uniform(3, 7), uniform(4, 7)],
+                         ids=[e.name for e in catalog()] + ["U_3_7", "U_4_7"])
+def test_build_closes_each_flat_but_the_top_once(monkeypatch, M):
+    # the covers of a rank-k flat that are already found are marked reached,
+    # so each closure finds a new flat; the top flat is E by theorem
+    calls, lattice = closures_per_build(monkeypatch, M)
+    assert calls == lattice.flat_count() - 1
+
+
+def test_build_counts_for_the_uniform_matroids_of_seven_elements(monkeypatch):
+    assert closures_per_build(monkeypatch, uniform(3, 7))[0] == 29
+    assert closures_per_build(monkeypatch, uniform(4, 7))[0] == 64
+
+
+def test_a_rank_zero_build_makes_one_closure(monkeypatch):
+    for M in (Matroid(0, [()]), Matroid(3, [[]])):
+        calls, lattice = closures_per_build(monkeypatch, M)
+        assert calls == 1 and lattice.masks == ((M._full,),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(columns_with_zeros_and_repeats(max_dim=4), representations(max_n=8)))
+def test_drawn_builds_match_brute_force_layer_by_layer(rep):
+    # ranks 0 to 4: loops and parallel classes are common in the first
+    # strategy, ranks 3 and 4 in the second
+    M = rep.matroid()
+    layers = [[] for _ in range(M.full_rank + 1)]
+    for F in brute_flats(M):
+        layers[brute_rank(M, F.members)].append(F)
+    built = FlatLattice.build(Matroid._unchecked(M.n, M._basis_masks))
+    assert built.flats_by_rank == tuple(tuple(sorted(layer, key=lambda F: F.key)) for layer in layers)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import matadj.matroid
 from matadj import Matroid, Representation, adjoint_from_representation, by_name, catalog, uniform
 from matadj.catalog import _vandermonde
 from matadj.matroid import SCAN_LIMIT
@@ -174,6 +175,15 @@ def test_tables_at_byte_boundaries_match_the_definition(n):
     # is the last label alone, and U_2_n
     for r in range(min(n, 2) + 1):
         assert_table_agrees(Matroid._unchecked(n, r_sets(n, r)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 15])
+def test_tables_built_in_chunks_match_the_definition(monkeypatch, chunk):
+    # U_3_7 (35 bases) and U_2_17 (136) span several chunks of a shrunk
+    # HOLDER_CHUNK, the last one partial; U_0_3 has one basis
+    monkeypatch.setattr(matadj.matroid, "HOLDER_CHUNK", chunk)
+    for M in (uniform(3, 7), Matroid._unchecked(17, r_sets(17, 2)), Matroid._unchecked(3, [0])):
+        assert_table_agrees(M)
 
 
 @settings(max_examples=200, deadline=None)

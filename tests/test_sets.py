@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matadj import ElementSet, InputError, Matroid
+from matadj.sets import bits
 
 
 def test_out_of_range_rejected():
@@ -153,3 +154,27 @@ def test_matches_a_frozenset_model(pair, data):
         ElementSet.of(sorted(a) + [u], u)
     with pytest.raises(InputError, match="out of range"):
         ElementSet.of([-1 - e % 3], u)
+
+
+# -- bits: two byte tables below 2^16, a loop above ------------------------------
+
+def bits_by_shifts(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def test_bits_matches_the_reference_below_two_to_the_seventeen():
+    # every mask read off the tables, and the first 2^16 masks of the loop
+    for mask in range(1 << 17):
+        assert bits(mask) == bits_by_shifts(mask), mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, (1 << 300) - 1))
+def test_bits_matches_the_reference_on_drawn_masks(mask):
+    assert bits(mask) == bits_by_shifts(mask)
+
+
+def test_bits_returns_a_new_list_each_call():
+    a = bits(0b1011)
+    a.append(99)
+    assert bits(0b1011) == [0, 1, 3]

@@ -20,6 +20,7 @@ from matadj import (
     AdjointMap,
     ConstructionError,
     ElementSet,
+    FlatLattice,
     Matroid,
     MinorSpec,
     Representation,
@@ -34,7 +35,7 @@ from matadj import (
     uniform,
     verify_adjoint,
 )
-from oracles import chain_report_by_merging, simple_violations_by_pairs
+from oracles import chain_report_by_merging, definition_report_by_loops, simple_violations_by_pairs
 from test_target_closures import decorated, fresh, minor_maps
 
 
@@ -134,11 +135,12 @@ def test_simplicity_matches_the_pair_oracle_on_decorated_maps(fixture_maps, name
 
 
 @st.composite
-def columns_with_zeros_and_repeats(draw):
-    """Columns over a drawn field, some of them zero and some repeated or
-    scaled copies of earlier ones, so loops and parallel classes are common."""
+def columns_with_zeros_and_repeats(draw, max_dim=3):
+    """Columns over a drawn field, in 1 to ``max_dim`` rows, some of them zero
+    and some repeated or scaled copies of earlier ones, so loops and parallel
+    classes are common."""
     field = draw(st.sampled_from([2, 3, 5, "rational"]))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
     if field == "rational":
         entry = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
         scale = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)])
@@ -223,3 +225,66 @@ def test_construction_and_full_verification_check_once(definition_runs):
     # the contraction is kept, so minor_adjoint checks only its new deletion
     minor = minor_adjoint(phi, MinorSpec(es([0], n), es([1], n)))
     assert checked() == [id(phi), id(found), id(psi), id(chi), id(minor)]
+
+
+# -- two definition checks decided by set sizes --------------------------------------
+
+def assert_report_matches_the_full_loops(phi):
+    report = verify_adjoint(phi)
+    assert report == definition_report_by_loops(phi)
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["U_1_2", "U_2_3", "U_2_4", "U_3_4", "U_3_5", "M_K4", "fano", "nonfano"]),
+       st.sampled_from(["simple", "loop", "parallel"]), st.data())
+def test_definition_report_matches_the_full_loops_on_corrupted_maps(fixture_maps, name, target, data):
+    # a catalog map, into its target or into it with a loop or a parallel
+    # element added, with up to three entries sent to other target flats and
+    # up to two pairs of images swapped: the size tests skip loops only
+    # where they would find nothing, so the violations and their order match
+    phi = fixture_maps[name]
+    if target != "simple":
+        phi = decorated(phi, target == "parallel")
+    flats = list(phi.source.flats().all_flats())
+    images = list(FlatLattice.build(fresh(phi.target)).all_flats())
+    table = dict(phi.table)
+    for _ in range(data.draw(st.integers(0, 3))):
+        table[data.draw(st.sampled_from(flats))] = data.draw(st.sampled_from(images))
+    for _ in range(data.draw(st.integers(0, 2))):
+        F, G = data.draw(st.sampled_from(flats)), data.draw(st.sampled_from(flats))
+        table[F], table[G] = table[G], table[F]
+    assert_report_matches_the_full_loops(AdjointMap(phi.source, phi.target, table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([e.name for e in catalog()]), st.booleans(), st.integers(0, 2), st.data())
+def test_definition_report_matches_the_full_loops_from_rank_zero(fixture_maps, name, of_target, loops, data):
+    # a rank-0 source on 0 to 2 loops, into a catalog matroid or target:
+    # its hyperplane order is empty, so the size test never decides the
+    # bijection, and a target with points keeps "uncovered points remain"
+    phi = fixture_maps[name]
+    target = phi.target if of_target else phi.source
+    source = Matroid(loops, [[]])
+    image = data.draw(st.sampled_from(list(FlatLattice.build(fresh(target)).all_flats())))
+    psi = AdjointMap(source, target, {source.groundset(): image})
+    assert psi._order == ()
+    report = assert_report_matches_the_full_loops(psi)
+    uncovered = [v for v in report.violations if v.actual == "uncovered points remain"]
+    assert len(uncovered) == (target.n > 0)
+
+
+def test_definition_report_of_a_rank_zero_map_into_no_points_is_valid():
+    point = Matroid(0, [()])
+    assert assert_report_matches_the_full_loops(AdjointMap(point, point, {es([], 0): es([], 0)})).valid
+
+
+def test_definition_report_of_a_hyperplane_sent_to_a_loop():
+    # U_1_1 into one loop: {0} is a flat there, so the one hyperplane's image
+    # gives a hyperplane order of length t, but {0} is no point, so the
+    # bijection check must still run and report it
+    loop = Matroid(1, [[]])
+    phi = AdjointMap(uniform(1, 1), loop, {es([], 1): es([0], 1), es([0], 1): es([0], 1)})
+    assert phi._order == (0,)
+    report = assert_report_matches_the_full_loops(phi)
+    assert [v.witness for v in report.violations if v.check == "hyperplane_bijection"] == [(es([], 1),)]
