@@ -20,8 +20,12 @@ Neither construction closes a set.  Both read the lift of the minor's
 lattice, which maps each flat F of M/C to F u C and each flat F of M\\D to
 cl(F), from one walk of the parent's lattice per minor.  The lift of the
 bottom flat of M/C is cl(C), and the vanishing hyperplanes of M\\D are the
-hyperplanes of M that are no flat's lift.  Both constructions end in one
-builder, which relabels the images, builds the map and verifies it.
+hyperplanes of M that are no flat's lift.  A matroid keeps no minors: each
+construction builds its minor afresh, a deletion once for both uses.  Both
+end in one builder, which relabels the images, builds the map and verifies
+it.  A minor map that removes no target point keeps its parent's target,
+since M' restricted to all of E' is M'.  A map keeps its verified
+contractions, keyed by the contraction set.
 
 No target's lattice is ever built.  Checking a map needs three things from
 its target M': whether each image is a flat, the points, and cl'(empty).
@@ -34,9 +38,7 @@ computed once per map and kept on it: ``verify_adjoint``,
 ``full_verification`` and the minor constructions, which refuse a map that
 fails it with a PreconditionError, read the same report.  Constructed maps
 are verified before being returned; a failure there is a ConstructionError
-(an implementation bug), never a silently wrong map.  Each map keeps the
-contractions made from it, keyed by the contraction set, once they have
-passed that verification.
+(an implementation bug), never a silently wrong map.
 """
 from __future__ import annotations
 
@@ -520,13 +522,13 @@ def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
     canonical order: those that lift no flat of M\\D, since the flat H - D
     of M\\D lifts to cl(H - D), which is H unless the rank drops."""
     expect(M, Matroid)
-    return tuple(_trusted(h, M.n) for h in _vanishing(M, set_mask(D, M.n)))
+    return tuple(_trusted(h, M.n) for h in _vanishing(M, M._minor("delete", set_mask(D, M.n))))
 
 
-def _vanishing(M: Matroid, dm: int) -> list:
-    """The masks of ``vanishing_hyperplanes`` of the set with mask dm."""
+def _vanishing(M: Matroid, N: Matroid) -> list:
+    """The masks of ``vanishing_hyperplanes`` of M, for the deletion N = M\\D."""
     hyperplanes = M.flats().hyperplane_masks  # built first, so that M\\D reads its lattice off M's
-    lifted = set(M._minor("delete", dm).flats()._lift.values())
+    lifted = set(N.flats()._lift.values())
     return [h for h in hyperplanes if h not in lifted]
 
 
@@ -545,17 +547,18 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
 
 def _delete(phi: AdjointMap, dm: int) -> AdjointMap:
     """``delete_adjoint`` of the coindependent set with mask dm, for an adjoint phi."""
+    N = phi.source._minor("delete", dm)
     removed = 0
-    for h in _vanishing(phi.source, dm):
+    for h in _vanishing(phi.source, N):
         removed |= phi._table[h]
-    return _verified_minor_map(phi, phi.source._minor("delete", dm), removed, "deletion")
+    return _verified_minor_map(phi, N, removed, "deletion")
 
 
 def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> AdjointMap:
     """The map F -> phi(lift F) - gone from the minor N of phi's source into
     phi's target minus ``gone``, relabeled as ``Matroid.delete`` relabels,
-    after it passes verify_adjoint."""
-    target = phi.target._minor("delete", gone)
+    after it passes verify_adjoint; phi's own target when nothing is gone."""
+    target = phi.target._minor("delete", gone) if gone else phi.target
     lattice = N.flats()
     lift, table = lattice._lift, phi._table
     flats = [f for layer in lattice.masks for f in layer]

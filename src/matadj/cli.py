@@ -157,6 +157,14 @@ def cmd_search(args) -> int:
     start = time.monotonic()
     result = search_adjoint(M)
     elapsed = time.monotonic() - start
+    if args.log:  # written on a refusal too, where "found" is false
+        log = {
+            "found": result.found is not None,
+            "exhausted": result.exhausted,
+            "candidates_examined": result.candidates_examined,
+            "time_seconds": elapsed,
+        }
+        Path(args.log).write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
     if result.diagnostic:
         print(f"error: {result.diagnostic}", file=sys.stderr)
         return 2
@@ -165,14 +173,6 @@ def cmd_search(args) -> int:
     if args.output:
         save_adjoint(result.found, args.output)
         print(f"wrote {args.output}")
-    if args.log:
-        log = {
-            "found": result.found is not None,
-            "exhausted": result.exhausted,
-            "candidates_examined": result.candidates_examined,
-            "time_seconds": elapsed,
-        }
-        Path(args.log).write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

@@ -68,7 +68,13 @@ def _read(source: Source) -> dict:
 # ---------------------------------------------------------------------------
 
 def matroid_to_dict(M: Matroid, name: str | None = None, rep: Representation | None = None) -> dict:
+    """M as a matroid dict, by ``rep``'s matrix if given, else by its bases."""
+    if name is not None and not isinstance(name, str):
+        raise InputError(f"'name' must be a string, got {type(name).__name__}")
     if rep is not None:
+        expect(rep, Representation)
+        if rep.matroid() != M:
+            raise InputError("representation does not match the matroid's bases")
         if rep.field == "rational":
             field = "rational"
             matrix = [[str(col[i]) for col in rep.columns] for i in range(rep.dim)]
@@ -199,6 +205,7 @@ def load_adjoint(source: Source, source_matroid: Matroid | None = None,
             if embedded is None:
                 raise InputError(f"adjoint file has no '{key}' and none was supplied")
             return _resolve_matroid(embedded, key)
+        expect(override, Matroid)
         if embedded is not None and not _describes(embedded, override, key):
             raise InputError(f"embedded '{key}' matroid disagrees with the supplied one")
         return override

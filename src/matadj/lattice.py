@@ -162,6 +162,8 @@ class FlatLattice:
     # -- queries ------------------------------------------------------------
 
     def layer(self, k: int) -> tuple[ElementSet, ...]:
+        if k.__class__ is not int:
+            raise InputError(f"expected int, got {type(k).__name__}")
         if k < 0 or k >= len(self.masks):
             raise InputError(f"no rank-{k} layer in a rank-{len(self.masks) - 1} lattice")
         n = self.owner.n

@@ -170,9 +170,8 @@ class Matroid:
         self._closure_cache: dict = {}  # subset mask -> mask of its closure
         self._indexed = len(masks) > SCAN_LIMIT << self.full_rank  # which kernel answers a miss
         self._holders: tuple | None = None  # the table of basis holders, built on first use
-        self._minor_cache: dict = {}
         self._lattice = None
-        self._minor_of = None  # (parent, removed mask, contracted), set by contract and delete
+        self._minor_of = None  # (parent, removed mask, contracted), set by ``_minor``
 
     @property
     def bases(self) -> frozenset:
@@ -360,11 +359,11 @@ class Matroid:
     # -- flats --------------------------------------------------------------
 
     def flats(self):
-        """The full lattice of flats (cached).  A contraction or deletion made
-        by ``contract`` or ``delete`` reads its lattice and lift off its
-        parent's lattice, with no closure, when that is already built; every
-        other matroid builds its own by closures.  Both give the same lattice,
-        layers in the same order; see ``matadj.lattice``."""
+        """The full lattice of flats (cached).  A minor made by ``contract``,
+        ``delete``, ``restrict`` or ``simplify`` reads its lattice and lift off
+        its parent's lattice, with no closure, when that is already built;
+        every other matroid builds its own by closures.  Both give the same
+        lattice, layers in the same order; see ``matadj.lattice``."""
         if self._lattice is None:
             from .lattice import FlatLattice
 
@@ -387,27 +386,21 @@ class Matroid:
 
     # -- minors -------------------------------------------------------------
 
-    def _relabel_out(self, removed: int) -> dict:
-        """Order-preserving dense relabeling of the elements outside the mask."""
-        return {e: i for i, e in enumerate(bits(self._full & ~removed))}
-
     def _minor(self, op: str, m: int) -> "Matroid":
         """M/S or M\\S (``op`` "contract" or "delete") for the set S with mask
-        m, cached per set and relabeled densely, the map recorded in
-        provenance.  The bases are those of ``contract`` and ``delete``."""
-        result = self._minor_cache.get((op, m))
-        if result is None:
-            if op == "contract":
-                ind = self._independent_part(m)
-                masks = [b & ~ind for b in self._basis_masks if b & m == ind]
-            else:
-                keep = self._full & ~m
-                r2 = self._rank(keep)
-                masks = dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
-            provenance = {"op": op, "removed": bits(m), "relabel": self._relabel_out(m), "parent": self}
-            result = Matroid._unchecked(self.n - m.bit_count(), _squeeze(masks, m), provenance)
-            result._minor_of = (self, m, op == "contract")
-            self._minor_cache[(op, m)] = result
+        m, relabeled densely (the map in provenance): a new minor on each call,
+        which M keeps no reference to.  The bases are as in ``contract``, ``delete``."""
+        if op == "contract":
+            ind = self._independent_part(m)
+            masks = [b & ~ind for b in self._basis_masks if b & m == ind]
+        else:
+            keep = self._full & ~m
+            r2 = self._rank(keep)
+            masks = dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
+        relabel = {e: i for i, e in enumerate(bits(self._full & ~m))}  # dense, order-preserving
+        provenance = {"op": op, "removed": bits(m), "relabel": relabel, "parent": self}
+        result = Matroid._unchecked(self.n - m.bit_count(), _squeeze(masks, m), provenance)
+        result._minor_of = (self, m, op == "contract")
         return result
 
     def contract(self, C: ElementSet) -> "Matroid":
@@ -428,7 +421,7 @@ class Matroid:
 
     def restrict(self, S: ElementSet) -> "Matroid":
         """M|S, i.e. delete the complement of S."""
-        return self.delete(S.complement())
+        return self._minor("delete", self._full & ~set_mask(S, self.n))
 
     def dual(self) -> "Matroid":
         return Matroid._unchecked(
@@ -451,18 +444,10 @@ class Matroid:
             parallel = self._closure(1 << e) & ~loops
             class_map[e] = (parallel & -parallel).bit_length() - 1
         reps = [e for e, rep in class_map.items() if e == rep]
-        m = self._minor("delete", self._full & ~sum(1 << e for e in reps))
-        return Matroid._unchecked(
-            m.n,
-            m._basis_masks,
-            provenance={
-                "op": "simplify",
-                "loops": bits(loops),
-                "class_map": class_map,
-                "relabel": m.provenance["relabel"],
-                "parent": self,
-            },
-        )
+        simple = self._minor("delete", self._full & ~sum(1 << e for e in reps))
+        simple.provenance = {"op": "simplify", "loops": bits(loops), "class_map": class_map,
+                             "relabel": simple.provenance["relabel"], "parent": self}
+        return simple
 
     # -- identity -----------------------------------------------------------
 
@@ -482,7 +467,8 @@ class Matroid:
 
 
 def _squeeze(masks: Iterable[int], removed: int) -> list:
-    """``_relabel_out`` on masks that miss ``removed``: cut out its bits, shift the rest down."""
+    """The relabeling of ``Matroid._minor`` on masks that miss ``removed``:
+    cut out its bits, shift the rest down."""
     out = list(masks)
     for p in reversed(bits(removed)):
         low = (1 << p) - 1

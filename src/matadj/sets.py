@@ -223,6 +223,7 @@ class ElementSet:
 
     def relabel(self, mapping: Mapping[int, int], new_universe: int) -> "ElementSet":
         """Push the set through an element relabeling (must be defined on all members)."""
+        expect(mapping, Mapping)
         try:
             return ElementSet(map(mapping.__getitem__, bits(self.mask)), new_universe)
         except KeyError as exc:

@@ -345,6 +345,48 @@ def test_delete_adjoint_fano():
     assert verify_adjoint(psi).valid
 
 
+def test_delete_adjoint_builds_its_deletion_once(monkeypatch):
+    # one M\D serves both the vanishing hyperplanes and the map
+    phi = fano_map()
+    built = []  # (matroid, op, mask, minor) per call
+    minor = Matroid._minor
+
+    def counted(self, op, m):
+        built.append((self, op, m, minor(self, op, m)))
+        return built[-1][3]
+
+    monkeypatch.setattr(Matroid, "_minor", counted)
+    for D in ([0], [0, 3], []):
+        built.clear()
+        psi = delete_adjoint(phi, es(D, 7))
+        [(op, m, N)] = [(op, m, N) for M, op, m, N in built if M is phi.source]
+        assert (op, m) == ("delete", es(D, 7).mask) and N is psi.source
+
+
+def test_a_minor_map_that_removes_no_point_keeps_its_parents_target():
+    phi = fano_map()
+    kept = [
+        delete_adjoint(phi, es([0], 7)),  # every line keeps two points, so none vanishes
+        contract_adjoint(phi, es([], 7)),
+        minor_adjoint(phi, MinorSpec(es([], 7), es([1], 7))),
+    ]
+    for psi in kept:
+        assert psi.target is phi.target
+        assert verify_adjoint(psi).valid
+    # deleting 0 and 3 drops the line {0,3,x} to rank 1, and its point goes;
+    # contracting 0 keeps only the points of the lines through 0
+    for psi, relabel in [
+        (delete_adjoint(phi, es([0, 3], 7)), {0: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}),
+        (contract_adjoint(phi, es([0], 7)), None),
+    ]:
+        assert psi.target is not phi.target
+        assert psi.target.provenance["parent"] is phi.target
+        assert psi.target.provenance["op"] == "delete"
+        if relabel is not None:
+            assert psi.target.provenance["relabel"] == relabel
+        assert len(psi.target.provenance["relabel"]) == psi.target.n < phi.target.n
+
+
 def test_delete_adjoint_requires_coindependence():
     phi = u23_self_map()
     with pytest.raises(PreconditionError, match="not coindependent"):

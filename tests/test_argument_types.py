@@ -38,12 +38,14 @@ from matadj import (
     vanishing_hyperplanes,
     verify_adjoint,
 )
+from matadj.files import adjoint_to_dict
 
 ENTRY = by_name("U_2_3")
 M, REP = ENTRY.matroid, ENTRY.representation
 PHI = adjoint_from_representation(M, REP)
 SPEC = MinorSpec(ElementSet.of([0], 3), ElementSet.empty(3))
 EMPTY = ElementSet.empty(3)
+MAP_DICT = adjoint_to_dict(PHI)
 
 CASES = [
     ("search_adjoint(str)", lambda: search_adjoint("fano"), "expected Matroid, got str"),
@@ -69,6 +71,11 @@ CASES = [
     ("hyperplane_chain(None, X)", lambda: hyperplane_chain(None, EMPTY), "expected Matroid, got NoneType"),
     ("save_adjoint(None)", lambda: save_adjoint(None, "unused.json"), "expected AdjointMap, got NoneType"),
     ("save_matroid(None)", lambda: save_matroid(None, "unused.json"), "expected Matroid, got NoneType"),
+    ("M.restrict(list)", lambda: M.restrict([0, 1]), "expected ElementSet, got list"),
+    ("load_adjoint(d, source_matroid=str)", lambda: load_adjoint(MAP_DICT, source_matroid="U_2_3"),
+     "expected Matroid, got str"),
+    ("load_adjoint(d, target_matroid=int)", lambda: load_adjoint(MAP_DICT, target_matroid=5),
+     "expected Matroid, got int"),
     ("uniform(True, 3)", lambda: uniform(True, 3), "uniform matroid needs integers r and n, got r=True, n=3"),
     ("uniform(2.0, 3)", lambda: uniform(2.0, 3), "uniform matroid needs integers r and n, got r=2.0, n=3"),
     ("uniform(2, 3.0)", lambda: uniform(2, 3.0), "uniform matroid needs integers r and n, got r=2, n=3.0"),
@@ -94,6 +101,11 @@ KIND_CASES = [
      "expected Iterable, got NoneType"),
     ("ElementSet(None, 3)", lambda: ElementSet(None, 3), "expected Iterable, got NoneType"),
     ("ElementSet.of(None, 3)", lambda: ElementSet.of(None, 3), "expected Iterable, got NoneType"),
+    ("ElementSet.relabel(None, 3)", lambda: EMPTY.relabel(None, 3), "expected Mapping, got NoneType"),
+    ("FlatLattice.layer('1')", lambda: M.flats().layer("1"), "expected int, got str"),
+    ("FlatLattice.layer(None)", lambda: M.flats().layer(None), "expected int, got NoneType"),
+    ("FlatLattice.layer(1.0)", lambda: M.flats().layer(1.0), "expected int, got float"),
+    ("FlatLattice.layer(True)", lambda: M.flats().layer(True), "expected int, got bool"),
     ("Matroid(3, None)", lambda: Matroid(3, None), "expected Iterable, got NoneType"),
     ("Matroid(3, 5)", lambda: Matroid(3, 5), "expected Iterable, got int"),
     ("load_matroid(None)", lambda: load_matroid(None), "expected a path or a dict, got NoneType"),

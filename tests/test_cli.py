@@ -118,6 +118,26 @@ def test_contract_and_delete_flows(u23_files, tmp_path, capsys):
     assert data["source"]["n"] == 2 and data["target"]["n"] == 2
 
 
+@pytest.mark.parametrize("delete, relabel, digest", [
+    ("0", None, "7bf58e85a46ee0ae8a6af4810389367f3291b8fab1844f369bc973ff0b5f3273"),
+    ("0,3", "target relabel (delete): 0->0 2->1 3->2 4->3 5->4 6->5",
+     "3e641e70a6973b34e29515f87e9d4657977032618ee4d201d351090d7514749e"),
+])
+def test_delete_adjoint_prints_a_target_relabel_only_when_points_go(tmp_path, capsys, delete, relabel, digest):
+    # deleting 0 from fano leaves every line of rank 2, so no target point
+    # goes and the map keeps its parent's target; deleting 0 and 3 drops the
+    # line {0,3,...} to rank 1, and its point goes.  The files are the same
+    # either way.
+    fano = str(FIXTURES / "fano.json")
+    phi, out = tmp_path / "fano_map.json", tmp_path / "out.json"
+    assert main(["from-rep", fano, "-o", str(phi)]) == 0
+    capsys.readouterr()
+    assert main(["delete-adjoint", fano, str(phi), "--delete", delete, "-o", str(out)]) == 0
+    targets = [line for line in capsys.readouterr().out.splitlines() if line.startswith("target relabel")]
+    assert targets == ([relabel] if relabel else [])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_delete_adjoint_precondition_exit_2(u23_files, tmp_path, capsys):
     m, t, p = u23_files
     out = tmp_path / "x.json"
@@ -179,6 +199,13 @@ def test_search_budget_refusal_exit_2(tmp_path, capsys):
     assert main(["search", str(ag32)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the freest rank-4 target on 14 hyperplane labels is not a matroid")
+    # --log records the refusal too, with the same exit code and message
+    log = tmp_path / "search.json"
+    assert main(["search", str(ag32), "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""
+    logged = json.loads(log.read_text())
+    assert (logged["found"], logged["exhausted"], logged["candidates_examined"]) == (False, False, 1)
 
 
 def test_search_fano_then_verify(tmp_path, capsys):

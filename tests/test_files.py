@@ -70,6 +70,28 @@ def test_matrix_save_round_trip(tmp_path):
     assert rep.field == "rational"
 
 
+def test_save_refuses_a_representation_of_another_matroid(tmp_path):
+    # the non-Fano matrix would load back as non-Fano under Fano's name
+    path = tmp_path / "fano.json"
+    with pytest.raises(InputError, match="^representation does not match the matroid's bases$"):
+        save_matroid(by_name("fano").matroid, path, name="fano", rep=by_name("nonfano").representation)
+    assert not path.exists()
+
+
+def test_save_refuses_a_representation_that_is_not_one(tmp_path):
+    path = tmp_path / "fano.json"
+    with pytest.raises(InputError, match="^expected Representation, got str$"):
+        save_matroid(by_name("fano").matroid, path, rep="x")
+    assert not path.exists()
+
+
+def test_save_refuses_a_name_that_load_would_refuse(tmp_path):
+    path = tmp_path / "fano.json"
+    with pytest.raises(InputError, match="^'name' must be a string, got int$"):
+        save_matroid(by_name("fano").matroid, path, name=5)
+    assert not path.exists()
+
+
 def test_loader_reports_exchange_failure():
     with pytest.raises(InputError, match="basis exchange fails"):
         load_matroid({"n": 4, "bases": [[0, 1], [2, 3]]})

@@ -14,16 +14,14 @@ from matadj import (
     adjoint_from_representation,
     by_name,
     catalog,
-    contract_adjoint,
-    delete_adjoint,
     hyperplane_chain,
     minor_adjoint,
     minor_normal_form,
     uniform,
 )
-from matadj.files import adjoint_to_dict, canonical_json
 from oracles import brute_closure, brute_covers, brute_flats, brute_rank
 from test_single_pass_checks import columns_with_zeros_and_repeats
+from test_target_closures import lineage
 from test_trust_boundaries import representations
 
 
@@ -150,7 +148,8 @@ def test_chain_properties_for_every_flat(name):
 def minors_of(M):
     """For every spec (C, D) with |C| + |D| <= 2: M/C and M\\D as given, and
     the contraction, then the deletion, that minor_adjoint makes of its
-    normal form."""
+    normal form.  The contraction's lattice is built before its deletion is
+    yielded, whether or not the caller checked it."""
     n = M.n
     for total in range(3):
         for csz in range(total + 1):
@@ -162,17 +161,18 @@ def minors_of(M):
                     nf = minor_normal_form(M, MinorSpec(es(C, n), es(D, n)))
                     M1 = M.contract(nf.contract)
                     yield M1
+                    M1.flats()
                     yield M1.delete(nf.delete.relabel(M1.provenance["relabel"], M1.n))
 
 
 def assert_minor_lattices_match_builds(M):
-    M = Matroid._unchecked(M.n, M._basis_masks)  # no minors cached yet
+    M = Matroid._unchecked(M.n, M._basis_masks)  # a copy with no lattice built yet
     M.flats()
     seen, closures = set(), {}
     for N in minors_of(M):
-        if id(N) in seen:
+        if lineage(N) in seen:
             continue
-        seen.add(id(N))
+        seen.add(lineage(N))
         # the parent's lattice is built, so N.flats() reads it off that
         assert N._lattice is None and N.provenance["parent"]._lattice is not None
         derived, built = N.flats(), FlatLattice.build(N)
@@ -187,12 +187,12 @@ def assert_minor_lattices_match_builds(M):
 def assert_lift_matches_the_oracle(N, lift, closures):
     """Each flat F of N = M/C lifts to F u C, a flat of M, and each flat F of
     N = M\\D to cl(F), with F on M's labels.  ``closures`` memoises
-    ``brute_closure`` by (id(M), set)."""
+    ``brute_closure`` by (``lineage(M)``, set)."""
     M, removed = N.provenance["parent"], N.provenance["removed"]
     back = {new: old for old, new in N.provenance["relabel"].items()}
 
     def closure(S):
-        key = (id(M), frozenset(S))
+        key = (lineage(M), frozenset(S))
         if key not in closures:
             closures[key] = brute_closure(M, S)
         return closures[key]
@@ -234,29 +234,6 @@ def test_minor_adjoints_build_no_lattice(monkeypatch, name):
             for csz in range(total + 1):
                 minor_adjoint(phi, MinorSpec(es(S[:csz], n), es(S[csz:], n)))
     assert builds == []
-
-
-@pytest.mark.parametrize("name", [e.name for e in catalog()])
-def test_minor_adjoints_read_a_lift_from_a_lattice_built_by_closures(name):
-    # a minor whose lattice was built before its parent's walks the parent
-    # for its lift; the maps are the same as when the lattice is read off
-    entry = by_name(name)
-    n = entry.matroid.n
-
-    def maps(M):
-        phi = adjoint_from_representation(M, entry.representation)
-        for e in range(n):
-            S = es([e], n)
-            yield canonical_json(adjoint_to_dict(contract_adjoint(phi, S)))
-            if M.is_coindependent(S):
-                yield canonical_json(adjoint_to_dict(delete_adjoint(phi, S)))
-
-    early = Matroid._unchecked(n, entry.matroid._basis_masks)
-    for e in range(n):
-        for N in (early.contract(es([e], n)), early.delete(es([e], n))):
-            N.flats()
-    assert early._lattice is None
-    assert list(maps(early)) == list(maps(Matroid._unchecked(n, entry.matroid._basis_masks)))
 
 
 def test_only_a_contraction_or_deletion_has_a_lift():

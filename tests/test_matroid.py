@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from matadj import (
     ElementSet,
+    FlatLattice,
     InputError,
     Matroid,
     MinorSpec,
@@ -226,6 +229,23 @@ def test_delete_flat_correspondence():
                 assert got == expected
 
 
+@pytest.mark.parametrize("op", ["contract", "delete", "restrict"])
+def test_a_matroid_keeps_no_minor(op):
+    # a minor, its lattice read off the parent's included, is freed once the
+    # caller drops it, and the next call builds a new one
+    M = by_name("fano").matroid
+    M.flats()
+    S = es([0, 1], 7)
+    minor = getattr(M, op)(S)
+    minor.flats()
+    ref = weakref.ref(minor)
+    again = getattr(M, op)(S)
+    assert again is not minor and again == minor
+    del minor, again
+    gc.collect()  # a minor and its lattice refer to each other
+    assert ref() is None
+
+
 def test_dual_bases_complement():
     u23 = uniform(2, 3)
     assert u23.dual() == uniform(1, 3)
@@ -253,6 +273,9 @@ def test_simplify_matches_the_pair_oracle(rep):
     assert s._basis_masks == M.delete(es(reps, M.n).complement())._basis_masks
     assert s.bases == {frozenset(relabel[e] for e in b) for b in brute_restriction_bases(M, reps)}
     assert s.is_simple()
+    # a simplification is a deletion: with M's lattice built, it reads its own off that
+    M.flats()
+    assert s.flats().flats_by_rank == FlatLattice.build(Matroid._unchecked(s.n, s._basis_masks)).flats_by_rank
 
 
 def test_simplify_all_loops():

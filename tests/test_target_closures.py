@@ -44,6 +44,16 @@ def fresh(M):
     return Matroid._unchecked(M.n, M._basis_masks)
 
 
+def lineage(N) -> tuple:
+    """A minor by value: (removed mask, contracted) of N and of each minor it
+    descends from, up to the first matroid that is no contraction or deletion."""
+    steps = []
+    while N._minor_of is not None:
+        N, removed, contracted = N._minor_of
+        steps.append((removed, contracted))
+    return tuple(steps)
+
+
 def mask(members):
     return sum(1 << e for e in members)
 
@@ -81,10 +91,10 @@ def minor_maps(phi, most=2):
 def test_target_closures_match_built_lattices(fixture_maps, name):
     phi = fixture_maps[name]
     assert_closure_answers_match_lattice(phi.target, [img.mask for img in phi.table.values()])
-    seen = set()
+    seen = set()  # targets by value: a minor target is freed once its map is
     for psi in minor_maps(phi):
-        if id(psi.target) not in seen:
-            seen.add(id(psi.target))
+        if lineage(psi.target) not in seen:
+            seen.add(lineage(psi.target))
             assert_closure_answers_match_lattice(psi.target, [img.mask for img in psi.table.values()])
 
 
