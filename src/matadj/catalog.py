@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import InputError
 from .linalg import Representation
-from .matroid import Matroid
+from .matroid import Matroid, check_budget
 from .sets import Record, _set
 
 
@@ -25,16 +26,13 @@ class CatalogEntry(Record):
 
 
 def uniform(r: int, n: int, name: str | None = None) -> Matroid:
-    """U_{r,n}: every r-subset is a basis."""
+    """U_{r,n}: every r-subset is a basis, checked against the work budget before any is listed."""
     if type(r) is not int or type(n) is not int:
         raise InputError(f"uniform matroid needs integers r and n, got r={r!r}, n={n!r}")
     if r < 0 or r > n:
         raise InputError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
-    return Matroid(
-        n,
-        combinations(range(n), r),
-        provenance={"op": "named", "name": name or f"U_{r}_{n}"},
-    )
+    check_budget(comb(n, r), f"subset count C({n}, {r}) =")
+    return Matroid(n, combinations(range(n), r), provenance={"op": "named", "name": name or f"U_{r}_{n}"})
 
 
 def _vandermonde(r: int, n: int) -> Representation:

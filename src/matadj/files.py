@@ -89,16 +89,16 @@ def matroid_to_dict(M: Matroid, name: str | None = None, rep: Representation | N
     return out
 
 
-def _check_bases(bases) -> None:
-    """Refuse a 'bases' value that is not a list of lists."""
-    if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
-        raise InputError("'bases' must be a list of lists")
-
-
 def _read_fields(data: dict) -> tuple[str | None, int]:
     """(name, n) of a matroid dict: a name, when present and not null, must
-    be a string, n an int, and the dict gives at most one of 'bases' and
-    'matrix'."""
+    be a string, n an int, the dict gives at most one of 'bases' and
+    'matrix', and 'bases' is a list of lists.  A key that no reader reads is
+    refused: one not named here or 'field', a 'field' next to 'bases', and a
+    key other than 'prime' in a 'field' dict."""
+    unknown = [key for key in data if key not in ("name", "n", "bases", "field", "matrix")]
+    if unknown:
+        raise InputError(f"matroid file has unknown keys {unknown}; it takes only 'name', 'n', 'bases', "
+                         "'field' and 'matrix'")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"'name' must be a string, got {type(name).__name__}")
@@ -107,6 +107,15 @@ def _read_fields(data: dict) -> tuple[str | None, int]:
         raise InputError("matroid file needs an integer 'n'")
     if "bases" in data and "matrix" in data:
         raise InputError("matroid file gives both 'bases' and 'matrix'; it needs exactly one")
+    if "bases" in data and "field" in data:
+        raise InputError("matroid file gives 'field' with 'bases'; a field goes only with 'matrix'")
+    field = data.get("field")
+    unknown = [key for key in field if key != "prime"] if isinstance(field, dict) else []
+    if unknown:
+        raise InputError(f"'field' has unknown keys {unknown}; it takes only 'prime'")
+    bases = data.get("bases", [])
+    if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
+        raise InputError("'bases' must be a list of lists")
     return name, n
 
 
@@ -115,10 +124,7 @@ def load_matroid(source: Source) -> tuple[Matroid, Representation | None, str | 
     data = _read(source)
     name, n = _read_fields(data)
     if "bases" in data:
-        bases = data["bases"]
-        _check_bases(bases)
-        matroid = Matroid(n, bases, provenance={"op": "file", "name": name})
-        return matroid, None, name
+        return Matroid(n, data["bases"], provenance={"op": "file", "name": name}), None, name
     if "matrix" in data:
         field = data.get("field")
         if isinstance(field, dict) and "prime" in field:
@@ -179,7 +185,6 @@ def _describes(spec, M: Matroid, role: str) -> bool:
     matroid, a name through the catalog."""
     if isinstance(spec, dict) and "bases" in spec:
         _, n = _read_fields(spec)
-        _check_bases(spec["bases"])
         return n == M.n and set(checked_basis_masks(spec["bases"], n)) == set(M._basis_masks)
     return _resolve_matroid(spec, role) == M
 

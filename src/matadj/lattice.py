@@ -39,17 +39,16 @@ from collections.abc import Iterator
 from functools import cached_property
 
 from .errors import ConstructionError, InputError, expect
-from .matroid import Matroid, _squeeze
+from .matroid import Matroid, _squeeze, check_budget
 from .sets import ElementSet, _trusted, bits
 
 
-def _lift_walk(N) -> tuple:
-    """(lift, layers) of N = M/C or M\\D from one rank-order walk of the
-    lattice of M: the lift maps each flat mask of N to the mask of its least
-    flat of M, and the layers hold the flat masks of N by rank."""
-    if N._minor_of is None:
-        raise InputError(f"{N!r} was not made by contract or delete, so its flats have no lift")
-    M, removed, contracted = N._minor_of
+def _lift_walk(origin: tuple) -> tuple:
+    """(lift, layers) of N = M/C or M\\D, given by its origin (M, removed
+    mask, contracted), from one rank-order walk of the lattice of M: the
+    lift maps each flat mask of N to the mask of its least flat of M, and
+    the layers hold the flat masks of N by rank."""
+    M, removed, contracted = origin
     keep, over = M._full & ~removed, removed if contracted else 0
     least: dict = {}  # trace on keep -> the first flat of M met with it
     ends = []  # len(least) after each rank of M
@@ -69,25 +68,29 @@ class FlatLattice:
 
     The one stored form is ``masks``: the flat masks by rank, each layer in
     lexicographic order.  ``flats_by_rank``, ``layer``, ``all_flats`` and
-    ``canonical_order`` build ``ElementSet``s from it on each read.
+    ``canonical_order`` build ``ElementSet``s from it on each read.  It keeps
+    the matroid's ``n`` and ``_minor_of``, not the matroid: the two form no cycle.
     """
 
-    def __init__(self, owner, masks: list):
+    def __init__(self, n: int, masks: list, origin: tuple | None):
         # the top layer is the single rank-r flat, E: ``build`` makes it so by
         # theorem, and this guards the layers that ``of_minor`` reads off
         if len(masks[-1]) != 1:
             raise ConstructionError("expected a unique top flat")
-        self.owner = owner
+        self.n = n
+        self._origin = origin
         self.masks = tuple(masks)
 
     @classmethod
     def build(cls, M) -> "FlatLattice":
         """The lattice of M by closures, one per flat below the top: the
         covers of a flat already found are marked reached, so each closure
-        gives a new flat of the next rank, and the top layer is (E,)."""
+        gives a new flat of the next rank, and the top layer is (E,).  Each
+        flat found is counted against the work budget."""
         expect(M, Matroid)
         n, closure = M.n, M._closure
         layers = [(closure(0),)]
+        count = 2  # cl(empty), and E on top in rank >= 1
         for _ in range(1, M.full_rank):
             found = []  # the flats of the next rank, each closed once
             for f in layers[-1]:
@@ -100,17 +103,19 @@ class FlatLattice:
                         g = closure(f | 1 << e)
                         found.append(g)
                         reached |= g
+                        count += 1
+                        check_budget(count, "flat count")
             layers.append(tuple(sorted(found, key=bits)))
         if M.full_rank:
             layers.append((M._full,))
-        return cls(M, layers)
+        return cls(n, layers, M._minor_of)
 
     @classmethod
     def of_minor(cls, N) -> "FlatLattice":
         """The lattice of N = M/C or M\\D, as made by ``Matroid.contract`` or
         ``Matroid.delete``, read off the built lattice of M with its lift."""
-        lift, by_rank = _lift_walk(N)
-        lattice = cls(N, [tuple(sorted(masks, key=bits)) for masks in by_rank])
+        lift, by_rank = _lift_walk(N._minor_of)
+        lattice = cls(N.n, [tuple(sorted(masks, key=bits)) for masks in by_rank], N._minor_of)
         lattice._lift = lift  # fills the cached property, so no second walk
         return lattice
 
@@ -121,14 +126,16 @@ class FlatLattice:
     @cached_property
     def _lift(self) -> dict[int, int]:
         """``lift`` on masks; a lattice built by closures walks the parent on first read."""
-        return _lift_walk(self.owner)[0]
+        if self._origin is None:
+            raise InputError("this lattice's matroid was not made by contract or delete, so its flats have no lift")
+        return _lift_walk(self._origin)[0]
 
     @property
     def lift(self) -> dict[int, ElementSet]:
         """Flat mask -> the least flat of the parent over it, for the lattice of
         a minor made by ``Matroid.contract`` (F u C) or ``Matroid.delete`` (cl(F))."""
         lift = self._lift
-        return {f: _trusted(g, self.owner._minor_of[0].n) for f, g in lift.items()}
+        return {f: _trusted(g, self._origin[0].n) for f, g in lift.items()}
 
     @property
     def hyperplane_masks(self) -> tuple[int, ...]:
@@ -166,8 +173,7 @@ class FlatLattice:
             raise InputError(f"expected int, got {type(k).__name__}")
         if k < 0 or k >= len(self.masks):
             raise InputError(f"no rank-{k} layer in a rank-{len(self.masks) - 1} lattice")
-        n = self.owner.n
-        return tuple(_trusted(f, n) for f in self.masks[k])
+        return tuple(_trusted(f, self.n) for f in self.masks[k])
 
     def all_flats(self) -> Iterator[ElementSet]:
         for layer in self.flats_by_rank:
@@ -175,14 +181,13 @@ class FlatLattice:
 
     def canonical_order(self) -> tuple[ElementSet, ...]:
         """The flats in the order of ``canonical_masks``."""
-        n = self.owner.n
-        return tuple(_trusted(f, n) for f in self.canonical_masks)
+        return tuple(_trusted(f, self.n) for f in self.canonical_masks)
 
     def flat_count(self) -> int:
         return sum(map(len, self.masks))
 
     def is_flat(self, F: ElementSet) -> bool:
-        return (F.__class__ is ElementSet and F.universe == self.owner.n
+        return (F.__class__ is ElementSet and F.universe == self.n
                 and F.mask in self.rank_by_mask)
 
     def rank_of(self, F: ElementSet) -> int:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .adjoint import AdjointMap, _induced, verify_adjoint
 from .errors import ConstructionError, InputError, expect
-from .matroid import Matroid, check_ground_size
+from .matroid import Matroid, check_budget
 from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
 
 
@@ -276,9 +276,9 @@ class Representation(Record):
         each scaled by the lcm of its denominators, which changes no set's
         independence), so the fraction-free elimination is exact.  The masks
         are kept: each later call wraps them in a fresh ``Matroid`` with the
-        caller's provenance.  The ground-size cap is checked on every call.
+        caller's provenance.  The first call checks the work budget on the
+        C(n, r) subsets before the walk, and a refusal keeps nothing.
         """
-        check_ground_size(self.n)
         if self._basis_masks is None:
             _set(self, "_basis_masks", _column_bases(self._vectors, self._char))
         return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)
@@ -309,7 +309,10 @@ class Representation(Record):
 def _column_bases(vectors: list, char: int) -> tuple:
     """The masks of the bases of the column matroid of the int vectors
     ``vectors`` over the field of characteristic ``char``, in lexicographic
-    order; see ``Representation.matroid``."""
+    order; see ``Representation.matroid``.  The walk visits at most the
+    C(n, r) r-subsets of the n columns, a count checked against the work budget first."""
+    r = len(echelon(vectors, char))
+    check_budget(comb(len(vectors), r), f"column subset count C({len(vectors)}, {r}) =")
     masks = []
 
     def finish(mask: int, rest: list) -> None:
@@ -340,7 +343,6 @@ def _column_bases(vectors: list, char: int) -> tuple:
             row = ((pivot, vec),)
             walk(mask | 1 << j, need - 1, [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]])
 
-    r = len(echelon(vectors, char))
     if r == 0:
         masks.append(0)
     else:
@@ -359,7 +361,6 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     hyperplanes = M.flats().masks[M.full_rank - 1]
     # the covectors are the columns of the target: listed from their int
     # vectors, which are already in the field's normal form
-    check_ground_size(len(hyperplanes))
     covectors = [rep._null_vector(h) for h in hyperplanes]
     target = Matroid._unchecked(len(hyperplanes), _column_bases(covectors, rep._char),
                                 provenance={"op": "covector-adjoint"})

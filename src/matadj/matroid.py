@@ -8,14 +8,13 @@ instances are immutable after construction (internal caches aside).
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 
 from .errors import ConstructionError, InputError, expect
 from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
 
-DEFAULT_MAX_N = 16
-_ENV_MAX_N = "MATADJ_MAX_N"
+# The most sets (bases, flats or walked subsets) that one step may list or hold
+WORK_BUDGET = 1 << 24
 
 # A rank-r matroid with more than SCAN_LIMIT << r bases answers rank and
 # closure from its table of basis holders; at or below it, by basis scans.
@@ -30,28 +29,10 @@ HOLDER_CHUNK = 1 << 15
 _BIT_DIGITS = tuple(bytes(48 + (v >> k & 1) for v in range(256)) for k in range(8))
 
 
-def max_ground_size() -> int:
-    """Hard cap on ground-set size; override with the MATADJ_MAX_N env var,
-    which must be a non-negative integer."""
-    raw = os.environ.get(_ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise InputError(f"{_ENV_MAX_N} must be non-negative, got {raw!r}")
-    return cap
-
-
-def check_ground_size(n: int) -> None:
-    """Refuse a negative ground-set size, or one above ``max_ground_size()``."""
-    cap = max_ground_size()
-    if n < 0:
-        raise InputError(f"ground-set size must be non-negative, got {n}")
-    if n > cap:
-        raise InputError(f"ground-set size {n} exceeds cap {cap} (set {_ENV_MAX_N} to raise)")
+def check_budget(count: int, what: str) -> None:
+    """Refuse, naming ``what`` and ``count``, a step about to list or hold more than ``WORK_BUDGET`` sets."""
+    if count > WORK_BUDGET:
+        raise InputError(f"{what} {count:,} exceeds the work budget of {WORK_BUDGET:,}")
 
 
 def checked_basis_masks(bases: Iterable, n: int) -> tuple:
@@ -62,6 +43,7 @@ def checked_basis_masks(bases: Iterable, n: int) -> tuple:
         if mask in masks:
             raise InputError(f"basis {bits(mask)} is listed more than once")
         masks[mask] = None
+        check_budget(len(masks), "basis count")
     return tuple(masks)
 
 
@@ -114,27 +96,31 @@ class Matroid:
     bench workloads, whose matroids have at most a few dozen bases, took 10
     to 12 % longer.
 
-    The public constructor is the trust boundary.  It refuses a non-int or
-    bool ``n``, a basis that breaks the label rule of ``sets.label_mask``, a
-    repeated basis, a ground set above the cap of ``check_ground_size``, an
-    empty family, bases of unequal sizes, and a family that fails the
+    The public constructor is the trust boundary.  It refuses a non-int,
+    bool or negative ``n``, an ``n`` or a count of bases read past
+    ``WORK_BUDGET`` (``n`` before the first basis is read), a basis that
+    breaks the label rule of ``sets.label_mask``, a repeated basis, an empty
+    family, bases of unequal sizes, and a family that fails the
     basis-exchange axiom, naming a violating pair.  That check costs |B| r
     dict updates plus one OR of table entries per element of each distinct
     exit set (``_check_exchange``).  ``_unchecked`` takes masks and checks
-    none of this, for outputs that are matroids by a theorem: column matroids
-    (``Representation.matroid``), by the Steinitz exchange lemma, the
-    contraction, deletion, dual and simplification of a ``Matroid``, and
-    search's freest adjoint target in rank at most 3.  Only the column
-    matroid and the freest target bring a new ground set, and they check the
-    cap themselves.  In rank 4 and above search calls ``_check_exchange`` on
-    its candidate explicitly, which returns the violating pair unformatted,
-    so a rejection costs no message.
+    none of this, for outputs that are matroids by a theorem: column
+    matroids (``Representation.matroid``), by the Steinitz exchange lemma,
+    the contraction, deletion, dual and simplification of a ``Matroid``, and
+    search's freest adjoint target in rank at most 3.  The column matroid
+    and the freest target check the budget on the subsets that their
+    listings walk; the others are no larger than their parent.  In rank 4
+    and above search calls ``_check_exchange`` on its candidate explicitly,
+    which returns the violating pair unformatted, so a rejection costs no
+    message.
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: dict | None = None):
         if type(n) is not int:
             raise InputError(f"ground-set size must be an integer, got {n!r}")
-        check_ground_size(n)
+        if n < 0:
+            raise InputError(f"ground-set size must be non-negative, got {n}")
+        check_budget(n, "ground-set size")
         expect(bases, Iterable)
         masks = checked_basis_masks(bases, n)
         if not masks:

@@ -8,10 +8,11 @@ before it is tried.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .adjoint import AdjointMap, _induced, verify_adjoint
 from .errors import ConstructionError, expect
-from .matroid import Matroid, check_ground_size
+from .matroid import Matroid, check_budget
 from .sets import Record, _set
 
 
@@ -82,23 +83,24 @@ def _freest_target(M: Matroid, hyperplanes: tuple) -> Matroid | None:
     |P(F)| > r - r(F); a hyperplane's P is its own label, so the flats of
     rank 1 to r - 2 suffice.  None when no r-subset is within the limits.
 
-    The ground-size cap is checked before the C(m, r) subsets are listed,
-    and the target is built with ``_unchecked``: in rank at most 3 it is a
-    simple rank-r matroid by a theorem.  Rank 0 gives U_0_0, rank 1 U_1_1
-    and rank 2, with no limits, U_2_m.  In rank 3 only the points bind: S is dependent
-    exactly when it lies in P(p) for a point p.  The H_i are lines, and two distinct lines meet in at most one
-    point, so two labels share at most one P(p).  The P(p) of two or more
-    labels, with every pair of labels that shares none, are then the lines
-    of a linear space on the labels, and the triples off its lines are the
-    bases of a simple rank-3 matroid.  The lines of M meet only in cl(0),
-    so no P(p) holds every label and the rank is 3.  Every rank-3 matroid
-    thus has an adjoint (Cheung, "Adjoints of a geometry", Canad. Math.
-    Bull. 17, 1974).  In rank 4 and above the family need not be a
-    matroid's bases, so the caller checks it.
+    The loop visits exactly the C(m, r) subsets, and the work budget is
+    checked on that count before the first one.  The target is built with
+    ``_unchecked``: in rank at most 3 it is a simple rank-r matroid by a
+    theorem.  Rank 0 gives U_0_0, rank 1 U_1_1 and rank 2, with no limits,
+    U_2_m.  In rank 3 only the points bind: S is dependent exactly when it
+    lies in P(p) for a point p.  The H_i are lines, and two distinct lines
+    meet in at most one point, so two labels share at most one P(p).  The
+    P(p) of two or more labels, with every pair of labels that shares none,
+    are then the lines of a linear space on the labels, and the triples off
+    its lines are the bases of a simple rank-3 matroid.  The lines of M meet
+    only in cl(0), so no P(p) holds every label and the rank is 3.  Every
+    rank-3 matroid thus has an adjoint (Cheung, "Adjoints of a geometry",
+    Canad. Math. Bull. 17, 1974).  In rank 4 and above the family need
+    not be a matroid's bases, so the caller checks it.
     """
     r = M.full_rank
     m = len(hyperplanes)
-    check_ground_size(m)
+    check_budget(comb(m, r), f"label subset count C({m}, {r}) =")
     limits = []  # (P(F) as a mask of labels, r - r(F))
     for k, layer in enumerate(M.flats().masks[1:r - 1], start=1):
         for f in layer:

@@ -656,3 +656,11 @@ def enumerate_families(M):
             if verify_adjoint(phi).valid:
                 return SearchResult(phi, False, examined)
     return SearchResult(None, True, examined)
+
+
+def vamos_bases():
+    """The 65 bases of the Vámos matroid V8, rank 4 on 8 elements: every
+    4-set except five unions of two of the pairs {0,1}, {2,3}, {4,5}, {6,7}
+    (Oxley, *Matroid Theory*, 2nd ed., appendix)."""
+    planes = [{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 1, 6, 7}, {2, 3, 4, 5}, {2, 3, 6, 7}]
+    return [c for c in combinations(range(8), 4) if set(c) not in planes]

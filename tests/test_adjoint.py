@@ -536,10 +536,9 @@ def test_full_verification_bundle():
     assert all(r.valid for r in reports.values())
 
 
-def test_u47_covector_adjoint_is_pinned(monkeypatch):
-    # U_4_7's covector adjoint: 35 points and 40,672 bases in the target, above
-    # the default cap; the map is checked without building the target lattice
-    monkeypatch.setenv("MATADJ_MAX_N", "35")
+def test_u47_covector_adjoint_is_pinned():
+    # U_4_7's covector adjoint: 35 points and 40,672 bases in the target; the
+    # map is checked without building the target lattice
     rep = _vandermonde(4, 7)
     phi = adjoint_from_representation(rep.matroid(), rep)
     assert phi.target.n == 35 and phi.target._lattice is None
@@ -548,11 +547,10 @@ def test_u47_covector_adjoint_is_pinned(monkeypatch):
     assert digest == "2b392249cf38e6f8725c881a388aeb7f1f24ff9cae3b85df16938aee5770ce3a"
 
 
-def test_u48_covector_adjoint_verifies(monkeypatch):
+def test_u48_covector_adjoint_verifies():
     # U_4_8's covector adjoint: 56 points and 307,398 bases in the target,
     # whose rank and closure queries read its table of basis holders; no
     # digest, since the saved map would list every basis
-    monkeypatch.setenv("MATADJ_MAX_N", "56")
     rep = _vandermonde(4, 8)
     phi = adjoint_from_representation(rep.matroid(), rep)
     assert phi.target.n == 56 and len(phi.target._basis_masks) == 307_398

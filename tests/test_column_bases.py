@@ -88,19 +88,17 @@ def test_uniform_entries_are_the_uniform_matroids(name):
     assert M.provenance == uniform(r, n).provenance == {"op": "named", "name": name}
 
 
-def test_large_covector_target_is_pinned(monkeypatch):
-    # U_4_7's covector target: 35 points in rank 4, above the default cap
-    monkeypatch.setenv("MATADJ_MAX_N", "35")
+def test_large_covector_target_is_pinned():
+    # U_4_7's covector target: 35 points in rank 4, C(35, 4) = 52,360 subsets
     target = covector_target(_vandermonde(4, 7)).matroid()
     assert target.n == 35 and len(target._basis_masks) == 40_672
     digest = hashlib.sha256(repr(target._basis_masks).encode()).hexdigest()
     assert digest == "aa96f8737db34450d90446b63650718699cbf709b3a512f73e5be5847482dbef"
 
 
-def test_largest_covector_target_is_pinned(monkeypatch):
+def test_largest_covector_target_is_pinned():
     # U_4_8's covector target: 56 points in rank 4, listed by the parallel-class
     # finish at every one of its 1,431 two-column prefixes
-    monkeypatch.setenv("MATADJ_MAX_N", "56")
     target = covector_target(_vandermonde(4, 8)).matroid()
     assert target.n == 56 and len(target._basis_masks) == 307_398
     digest = hashlib.sha256(repr(target._basis_masks).encode()).hexdigest()

@@ -12,13 +12,14 @@ from matadj import (
     InputError,
     Matroid,
     MinorSpec,
+    Representation,
     apply_minor,
     by_name,
     catalog,
     minor_normal_form,
     uniform,
 )
-from matadj.matroid import max_ground_size
+import matadj.matroid as matroid_module
 from oracles import (
     brute_closure,
     brute_rank,
@@ -242,8 +243,25 @@ def test_a_matroid_keeps_no_minor(op):
     again = getattr(M, op)(S)
     assert again is not minor and again == minor
     del minor, again
-    gc.collect()  # a minor and its lattice refer to each other
     assert ref() is None
+
+
+@pytest.mark.parametrize("parent_lattice", [False, True])
+def test_a_dropped_minor_is_freed_without_the_cyclic_collector(parent_lattice):
+    # the lattice keeps the minor's origin, not the minor, so no cycle holds
+    # it: by closures when the parent's lattice is unbuilt, else off it
+    M = by_name("fano").representation.matroid()
+    if parent_lattice:
+        M.flats()
+    minor = M.delete(es([0], 7))
+    minor.flats()
+    ref = weakref.ref(minor)
+    gc.disable()
+    try:
+        del minor
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dual_bases_complement():
@@ -342,23 +360,23 @@ def test_normal_form_properties(name, data):
 def test_ground_size_cap_is_checked_where_a_ground_set_enters(monkeypatch):
     fano = by_name("fano")
     M = fano.representation.matroid()  # fresh caches, so every minor below is built
-    monkeypatch.setenv("MATADJ_MAX_N", "2")
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 2)
     # minors, duals and simplifications are no larger than their parent, so
-    # they neither check the cap nor read it
+    # they check nothing against the budget
     assert M.contract(es([0], 7)).n == 6 and M.delete(es([0], 7)).n == 6
     assert M.dual().n == 7 and M.simplify().n == 7
-    for enter in (lambda: Matroid(3, [[0, 1, 2]]), fano.representation.matroid):
-        with pytest.raises(InputError, match="exceeds cap 2"):
-            enter()
-    monkeypatch.setenv("MATADJ_MAX_N", "seven")
-    assert M.contract(es([1], 7)).n == 6
-    with pytest.raises(InputError, match="must be an integer"):
-        fano.representation.matroid()
+    with pytest.raises(InputError, match="^ground-set size 3 exceeds the work budget of 2$"):
+        Matroid(3, [[0, 1, 2]])
+    # a representation's column bases are walked once, and checked then
+    with pytest.raises(InputError, match=r"^column subset count C\(7, 3\) = 35 exceeds the work budget of 2$"):
+        Representation(2, fano.representation.columns, 3).matroid()
+    assert fano.representation.matroid() == M
 
 
-@pytest.mark.parametrize("n, message", [(5, "ground-set size 5 exceeds cap 4"), (-1, "must be non-negative")])
+@pytest.mark.parametrize("n, message", [(5, "ground-set size 5 exceeds the work budget of 4"),
+                                        (-1, "must be non-negative")])
 def test_ground_size_is_checked_before_the_bases_are_read(monkeypatch, n, message):
-    monkeypatch.setenv("MATADJ_MAX_N", "4")
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 4)
 
     def unread():
         raise AssertionError("the bases were read")
@@ -368,19 +386,34 @@ def test_ground_size_is_checked_before_the_bases_are_read(monkeypatch, n, messag
         Matroid(n, unread())
 
 
-@pytest.mark.parametrize("raw", ["-3", "-1"])
-def test_a_negative_cap_is_refused(monkeypatch, raw):
-    monkeypatch.setenv("MATADJ_MAX_N", raw)
-    for read in (max_ground_size, lambda: Matroid(0, [[]])):
-        with pytest.raises(InputError, match=f"^MATADJ_MAX_N must be non-negative, got '{raw}'$"):
-            read()
-    monkeypatch.setenv("MATADJ_MAX_N", "0")
-    assert max_ground_size() == 0 and Matroid(0, [[]]).full_rank == 0
+def test_bases_are_counted_as_they_are_read(monkeypatch):
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 4)
+
+    def five_then_unread():
+        yield from [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        raise AssertionError("a sixth basis was read")
+
+    with pytest.raises(InputError, match="^basis count 5 exceeds the work budget of 4$"):
+        Matroid(4, five_then_unread())
 
 
 def test_ground_size_cap(monkeypatch):
-    monkeypatch.setenv("MATADJ_MAX_N", "4")
-    with pytest.raises(InputError, match="exceeds cap"):
+    # uniform checks its C(n, r) subsets before it lists any of them
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 9)
+    with pytest.raises(InputError, match=r"^subset count C\(5, 2\) = 10 exceeds the work budget of 9$"):
         uniform(2, 5)
-    monkeypatch.setenv("MATADJ_MAX_N", "5")
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 10)
     uniform(2, 5)
+    monkeypatch.undo()
+    with pytest.raises(InputError, match="847,660,528 exceeds the work budget of 16,777,216$"):
+        uniform(10, 40)
+
+
+def test_lattice_build_counts_flats_against_the_budget(monkeypatch):
+    # U_7_7's flats are all 128 subsets: the build stops at the 101st
+    M = uniform(7, 7)
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 100)
+    with pytest.raises(InputError, match="^flat count 101 exceeds the work budget of 100$"):
+        M.flats()
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 128)
+    assert M.flats().flat_count() == 128

@@ -123,6 +123,13 @@ def test_internal_error_branch(monkeypatch, capsys):
     ({"n": 3, "bases": [[0, 1], "02"]}, "'bases' must be a list of lists"),
     ({"n": 3, "field": "rational", "matrix": []}, "'matrix' must be a non-empty list of rows"),
     ({"n": 3, "field": "rational", "matrix": "1"}, "'matrix' must be a non-empty list of rows"),
+    # the loader refuses a key that it would not read
+    ({"nme": "U_1_2", "n": 2, "bases": [[0], [1]]},
+     "matroid file has unknown keys ['nme']; it takes only 'name', 'n', 'bases', 'field' and 'matrix'"),
+    ({"n": 3, "bases": [[0], [1]], "field": 2},
+     "matroid file gives 'field' with 'bases'; a field goes only with 'matrix'"),
+    ({"n": 2, "field": {"prime": 2, "extra": 1}, "matrix": [[1, 1]]},
+     "'field' has unknown keys ['extra']; it takes only 'prime'"),
 ])
 def test_matroid_file_messages(data, text):
     assert message(lambda: load_matroid(data)) == ("InputError", text)

@@ -73,11 +73,9 @@ def test_rank_table_matches_brute_force():
 
 @pytest.fixture(scope="module")
 def u37_target():
-    # 21 points, above the default cap
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("MATADJ_MAX_N", "21")
-        rep = _vandermonde(3, 7)
-        target = adjoint_from_representation(rep.matroid(), rep).target
+    # 21 points, C(21, 3) = 1,330 subsets
+    rep = _vandermonde(3, 7)
+    target = adjoint_from_representation(rep.matroid(), rep).target
     assert len(target._basis_masks) == 1_187
     return target
 

@@ -21,6 +21,7 @@ from matadj import (
     uniform,
     verify_adjoint,
 )
+import matadj.matroid as matroid_module
 from matadj.files import adjoint_to_dict, canonical_json
 from oracles import (
     cover_mask,
@@ -29,6 +30,7 @@ from oracles import (
     gf_matrix_rank,
     isomorphic,
     representation_minor,
+    vamos_bases,
 )
 from test_trust_boundaries import assert_checked_constructor_agrees, representations
 
@@ -172,10 +174,26 @@ def test_budget_refusal_is_not_a_negative_answer():
             "no other candidate is tried, so this does not show that M has no adjoint"
         )
 
-    # U_6_8 has 56 hyperplanes: the ground-size cap refuses it before the
-    # C(56, 6) subsets are listed
-    with pytest.raises(InputError, match="ground-set size 56 exceeds cap"):
+    # U_6_8 has 56 hyperplanes: the work budget refuses its C(56, 6) subsets
+    # before any is listed
+    with pytest.raises(InputError, match=r"^label subset count C\(56, 6\) = 32,468,436 exceeds "
+                                         "the work budget of 16,777,216$"):
         search_adjoint(uniform(6, 8))
+
+
+@pytest.mark.parametrize("e", range(8))
+def test_vamos_deletions_are_refused_at_default_settings(e):
+    # each V8\e has rank 4 and 26 or 29 hyperplanes; its freest target is
+    # not a matroid, which the search reports without claiming that none exists
+    M = Matroid(8, vamos_bases()).delete(es([e], 8))
+    m = len(M.hyperplanes())
+    assert m in (26, 29)
+    result = search_adjoint(M)
+    assert (result.found, result.exhausted, result.candidates_examined) == (None, False, 1)
+    assert result.diagnostic == (
+        f"the freest rank-4 target on {m} hyperplane labels is not a matroid; "
+        "no other candidate is tried, so this does not show that M has no adjoint"
+    )
 
 
 def _canonical(phi):
@@ -276,18 +294,22 @@ def test_freest_matches_the_enumeration_oracle_in_rank_four_and_above():
 def test_drawn_search_is_constructed(rep):
     # three rows, so most draws have rank 3; zero and parallel columns give
     # loops, parallel classes and lower ranks, and rank 0 has its own path.
-    # At most six columns keep the targets within the default ground-size cap.
+    # At most six columns keep the searches small.
     M = rep.matroid()
     if M.full_rank >= 1:
         assert_constructed_adjoint(M)
 
 
 def test_cap_refusal_is_not_a_negative_answer(monkeypatch):
-    # U_3_4 has an adjoint on its six hyperplanes; a ground-size cap of five
-    # refuses every candidate, which must not read as an exhausted search
-    monkeypatch.setenv("MATADJ_MAX_N", "5")
-    with pytest.raises(InputError, match="exceeds cap"):
-        search_adjoint(uniform(3, 4))
+    # U_3_4 has an adjoint on its six hyperplanes; a work budget of 19 refuses
+    # the C(6, 3) = 20 subsets of its freest target, which must not read as
+    # an exhausted search
+    M = uniform(3, 4)
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 19)
+    with pytest.raises(InputError, match=r"^label subset count C\(6, 3\) = 20 exceeds the work budget of 19$"):
+        search_adjoint(M)
+    monkeypatch.setattr(matroid_module, "WORK_BUDGET", 20)
+    assert search_adjoint(M).found is not None
 
 
 @pytest.mark.parametrize("n", [0, 2])

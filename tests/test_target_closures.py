@@ -30,7 +30,6 @@ from matadj import (
     search_adjoint,
     verify_adjoint,
 )
-from matadj.matroid import max_ground_size
 from oracles import brute_closure, powerset
 from test_trust_boundaries import representations
 
@@ -102,9 +101,8 @@ def test_target_closures_match_built_lattices(fixture_maps, name):
 @given(representations(max_n=6))
 def test_drawn_target_closures_match_built_lattices(rep):
     M = rep.matroid()
-    # a covector exists for each hyperplane only at full rank, and rank 4 on
-    # 6 columns can have more hyperplanes than the default ground-size cap
-    assume(M.full_rank == rep.dim and len(M.hyperplanes()) <= max_ground_size())
+    # a covector exists for each hyperplane only at full rank
+    assume(M.full_rank == rep.dim)
     phi = adjoint_from_representation(M, rep)
     assert_closure_answers_match_lattice(phi.target, [img.mask for img in phi.table.values()])
 
