@@ -24,8 +24,9 @@ hyperplanes of M that are no flat's lift.  A matroid keeps no minors: each
 construction builds its minor afresh, a deletion once for both uses.  Both
 end in one builder, which relabels the images, builds the map and verifies
 it.  A minor map that removes no target point keeps its parent's target,
-since M' restricted to all of E' is M'.  A map keeps its verified
-contractions, keyed by the contraction set.
+since M' restricted to all of E' is M'; a step that removes no source
+element builds nothing and returns its parent map, since M/{} = M\\{} = M.
+A map keeps its verified contractions, keyed by the contraction set.
 
 No target's lattice is ever built.  Checking a map needs three things from
 its target M': whether each image is a flat, the points, and cl'(empty).
@@ -500,14 +501,18 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
     """Adjoint of M/C: F maps to phi(F u C); target restricted to phi(cl(C)).
 
     Built once per map and contraction set: later calls with the same C
-    return the map that the first call built and verified.
+    return the map that the first call built and verified.  An empty C
+    returns phi itself.
     """
     _require_adjoint(phi)
     return _contract(phi, set_mask(C, phi.source.n))
 
 
 def _contract(phi: AdjointMap, cm: int) -> AdjointMap:
-    """``contract_adjoint`` of the set with mask cm, for an adjoint phi."""
+    """``contract_adjoint`` of the set with mask cm, for an adjoint phi;
+    phi itself when cm is empty."""
+    if not cm:
+        return phi
     result = phi._contractions.get(cm)
     if result is None:
         N = phi.source._minor("contract", cm)
@@ -537,7 +542,7 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
 
     F maps to phi(cl(F)) minus the points of the vanishing hyperplanes; the
     target is the old target minus those points.  cl(F) is the lift of F,
-    read off the lattice of M\\D.
+    read off the lattice of M\\D.  An empty D returns phi itself.
     """
     _require_adjoint(phi)
     if not phi.source.is_coindependent(D):
@@ -546,7 +551,10 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
 
 
 def _delete(phi: AdjointMap, dm: int) -> AdjointMap:
-    """``delete_adjoint`` of the coindependent set with mask dm, for an adjoint phi."""
+    """``delete_adjoint`` of the coindependent set with mask dm, for an
+    adjoint phi; phi itself when dm is empty."""
+    if not dm:
+        return phi
     N = phi.source._minor("delete", dm)
     removed = 0
     for h in _vanishing(phi.source, N):
@@ -571,7 +579,9 @@ def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> Ad
 
 
 def minor_adjoint(phi: AdjointMap, spec: MinorSpec) -> AdjointMap:
-    """Adjoint of M/C\\D for any disjoint C, D: normalize, contract, delete."""
+    """Adjoint of M/C\\D for any disjoint C, D: normalize, contract, delete.
+    A step whose normalized set is empty is skipped: a spec that normalizes
+    to (C, {}) gives ``contract_adjoint(phi, C)`` itself."""
     _require_adjoint(phi)
     expect(spec, MinorSpec)
     M = phi.source

@@ -30,10 +30,11 @@ def _parse_elements(raw: str, n: int) -> ElementSet:
     raw = raw.strip()
     if not raw:
         return ElementSet.empty(n)
-    try:
-        members = [int(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise InputError(f"element list {raw!r} is not comma-separated integers") from exc
+    # an optional "-" and ASCII digits: int() also reads "+1", "1_0" and non-ASCII digits
+    entries = [x.strip() for x in raw.split(",")]
+    if not all(x.removeprefix("-").isdigit() and x.isascii() for x in entries):
+        raise InputError(f"element list {raw!r} is not comma-separated integers")
+    members = [int(x) for x in entries]
     return ElementSet._trusted(label_mask(members, n, "element list"), n)
 
 

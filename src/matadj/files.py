@@ -23,6 +23,7 @@ map's order is always the one derived from its table.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from os import PathLike
 from pathlib import Path
 
@@ -37,8 +38,11 @@ Source = str | Path | dict
 
 
 def canonical_json(obj) -> str:
-    """Byte-deterministic serialization: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Byte-deterministic serialization: sorted keys, fixed separators.
+
+    The cycle check is off: the package encodes only the trees of dicts and
+    lists that it builds, which hold no cycle, and the bytes are the same."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _path(path, kinds: str = "a path") -> Path:
@@ -83,7 +87,7 @@ def matroid_to_dict(M: Matroid, name: str | None = None, rep: Representation | N
             matrix = [[col[i] for col in rep.columns] for i in range(rep.dim)]
         out = {"n": M.n, "field": field, "matrix": matrix}
     else:
-        out = {"n": M.n, "bases": sorted(bits(b) for b in M._basis_masks)}
+        out = {"n": M.n, "bases": sorted(map(bits, M._basis_masks))}
     if name is not None:
         out["name"] = name
     return out
@@ -114,7 +118,7 @@ def _read_fields(data: dict) -> tuple[str | None, int]:
     if unknown:
         raise InputError(f"'field' has unknown keys {unknown}; it takes only 'prime'")
     bases = data.get("bases", [])
-    if not isinstance(bases, list) or not all(isinstance(b, list) for b in bases):
+    if not isinstance(bases, list) or not all(map(isinstance, bases, repeat(list))):
         raise InputError("'bases' must be a list of lists")
     return name, n
 
@@ -181,11 +185,21 @@ def _describes(spec, M: Matroid, role: str) -> bool:
     """Whether an embedded matroid is M.  A bases list is validated, with the
     fields that ``load_matroid`` checks, and compared as a set, without a
     Matroid built from it: M passed the exchange check when it was built, so
-    equal bases pass it too.  A matrix is compared through its column
-    matroid, a name through the catalog."""
+    equal bases pass it too.  A list of lists of plain ints equal to the one
+    that ``matroid_to_dict`` writes for M, as every saved map holds, is accepted
+    after that one comparison; any other list goes label by label through
+    ``checked_basis_masks``, which gives every refusal its message.  The
+    type test keeps the shortcut exact, since True == 1 and 1.0 == 1.  A
+    matrix is compared through its column matroid, a name through the
+    catalog."""
     if isinstance(spec, dict) and "bases" in spec:
         _, n = _read_fields(spec)
-        return n == M.n and set(checked_basis_masks(spec["bases"], n)) == set(M._basis_masks)
+        if n != M.n:
+            return False
+        bases = spec["bases"]
+        if set(map(type, chain.from_iterable(bases))) <= {int} and bases == sorted(map(bits, M._basis_masks)):
+            return True
+        return set(checked_basis_masks(bases, n)) == set(M._basis_masks)
     return _resolve_matroid(spec, role) == M
 
 

@@ -81,18 +81,20 @@ def _ascending(first: int) -> tuple:
     return tuple(table)
 
 
-_LOW_BITS, _HIGH_BITS = _ascending(0), _ascending(8)
+_LOW_BITS, _HIGH_BITS, _TOP_BITS = _ascending(0), _ascending(8), _ascending(16)
 
 
 def bits(mask: int) -> list:
     """The positions of the set bits of the non-negative ``mask``, ascending,
     in a new list.
 
-    A mask below 2^16 is read off two 256-entry tables, one per byte; a
+    A mask below 2^24 is read off three 256-entry tables, one per byte; a
     larger one is decoded a set bit at a time.
     """
     if mask < 0x10000:
         return [*_LOW_BITS[mask & 255], *_HIGH_BITS[mask >> 8]]
+    if mask < 0x1000000:
+        return [*_LOW_BITS[mask & 255], *_HIGH_BITS[mask >> 8 & 255], *_TOP_BITS[mask >> 16]]
     out = []
     while mask:
         low = mask & -mask

@@ -29,6 +29,7 @@ from matadj import (
     hyperplane_chain,
     induced_map,
     minor_adjoint,
+    minor_normal_form,
     uniform,
     vanishing_hyperplanes,
     verify_adjoint,
@@ -356,11 +357,54 @@ def test_delete_adjoint_builds_its_deletion_once(monkeypatch):
         return built[-1][3]
 
     monkeypatch.setattr(Matroid, "_minor", counted)
-    for D in ([0], [0, 3], []):
+    for D in ([0], [0, 3]):
         built.clear()
         psi = delete_adjoint(phi, es(D, 7))
         [(op, m, N)] = [(op, m, N) for M, op, m, N in built if M is phi.source]
         assert (op, m) == ("delete", es(D, 7).mask) and N is psi.source
+    # deleting nothing builds no minor at all: the map is its own deletion
+    built.clear()
+    assert delete_adjoint(phi, es([], 7)) is phi
+    assert built == []
+
+
+def test_a_step_that_removes_no_element_returns_its_parent_map(fixture_maps):
+    for phi in fixture_maps.values():
+        empty = ElementSet.empty(phi.source.n)
+        assert contract_adjoint(phi, empty) is phi
+        assert delete_adjoint(phi, empty) is phi
+        assert minor_adjoint(phi, MinorSpec(empty, empty)) is phi
+
+
+def test_an_empty_step_still_refuses_a_map_that_is_not_an_adjoint():
+    phi = fano_map()
+    bad = next(corrupted(phi))
+    empty = es([], 7)
+    for step in (lambda: contract_adjoint(bad, empty), lambda: delete_adjoint(bad, empty),
+                 lambda: minor_adjoint(bad, MinorSpec(empty, empty))):
+        with pytest.raises(PreconditionError, match="the map is not an adjoint"):
+            step()
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_a_spec_that_normalizes_to_no_deletion_gives_the_contraction_itself(fixture_maps, name):
+    phi = fixture_maps[name]
+    n = phi.source.n
+    for total in range(3):
+        for S in combinations(range(n), total):
+            for csz in range(total + 1):
+                spec = MinorSpec(es(S[:csz], n), es(S[csz:], n))
+                nf = minor_normal_form(phi.source, spec)
+                if not nf.delete:
+                    assert minor_adjoint(phi, spec) is contract_adjoint(phi, nf.contract)
+
+
+def test_deleting_a_coloop_gives_the_contraction_itself(fixture_maps):
+    # the coloop 0 of U_1_1 moves to the contraction side, and no deletion is left
+    phi = fixture_maps["U_1_1"]
+    spec = MinorSpec(es([], 1), es([0], 1))
+    assert minor_normal_form(phi.source, spec) == MinorSpec(es([0], 1), es([], 1))
+    assert minor_adjoint(phi, spec) is contract_adjoint(phi, es([0], 1))
 
 
 def test_a_minor_map_that_removes_no_point_keeps_its_parents_target():

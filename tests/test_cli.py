@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from matadj import by_name, save_adjoint, save_matroid, uniform
-from matadj.cli import main
+from matadj import ElementSet, InputError, by_name, save_adjoint, save_matroid, uniform
+from matadj.cli import _parse_elements, main
 from test_search import affine_3_2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -272,6 +272,31 @@ def test_repeated_element_refused(tmp_path, capsys, verb, flag, value):
     assert main([verb, fano, str(phi), flag, value, "-o", str(out)]) == 2
     assert f"element list [{value.replace(',', ', ')}] repeats an element" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0663", "+1", "0, +1", "1,,2", "-", "--1", " 1 2 "])
+def test_an_element_list_takes_only_ascii_integers(u23_files, tmp_path, capsys, raw):
+    # int() reads "1_0" as 10, the Arabic-Indic digit three as 3 and "+1" as 1
+    with pytest.raises(InputError, match="is not comma-separated integers"):
+        _parse_elements(raw, 12)
+    m, t, p = u23_files
+    out = tmp_path / "z.json"
+    assert main(["contract-adjoint", str(m), str(p), f"--contract={raw}", "-o", str(out)]) == 2
+    assert f"element list {raw.strip()!r} is not comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, members", [("0", [0]), (" 1 , 0 ", [0, 1]), ("11", [11]), ("", [])])
+def test_an_element_list_of_ascii_integers_is_read(raw, members):
+    assert _parse_elements(raw, 12) == ElementSet.of(members, 12)
+
+
+def test_a_negative_element_is_out_of_range(u23_files, tmp_path, capsys):
+    with pytest.raises(InputError, match=r"^element list \[-1\] has element -1 out of range"):
+        _parse_elements("-1", 12)
+    m, t, p = u23_files
+    assert main(["contract-adjoint", str(m), str(p), "--contract=-1", "-o", str(tmp_path / "z.json")]) == 2
+    assert "element -1 out of range" in capsys.readouterr().err
 
 
 def test_bad_element_list(u23_files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import operator
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -156,7 +157,7 @@ def test_matches_a_frozenset_model(pair, data):
         ElementSet.of([-1 - e % 3], u)
 
 
-# -- bits: two byte tables below 2^16, a loop above ------------------------------
+# -- bits: byte tables below 2^24, a loop above ---------------------------------
 
 def bits_by_shifts(mask):
     return [e for e in range(mask.bit_length()) if mask >> e & 1]
@@ -172,6 +173,15 @@ def test_bits_matches_the_reference_below_two_to_the_seventeen():
 @given(st.integers(0, (1 << 300) - 1))
 def test_bits_matches_the_reference_on_drawn_masks(mask):
     assert bits(mask) == bits_by_shifts(mask)
+
+
+def test_bits_matches_the_reference_on_random_masks_up_to_two_to_the_forty():
+    # two and three tables below 2^24, the loop above, and each boundary
+    rng = random.Random(0)
+    masks = [rng.getrandbits(rng.randint(1, 40)) for _ in range(20000)]
+    masks += [(1 << k) + d for k in (16, 24) for d in (-1, 0, 1)]
+    for mask in masks:
+        assert bits(mask) == bits_by_shifts(mask), mask
 
 
 def test_bits_returns_a_new_list_each_call():
