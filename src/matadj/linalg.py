@@ -8,13 +8,14 @@ forward-elimination kernel, ``eliminate``: mod p over GF(p), fraction-free
 over the rationals.  ``echelon`` runs it over a list of vectors, and rank
 and the one null vector of a hyperplane (``null_vector``) are read off its
 rows.  ``direction`` is the normal form of the line through a vector:
-``null_vector`` ends with it, and the column-bases walk (``_column_bases``)
-compares directions to find parallel columns.
+``null_vector`` ends with it.
 
 ``Representation`` checks and parses its columns once (``_entry``), lists
-the bases of its column matroid by that walk, and gives the covector of a
-hyperplane.  ``adjoint_from_representation`` builds the classical covector
-adjoint: its target is the column matroid of the hyperplanes' covectors.
+the bases of its column matroid by a walk that restates rank-r columns on
+r rows (``_reduced``) and completes prefixes of r - 2 columns by 2x2 minors
+(``_column_bases``), and gives the covector of a hyperplane.
+``adjoint_from_representation`` builds the classical covector adjoint: its
+target is the column matroid of the hyperplanes' covectors on those r rows.
 ``Fraction`` appears only at the rational boundary: ``_entry`` parses to
 it, ``integer_vector`` scales a rational vector by the lcm of its
 denominators on the way in, and ``Representation.covector`` returns a
@@ -169,7 +170,8 @@ def direction(vec, char: int) -> tuple | None:
     is scaled to 1; over the rationals the vector is divided by the gcd of
     its entries, negated if its first nonzero entry is negative.  Two
     nonzero vectors have the same direction exactly when one is a nonzero
-    multiple of the other.
+    multiple of the other.  ``_column_bases`` needs none: in a plane of two
+    coordinates, a zero 2x2 minor tells parallel vectors apart.
     """
     if char:
         lead = next((x % char for x in vec if x % char), None)
@@ -257,20 +259,24 @@ class Representation(Record):
     def matroid(self, provenance: dict | None = None) -> Matroid:
         """The column matroid: its bases are the r-sets of independent columns.
 
-        The bases are listed by one depth-first walk over the columns, which
-        extends a prefix of chosen columns by each later column in turn.
-        Every later column is kept reduced against the prefix's echelon
-        rows, one ``eliminate`` step per column and extension, and a column
-        that reduces to zero depends on the prefix, so the walk skips that
+        Columns of rank r with more coordinates are first restated on the r
+        nonzero rows of their echelon form (``_reduced``); a row operation
+        keeps every linear relation among the columns.  The bases are then
+        listed by one depth-first walk over the columns, which extends a
+        prefix of chosen columns by each later column in turn.  Every later
+        column is kept reduced against the prefix's echelon rows, one
+        ``eliminate`` step per column and extension, and a column that
+        reduces to zero depends on the prefix, so the walk skips that
         subtree.  In rank 2 and above the walk stops at prefixes of r - 2
-        columns: two later columns complete such a prefix to a basis exactly
-        when both are nonzero and not parallel, once reduced.  (A reduced
-        column is zero at every pivot of the prefix's rows, and a nonzero
-        combination of echelon rows is nonzero at the pivot of the first row
-        it uses, so a reduced column lies in the span of the prefix and
-        another reduced column u exactly when it is a multiple of u.)  So
-        each later column costs one ``direction`` per (r - 2)-prefix.  The
-        r-subsets come in lexicographic order, that of ``combinations``.
+        columns.  A reduced column w is zero at their r - 2 pivots, so it
+        lies in the plane of the two other coordinates a and b, which meets
+        the prefix's span only in 0 (a nonzero combination of echelon rows
+        is nonzero at the pivot of the first row it uses).  So two later
+        columns j < k complete the prefix to a basis exactly when w_j and
+        w_k are independent: when w_j[a]*w_k[b] - w_j[b]*w_k[a] is nonzero
+        (mod p).  The last reduction computes only a and b, with no gcd
+        division.  The r-subsets come in lexicographic order, that of
+        ``combinations``.
 
         The walk runs on the int vectors of the columns (over the rationals,
         each scaled by the lcm of its denominators, which changes no set's
@@ -290,47 +296,57 @@ class Representation(Record):
         line is spanned by ``null_vector`` of the echelon rows of H's
         columns, in normal form: over GF(p) ints with first nonzero entry 1,
         over the rationals a primitive integer vector, as ``Fraction``
-        values, with positive first nonzero entry.
+        values, with positive first nonzero entry.  Columns that do not span
+        F^dim have no unique functional, and are refused.
         """
-        x = self._null_vector(set_mask(H, self.n))
+        x = _covector(self._vectors, self.dim, set_mask(H, self.n), self._char)
         return x if self._char else tuple(map(Fraction, x))
 
-    def _null_vector(self, h: int) -> tuple:
-        """``covector`` as ints of the set with mask h, which lies on the columns."""
-        rows = echelon([self._vectors[e] for e in bits(h)], self._char)
-        free = self.dim - len(rows)
-        if free != 1:
-            if not h:
-                raise InputError("covector space of the empty set is not 1-dimensional")
-            raise InputError(f"covector space of {ElementSet._trusted(h, self.n)!r} has dimension {free}, expected 1")
-        return null_vector(rows, self.dim, self._char)
+
+def _covector(vectors: list, dim: int, h: int, char: int) -> tuple:
+    """``Representation.covector`` as ints, of the set with mask h of ``vectors``."""
+    rows = echelon([vectors[e] for e in bits(h)], char)
+    free = dim - len(rows)
+    if free != 1:
+        if not h:
+            raise InputError("covector space of the empty set is not 1-dimensional")
+        raise InputError(f"covector space of {ElementSet._trusted(h, len(vectors))!r} has dimension {free}, expected 1")
+    return null_vector(rows, dim, char)
+
+
+def _reduced(vectors: list, char: int) -> list:
+    """The int columns restated on the r nonzero rows of their echelon form,
+    r being their rank; as they are when they have r coordinates."""
+    rows = [row for _, row in echelon(list(zip(*vectors)), char)]
+    if vectors and len(rows) < len(vectors[0]):
+        return list(zip(*rows)) or [()] * len(vectors)
+    return vectors
 
 
 def _column_bases(vectors: list, char: int) -> tuple:
     """The masks of the bases of the column matroid of the int vectors
     ``vectors`` over the field of characteristic ``char``, in lexicographic
-    order; see ``Representation.matroid``.  The walk visits at most the
+    order: the columns restated on r rows, each (r - 2)-prefix completed by
+    2x2 minors, as ``Representation.matroid`` proves.  The walk visits at most the
     C(n, r) r-subsets of the n columns, a count checked against the work budget first."""
-    r = len(echelon(vectors, char))
+    vectors = _reduced(vectors, char)
+    r = len(vectors[0]) if vectors else 0
     check_budget(comb(len(vectors), r), f"column subset count C({len(vectors)}, {r}) =")
     masks = []
 
-    def finish(mask: int, rest: list) -> None:
-        # the last two columns: both nonzero, in different parallel classes
-        classes: dict = {}
-        labelled = []
-        for j, vec in rest:
-            line = direction(vec, char)
-            if line is not None:
-                labelled.append((1 << j, classes.setdefault(line, len(classes))))
-        for k, (bit, c) in enumerate(labelled):
-            first = mask | bit
-            masks.extend([first | b for b, d in labelled[k + 1:] if d != c])
-
-    def walk(mask: int, need: int, rest: list) -> None:
-        # rest: (label, column reduced against the prefix) after the prefix
+    def walk(mask: int, need: int, free: tuple, rest: list) -> None:
+        # rest: (label, column reduced against the prefix) after the prefix;
+        # free: the need coordinates that are no pivot of the prefix
         if need == 2:
-            finish(mask, rest)
+            # the last two columns: a nonzero 2x2 minor
+            a, b = free
+            pairs = [(1 << j, w[a], w[b]) for j, w in rest if w[a] or w[b]]
+            for k, (bit, x, y) in enumerate(pairs):
+                first = mask | bit
+                if char:
+                    masks.extend([first | c for c, u, v in pairs[k + 1:] if (x * v - y * u) % char])
+                else:
+                    masks.extend([first | c for c, u, v in pairs[k + 1:] if x * v != y * u])
             return
         for k in range(len(rest) - need + 1):
             j, vec = rest[k]
@@ -340,13 +356,22 @@ def _column_bases(vectors: list, char: int) -> tuple:
             if need == 1:
                 masks.append(mask | 1 << j)
                 continue
-            row = ((pivot, vec),)
-            walk(mask | 1 << j, need - 1, [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]])
+            left = tuple(i for i in free if i != pivot)
+            if need == 3:
+                # only the two free coordinates, with no reduction
+                a, b = left
+                e, ea, eb = vec[pivot], vec[a], vec[b]
+                later = [(i, (e * w[a] - w[pivot] * ea, e * w[b] - w[pivot] * eb)) for i, w in rest[k + 1:]]
+                left = (0, 1)
+            else:
+                row = ((pivot, vec),)
+                later = [(i, eliminate(w, row, char)) for i, w in rest[k + 1:]]
+            walk(mask | 1 << j, need - 1, left, later)
 
     if r == 0:
         masks.append(0)
     else:
-        walk(0, r, list(enumerate(vectors)))
+        walk(0, r, tuple(range(r)), list(enumerate(vectors)))
     return tuple(masks)
 
 
@@ -359,9 +384,11 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     if rep.matroid() != M:
         raise InputError("representation does not match the matroid's bases")
     hyperplanes = M.flats().masks[M.full_rank - 1]
-    # the covectors are the columns of the target: listed from their int
-    # vectors, which are already in the field's normal form
-    covectors = [rep._null_vector(h) for h in hyperplanes]
+    # the covectors are the columns of the target: taken on the r rows that
+    # _reduced keeps, so redundant rows are no obstacle, and listed from
+    # their int vectors, which are already in the field's normal form
+    vectors = _reduced(rep._vectors, rep._char)
+    covectors = [_covector(vectors, M.full_rank, h, rep._char) for h in hyperplanes]
     target = Matroid._unchecked(len(hyperplanes), _column_bases(covectors, rep._char),
                                 provenance={"op": "covector-adjoint"})
     phi = _induced(M, target, [(h, 1 << i) for i, h in enumerate(hyperplanes)])

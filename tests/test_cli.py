@@ -245,6 +245,22 @@ def test_from_rep(tmp_path, capsys):
     assert "matrix-backed" in capsys.readouterr().err
 
 
+def test_from_rep_takes_redundant_rows(tmp_path, capsys):
+    # the Fano plane with its first row repeated has the same column matroid,
+    # and from-rep writes the same map as for the Fano file itself
+    fano = json.loads((FIXTURES / "fano.json").read_text())
+    repeated = tmp_path / "fano_repeated.json"
+    repeated.write_text(json.dumps({**fano, "matrix": fano["matrix"] + fano["matrix"][:1]}), encoding="utf-8")
+    assert main(["from-rep", str(FIXTURES / "fano.json"), "-o", str(tmp_path / "want.json")]) == 0
+    assert main(["from-rep", str(repeated), "-o", str(tmp_path / "got.json")]) == 0
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(json.loads((tmp_path / "got.json").read_text())["target"]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(repeated), str(target), str(tmp_path / "got.json")]) == 0
+    assert "VALID" in capsys.readouterr().out
+
+
 def test_export_dot(tmp_path, capsys):
     out = tmp_path / "lattice.dot"
     assert main(["export-dot", str(FIXTURES / "U_2_4.json"), "-o", str(out)]) == 0

@@ -1,7 +1,10 @@
-"""``Representation.matroid`` lists the bases by a depth-first walk with
-incremental, fraction-free elimination, finished by parallel classes two
-columns from the end; these tests hold it to the per-subset RREF filter of
-``oracles.brute_column_bases``, value for value and in the same order."""
+"""``Representation.matroid`` restates its columns on their r nonzero echelon
+rows, then lists the bases by a depth-first walk with incremental,
+fraction-free elimination, finished two columns from the end by a 2x2 minor
+on the two coordinates that are no pivot of the prefix; these tests hold it
+to the per-subset RREF filter of ``oracles.brute_column_bases``, value for
+value and in the same order.  Redundant rows change neither the bases nor
+the covector adjoint."""
 import hashlib
 from fractions import Fraction
 
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matadj import Representation, by_name, catalog, uniform
+from matadj import InputError, Representation, adjoint_from_representation, by_name, catalog, full_verification, uniform
 from matadj.catalog import _vandermonde
+from matadj.files import adjoint_to_dict, canonical_json
 from matadj.sets import bits
 from oracles import brute_column_bases
 from test_linalg import FIELDS
@@ -33,19 +37,34 @@ def scalars(field):
     return st.integers(-2 * field, 2 * field).filter(lambda x: x % field)
 
 
+def large_scalars(field):
+    """Nonzero scalars with large numerators and denominators over the
+    rationals, whose products the last step of the walk never divides down."""
+    if field == "rational":
+        return st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6).filter(bool)
+    return scalars(field)
+
+
 @st.composite
 def column_representations(draw):
     field = draw(st.sampled_from(FIELDS))
-    dim = draw(st.integers(0, 5))
-    # mostly at least dim columns, so that most draws have rank 2 or more
+    # mostly 4 to 6 rows and at least as many columns, so that most draws
+    # have rank 2 or more and many reach rank 5 or 6
+    dim = draw(st.one_of(st.integers(4, 6), st.integers(0, 6)))
     n = draw(st.one_of(st.integers(dim, 9), st.integers(0, 9)))
     # few distinct values, so that dependent sets of columns are common; the
     # nonzero ones come first, since hypothesis draws many of its examples at
     # the first branch of each choice, and all-zero columns would waste them
-    values = draw(st.lists(scalars(field), min_size=1, max_size=4))
+    values = draw(st.lists(st.one_of(scalars(field), large_scalars(field)), min_size=1, max_size=4))
     cell = st.one_of(st.sampled_from(values), st.just(0))
+    # optionally a triangle of columns first, nonzero on the diagonal, so
+    # that the rank is min(n, dim); the columns are shuffled at the end
+    triangle = draw(st.booleans())
     columns = []
-    for _ in range(n):
+    for j in range(n):
+        if triangle and j < dim:
+            columns.append(tuple(draw(cell) for _ in range(j)) + (draw(scalars(field)),) + (0,) * (dim - j - 1))
+            continue
         kind = draw(st.sampled_from(["drawn", "zero", "parallel", "combination"]))
         if kind == "zero":
             columns.append((0,) * dim)
@@ -60,7 +79,17 @@ def column_representations(draw):
             columns.append(tuple(a * x + b * y for x, y in zip(u, v)))
         else:
             columns.append(tuple(draw(cell) for _ in range(dim)))
-    return Representation(field, tuple(columns), dim)
+    # redundant rows, so that the rank is below the dimension: a zero row, or
+    # a*x + b*y of two rows x and y, which is a copy of x when b is 0
+    for kind in draw(st.lists(st.sampled_from(["combination", "zero"]), max_size=2 if dim else 0)):
+        if kind == "zero":
+            columns = [col + (0,) for col in columns]
+        else:
+            i, k = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            a, b = draw(scalars(field)), draw(st.one_of(st.just(0), scalars(field)))
+            columns = [col + (a * col[i] + b * col[k],) for col in columns]
+        dim += 1
+    return Representation(field, tuple(draw(st.permutations(columns))), dim)
 
 
 @settings(max_examples=400, deadline=None)
@@ -97,12 +126,45 @@ def test_large_covector_target_is_pinned():
 
 
 def test_largest_covector_target_is_pinned():
-    # U_4_8's covector target: 56 points in rank 4, listed by the parallel-class
-    # finish at every one of its 1,431 two-column prefixes
+    # U_4_8's covector target: 56 points in rank 4, completed by 2x2 minors at
+    # every one of its 1,431 two-column prefixes
     target = covector_target(_vandermonde(4, 8)).matroid()
     assert target.n == 56 and len(target._basis_masks) == 307_398
     digest = hashlib.sha256(repr(target._basis_masks).encode()).hexdigest()
     assert digest == "b7058bf0c373e1dd46448482c092faf3dd8dfe74507e3678f0758114bbaee713"
+
+
+def test_rank_5_covector_target_is_pinned():
+    # U_5_7's covector target: 35 points in rank 5, completed by 2x2 minors at
+    # three-column prefixes; the digest was taken from the parallel-class walk
+    target = covector_target(_vandermonde(5, 7)).matroid()
+    assert target.n == 35 and len(target._basis_masks) == 191_268
+    digest = hashlib.sha256(repr(target._basis_masks).encode()).hexdigest()
+    assert digest == "b6732953dbea51c9579e9ff95b6a7f298fa120bb326fd7a612a06933df84297d"
+
+
+def with_row(rep, row):
+    """rep with one more row, whose entry in each column is row(column)."""
+    return Representation(rep.field, tuple(col + (row(col),) for col in rep.columns), rep.dim + 1)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+@pytest.mark.parametrize("row", [lambda col: 0, sum], ids=["zero row", "sum of rows"])
+def test_redundant_rows_keep_the_bases_and_the_covector_adjoint(name, row):
+    entry = by_name(name)
+    wider = with_row(entry.representation, row)
+    assert listed_bases(wider) == brute_column_bases(wider) == listed_bases(entry.representation)
+    M = wider.matroid()
+    phi = adjoint_from_representation(M, wider)
+    assert all(report.valid for report in full_verification(phi).values())
+    # the same labelled target and map as the representation without the row
+    want = adjoint_from_representation(entry.matroid, entry.representation)
+    assert phi.target._basis_masks == want.target._basis_masks
+    assert canonical_json(adjoint_to_dict(phi)) == canonical_json(adjoint_to_dict(want))
+    # a functional on the wider space is not unique, so covector refuses it
+    H = M.hyperplanes()[0]
+    with pytest.raises(InputError, match="covector space of"):
+        wider.covector(H)
 
 
 def test_rational_columns_are_scaled_not_rounded():
