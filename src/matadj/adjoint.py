@@ -489,12 +489,29 @@ def induced_map(M: Matroid, Mp: Matroid, bij: Mapping[ElementSet, int]) -> Adjoi
 
 def _induced(M: Matroid, Mp: Matroid, labelled: list) -> AdjointMap:
     """``induced_map`` of the (hyperplane mask, point mask) pairs ``labelled``."""
-    closure = Mp._closure
-    table = {}
-    for layer in M.flats().masks:
-        for f in layer:
-            table[f] = closure(sum(p for h, p in labelled if not f & ~h))
+    closure, layers = Mp._closure, M.flats().masks
+    table = {f: closure(p) for layer, blocks in zip(layers, _blocks(M.n, labelled, layers))
+             for f, p in zip(layer, blocks)}
     return AdjointMap._of_masks(M, Mp, table)
+
+
+def _blocks(n: int, labelled: list, layers):
+    """P(F), the labels of the hyperplanes that hold F, for the flat masks F
+    of each layer of ``layers``, from (hyperplane mask, label mask) pairs whose
+    label masks are the bits 1 << i, i < len(labelled): the AND over e in F
+    of the labels of the hyperplanes through e."""
+    through, every = [0] * n, (1 << len(labelled)) - 1
+    for h, p in labelled:
+        for e in bits(h):
+            through[e] |= p
+    for layer in layers:
+        blocks = []
+        for f in layer:
+            block = every
+            for e in bits(f):
+                block &= through[e]
+            blocks.append(block)
+        yield blocks
 
 
 def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:

@@ -6,14 +6,14 @@ for the rationals; ``characteristic`` checks a field spec and returns it.
 Vectors are lists of Python ints, and every row operation is a step of one
 forward-elimination kernel, ``eliminate``: mod p over GF(p), fraction-free
 over the rationals.  ``echelon`` runs it over a list of vectors, and rank
-and the one null vector of a hyperplane (``null_vector``) are read off its
-rows.  ``direction`` is the normal form of the line through a vector:
-``null_vector`` ends with it.
+is read off its rows.  ``direction`` is the normal form of the line through
+a vector.
 
-``Representation`` checks and parses its columns once (``_entry``), lists
-the bases of its column matroid by a walk that restates rank-r columns on
-r rows (``_reduced``) and completes prefixes of r - 2 columns by 2x2 minors
-(``_column_bases``), and gives the covector of a hyperplane.
+``Representation`` checks and parses its columns once (``_entry``),
+restates rank-r columns on r rows once (``_reduced``), lists the bases of
+its column matroid by a walk that completes (r - 2)-prefixes by 2x2 minors
+(``_column_bases``), and finds the covector of a hyperplane by the same
+design: an (r - 2)-prefix, one 2x2 cofactor, back-substitution (``_covector``).
 ``adjoint_from_representation`` builds the classical covector adjoint: its
 target is the column matroid of the hyperplanes' covectors on those r rows.
 ``Fraction`` appears only at the rational boundary: ``_entry`` parses to
@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 from .adjoint import AdjointMap, _induced, verify_adjoint
 from .errors import ConstructionError, InputError, expect
@@ -122,7 +123,10 @@ def eliminate(vec: list, echelon, char: int) -> list:
 
 def leading_index(vec) -> int | None:
     """The index of the first nonzero entry, or None for the zero vector."""
-    return next((i for i, x in enumerate(vec) if x), None)
+    for i, x in enumerate(vec):
+        if x:
+            return i
+    return None
 
 
 def echelon(vectors, char: int) -> list:
@@ -139,29 +143,6 @@ def echelon(vectors, char: int) -> list:
     return rows
 
 
-def null_vector(rows, dim: int, char: int) -> tuple:
-    """The normal form of the nonzero x with row . x = 0 for every echelon row.
-
-    ``rows`` come from ``echelon`` on vectors of length ``dim`` and have
-    rank dim - 1, so the solutions form a line and exactly one coordinate is
-    no row's pivot.  That coordinate is set to 1.  Each row is zero at the
-    pivots of the rows found before it, so, taken in reverse order, every
-    row's equation a*x[pivot] + s = 0, with a = row[pivot] and s the sum
-    over the coordinates already set, is solved fraction-free: x <- a*x,
-    then x[pivot] = -s.  The result is then scaled to the line's normal form,
-    ``direction``.  The column bases of the covector target are listed from
-    these tuples as they are (``adjoint_from_representation``).
-    """
-    pivots = {pivot for pivot, _ in rows}
-    x = [0] * dim
-    x[next(i for i in range(dim) if i not in pivots)] = 1
-    for pivot, row in reversed(rows):
-        s = sum(e * v for e, v in zip(row, x))
-        x = [row[pivot] * v for v in x]
-        x[pivot] = -s
-    return direction(x, char)
-
-
 def direction(vec, char: int) -> tuple | None:
     """The normal form of the line through the int vector ``vec``, or None
     for the zero vector.
@@ -174,18 +155,19 @@ def direction(vec, char: int) -> tuple | None:
     coordinates, a zero 2x2 minor tells parallel vectors apart.
     """
     if char:
-        lead = next((x % char for x in vec if x % char), None)
-        if lead is None:
+        for lead in vec:
+            lead %= char
+            if lead:
+                break
+        else:
             return None
-        if lead == 1:
-            return tuple(v % char for v in vec)
         inv = pow(lead, -1, char)
-        return tuple(v * inv % char for v in vec)
-    lead = next((x for x in vec if x), None)
+        return tuple([v * inv % char for v in vec])
+    lead = leading_index(vec)
     if lead is None:
         return None
     g = gcd(*vec)
-    if lead < 0:
+    if vec[lead] < 0:
         g = -g
     return tuple(vec) if g == 1 else tuple(v // g for v in vec)
 
@@ -221,8 +203,8 @@ class Representation(Record):
     parses, such as "1/2" or "0.1" but not "1e5", stored as a ``Fraction``.
     Bools and floats, which have usually lost the value meant, are refused.
     Each column is also kept as an int vector (``integer_vector``) for the
-    elimination kernel, ``eliminate``.  The column bases are
-    listed once per representation, on the first call of ``matroid``.
+    elimination kernel, ``eliminate``.  The first call of ``matroid`` keeps
+    them restated on r rows (``_reduced``), which the covector adjoint reads.
     """
 
     _fields = ("field", "columns", "dim")
@@ -244,7 +226,8 @@ class Representation(Record):
         _set(self, "dim", dim)
         _set(self, "_char", char)
         _set(self, "_vectors", [integer_vector(col, char) for col in columns])
-        _set(self, "_basis_masks", None)  # set by the first call of matroid
+        _set(self, "_reduced_vectors", None)
+        _set(self, "_basis_masks", None)  # both set by the first call of matroid
 
     @property
     def n(self) -> int:
@@ -283,35 +266,64 @@ class Representation(Record):
         independence), so the fraction-free elimination is exact.  The masks
         are kept: each later call wraps them in a fresh ``Matroid`` with the
         caller's provenance.  The first call checks the work budget on the
-        C(n, r) subsets before the walk, and a refusal keeps nothing.
+        C(n, r) subsets before the walk, and a refusal keeps no bases.
         """
         if self._basis_masks is None:
-            _set(self, "_basis_masks", _column_bases(self._vectors, self._char))
+            _set(self, "_reduced_vectors", _reduced(self._vectors, self._char))
+            _set(self, "_basis_masks", _column_bases(self._reduced_vectors, self._char))
         return Matroid._unchecked(self.n, self._basis_masks, provenance=provenance)
 
     def covector(self, H: ElementSet) -> tuple:
         """The canonical linear functional vanishing on the columns of H, an
-        ``ElementSet`` on the column labels that spans a hyperplane of the
-        column space, so that the solution space is 1-dimensional.  Its one
-        line is spanned by ``null_vector`` of the echelon rows of H's
-        columns, in normal form: over GF(p) ints with first nonzero entry 1,
-        over the rationals a primitive integer vector, as ``Fraction``
-        values, with positive first nonzero entry.  Columns that do not span
-        F^dim have no unique functional, and are refused.
+        ``ElementSet`` on the column labels whose columns span a hyperplane
+        of F^dim; columns of any other rank have no unique one, and are
+        refused.  With r = dim, ``_covector`` reduces H's columns in label
+        order (``eliminate``), skips those that reduce to zero, and keeps
+        the first r - 2 others as prefix rows.  The next, w, is zero at their
+        pivots, so on the other two coordinates a and b the seed x[a] = w[b],
+        x[b] = -w[a] is nonzero with w . x = 0.  In reverse order each prefix
+        row, zero at the pivots of the rows before it, has c*x[pivot] + s = 0
+        (c = row[pivot], s over the coordinates set) solved fraction-free by
+        x <- c*x, x[pivot] = -s; w and the later rows are zero there.  So x
+        vanishes on a spanning set of H's columns.  Rank 1 gives (1,).  The
+        normal form (``direction``): over GF(p) first nonzero entry 1, over
+        the rationals a primitive integer vector, as ``Fraction`` values,
+        with positive first nonzero entry.
         """
-        x = _covector(self._vectors, self.dim, set_mask(H, self.n), self._char)
+        h = set_mask(H, self.n)
+        free = self.dim - len(echelon([self._vectors[e] for e in bits(h)], self._char))
+        if free != 1:
+            if not h:
+                raise InputError("covector space of the empty set is not 1-dimensional")
+            raise InputError(f"covector space of {H!r} has dimension {free}, expected 1")
+        x = _covector(self._vectors, self.dim, h, self._char)
         return x if self._char else tuple(map(Fraction, x))
 
 
-def _covector(vectors: list, dim: int, h: int, char: int) -> tuple:
-    """``Representation.covector`` as ints, of the set with mask h of ``vectors``."""
-    rows = echelon([vectors[e] for e in bits(h)], char)
-    free = dim - len(rows)
-    if free != 1:
-        if not h:
-            raise InputError("covector space of the empty set is not 1-dimensional")
-        raise InputError(f"covector space of {ElementSet._trusted(h, len(vectors))!r} has dimension {free}, expected 1")
-    return null_vector(rows, dim, char)
+def _covector(vectors: list, r: int, h: int, char: int) -> tuple:
+    """``Representation.covector`` as ints, of the columns with mask h of the int vectors
+    ``vectors`` in F^r, which span a hyperplane; a lower rank raises ``ConstructionError``."""
+    if r == 1:
+        return (1,)
+    rows, free = [], list(range(r))
+    for e in bits(h):
+        w = eliminate(vectors[e], rows, char)
+        pivot = leading_index(w)
+        if pivot is None:
+            continue
+        if len(rows) < r - 2:
+            rows.append((pivot, w))
+            free.remove(pivot)
+            continue
+        a, b = free
+        x = [0] * r
+        x[a], x[b] = w[b], -w[a]
+        for pivot, row in reversed(rows):
+            s = sum(map(mul, row, x))
+            x = [row[pivot] * v for v in x]
+            x[pivot] = -s
+        return direction(x, char)
+    raise ConstructionError(f"columns {ElementSet._trusted(h, len(vectors))!r} have rank below {r - 1}")
 
 
 def _reduced(vectors: list, char: int) -> list:
@@ -325,11 +337,10 @@ def _reduced(vectors: list, char: int) -> list:
 
 def _column_bases(vectors: list, char: int) -> tuple:
     """The masks of the bases of the column matroid of the int vectors
-    ``vectors`` over the field of characteristic ``char``, in lexicographic
-    order: the columns restated on r rows, each (r - 2)-prefix completed by
-    2x2 minors, as ``Representation.matroid`` proves.  The walk visits at most the
+    ``vectors``, whose rank r is their length, over the field of
+    characteristic ``char``, in lexicographic order: each (r - 2)-prefix
+    completed by 2x2 minors, as ``Representation.matroid`` proves.  The walk visits at most the
     C(n, r) r-subsets of the n columns, a count checked against the work budget first."""
-    vectors = _reduced(vectors, char)
     r = len(vectors[0]) if vectors else 0
     check_budget(comb(len(vectors), r), f"column subset count C({len(vectors)}, {r}) =")
     masks = []
@@ -384,11 +395,10 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     if rep.matroid() != M:
         raise InputError("representation does not match the matroid's bases")
     hyperplanes = M.flats().masks[M.full_rank - 1]
-    # the covectors are the columns of the target: taken on the r rows that
-    # _reduced keeps, so redundant rows are no obstacle, and listed from
-    # their int vectors, which are already in the field's normal form
-    vectors = _reduced(rep._vectors, rep._char)
-    covectors = [_covector(vectors, M.full_rank, h, rep._char) for h in hyperplanes]
+    # the covectors, in the field's normal form, are the target's columns, on
+    # the r rows that rep.matroid() kept; the hyperplanes meet only in cl(0),
+    # so the covectors span F^r, as _column_bases needs
+    covectors = [_covector(rep._reduced_vectors, M.full_rank, h, rep._char) for h in hyperplanes]
     target = Matroid._unchecked(len(hyperplanes), _column_bases(covectors, rep._char),
                                 provenance={"op": "covector-adjoint"})
     phi = _induced(M, target, [(h, 1 << i) for i, h in enumerate(hyperplanes)])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .adjoint import AdjointMap, _induced, verify_adjoint
+from .adjoint import AdjointMap, _blocks, _induced, verify_adjoint
 from .errors import ConstructionError, expect
 from .matroid import Matroid, check_budget
 from .sets import Record, _set
@@ -101,12 +101,9 @@ def _freest_target(M: Matroid, hyperplanes: tuple) -> Matroid | None:
     r = M.full_rank
     m = len(hyperplanes)
     check_budget(comb(m, r), f"label subset count C({m}, {r}) =")
-    limits = []  # (P(F) as a mask of labels, r - r(F))
-    for k, layer in enumerate(M.flats().masks[1:r - 1], start=1):
-        for f in layer:
-            block = sum(1 << i for i, h in enumerate(hyperplanes) if not f & ~h)
-            if block.bit_count() > r - k:
-                limits.append((block, r - k))
+    layers = _blocks(M.n, [(h, 1 << i) for i, h in enumerate(hyperplanes)], M.flats().masks[1:r - 1])
+    # (P(F) as a mask of labels, r - r(F))
+    limits = [(b, r - k) for k, layer in enumerate(layers, start=1) for b in layer if b.bit_count() > r - k]
     bases = []
     for c in combinations(range(m), r):
         s = sum(1 << i for i in c)

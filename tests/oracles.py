@@ -34,6 +34,13 @@ tests every pair of flats, including those whose images are nested.
 ``definition_report_by_loops`` is the definition report as it was before
 two of its checks were decided by the sizes of the image sets: every
 injectivity and hyperplane-bijection loop runs on every map.
+
+``blocks_by_scan`` is the per-flat hyperplane scan that read P(F), the
+labels of the hyperplanes that hold a flat F, before the library read it off
+per-element label masks; ``induced_by_scan`` and ``freest_bases_by_scan``
+are the induced map's table and search's freest target built on it.  They
+work on masks, as the code they replaced did, and the first closes each
+image with the target's own closure.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -309,6 +316,33 @@ def null_covector(rep, labels):
     if next(x for x in ints if x) < 0:
         g = -g
     return 1, tuple(Fraction(x // g) for x in ints)
+
+
+def blocks_by_scan(flats, labelled):
+    """P(F) for each flat mask F in ``flats``: the OR of the label masks of
+    the (hyperplane mask, label mask) pairs ``labelled`` whose hyperplane
+    holds F, found by scanning every pair for every flat."""
+    return [sum(p for h, p in labelled if not f & ~h) for f in flats]
+
+
+def induced_by_scan(M, Mp, labelled):
+    """The mask table of the flat map that the (hyperplane mask, point mask)
+    pairs ``labelled`` induce: each flat F of M goes to the target closure
+    of ``blocks_by_scan``."""
+    flats = [f for layer in M.flats().masks for f in layer]
+    return dict(zip(flats, map(Mp._closure, blocks_by_scan(flats, labelled))))
+
+
+def freest_bases_by_scan(M):
+    """The basis masks of the freest target of M on its hyperplane labels,
+    in ``combinations`` order: the r-subsets of labels that meet P(F) in at
+    most r - k labels for every flat F of each rank k from 1 to r - 2, with
+    P(F) from ``blocks_by_scan``."""
+    r, masks = M.full_rank, M.flats().masks
+    labelled = [(h, 1 << i) for i, h in enumerate(M.flats().hyperplane_masks)]
+    limits = [(b, r - k) for k in range(1, r - 1) for b in blocks_by_scan(masks[k], labelled)]
+    subsets = (sum(1 << i for i in c) for c in combinations(range(len(labelled)), r))
+    return [s for s in subsets if all((s & b).bit_count() <= cap for b, cap in limits)]
 
 
 def representation_minor(rep, C, D):

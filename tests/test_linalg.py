@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matadj import InputError
+from matadj import ConstructionError, InputError
 from matadj.linalg import (
     PRIME_BOUND,
     characteristic,
@@ -15,7 +15,7 @@ from matadj.linalg import (
     integer_vector,
     is_prime,
     leading_index,
-    null_vector,
+    _covector,
 )
 from oracles import eliminate_in_two_passes, is_prime_by_trial_division, rref
 
@@ -117,7 +117,7 @@ def test_direction_of_the_zero_vector_is_none(field):
 
 @st.composite
 def hyperplane_rows(draw):
-    """dim - 1 drawn vectors of length dim: most have a 1-dimensional null space."""
+    """dim - 1 drawn vectors of length dim: most have rank dim - 1."""
     field = draw(st.sampled_from(FIELDS))
     dim = draw(st.integers(1, 5))
     return field, [draw(st.lists(entries(field), min_size=dim, max_size=dim)) for _ in range(dim - 1)], dim
@@ -125,16 +125,21 @@ def hyperplane_rows(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(hyperplane_rows())
-def test_null_vector_is_its_own_direction(drawn):
+def test_covector_is_its_own_direction(drawn):
+    # the kernel of Representation.covector and the covector adjoint, on all
+    # of the drawn vectors; a set of lower rank has no line, and is refused
     field, vectors, dim = drawn
     char = characteristic(field)
-    rows = echelon([integer_vector(vec, char) for vec in vectors], char)
-    if len(rows) != dim - 1:
+    vectors = [integer_vector(vec, char) for vec in vectors]
+    everything = (1 << len(vectors)) - 1
+    if len(echelon(vectors, char)) != dim - 1:
+        with pytest.raises(ConstructionError, match=f"have rank below {dim - 1}$"):
+            _covector(vectors, dim, everything, char)
         return
-    x = null_vector(rows, dim, char)
+    x = _covector(vectors, dim, everything, char)
     assert direction(x, char) == x
-    for _, row in rows:
-        dot = sum(e * v for e, v in zip(row, x))
+    for vec in vectors:
+        dot = sum(e * v for e, v in zip(vec, x))
         assert (dot % char if char else dot) == 0
 
 

@@ -1,16 +1,21 @@
 """``Representation`` checks its field and entries once, at construction, and
-its covectors, computed by back-substitution through the elimination
-kernel, equal the normalised null vectors of ``oracles.rref`` in value and
-type."""
+its covectors equal the normalised null vectors of ``oracles.rref`` in value
+and type.  Both ``Representation.covector`` and the covector adjoint call
+one kernel, ``linalg._covector``: an (r - 2)-prefix of H's columns, one 2x2
+cofactor on the two coordinates that are no pivot of it, and
+back-substitution.  It is held to the oracle on every hyperplane of drawn
+representations of rank 1 to 6, on the coordinates that the adjoint reads."""
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matadj import ElementSet, InputError, Representation
-from oracles import null_covector, powerset
+from matadj.linalg import _covector
+from matadj.sets import bits
+from oracles import null_covector, powerset, rref
 from test_column_bases import scalars
 from test_linalg import FIELDS, entries
 
@@ -164,3 +169,70 @@ def test_dimension_is_a_non_negative_int(dim):
 def test_dimension_zero_gives_loops():
     M = Representation(2, ((), ()), 0).matroid()
     assert (M.n, M.full_rank) == (2, 0)
+
+
+@st.composite
+def hyperplane_representations(draw):
+    """Columns of rank r, 1 to 6, over GF(2), GF(3), GF(5), GF(7) or Q: a
+    triangle of r columns, nonzero on the diagonal, and up to four more,
+    each a loop, parallel to an earlier column or drawn, in shuffled order.
+    Half of the draws put a loop at label 0, which every hyperplane then
+    starts with.  Up to two redundant rows follow: a zero row, or a*x + b*y
+    of two rows x and y."""
+    field = draw(st.sampled_from([2, 3, 5, 7, "rational"]))
+    r = draw(st.integers(1, 6))
+    columns = [tuple(draw(entries(field)) for _ in range(j)) + (draw(scalars(field)),) + (0,) * (r - j - 1)
+               for j in range(r)]
+    for kind in draw(st.lists(st.sampled_from(["loop", "parallel", "drawn"]), max_size=4)):
+        if kind == "loop":
+            columns.append((0,) * r)
+        elif kind == "parallel":
+            scale = draw(scalars(field))
+            columns.append(tuple(scale * x for x in draw(st.sampled_from(columns))))
+        else:
+            columns.append(tuple(draw(entries(field)) for _ in range(r)))
+    columns = draw(st.permutations(columns))
+    if draw(st.booleans()):
+        columns = [(0,) * r, *columns]
+    for kind in draw(st.lists(st.sampled_from(["zero", "combination"]), max_size=2)):
+        if kind == "zero":
+            columns = [col + (0,) for col in columns]
+        else:
+            i, k = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            a, b = draw(scalars(field)), draw(scalars(field))
+            columns = [col + (a * col[i] + b * col[k],) for col in columns]
+    return Representation(field, tuple(columns), len(columns[0]))
+
+
+def rank_by_rref(rep, labels):
+    return len(rref([rep.columns[i] for i in labels], rep.field)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyperplane_representations())
+# over GF(3), every hyperplane starts with the loop 0, so the rank-2 prefix
+# is empty, and the parallel pair 1, 2 spans one of them
+@example(Representation(3, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)), 2))
+# U_6_7, the rank-6 Vandermonde matrix: prefixes of four columns
+@example(Representation("rational", tuple(tuple(x ** i for i in range(6)) for x in range(7)), 6))
+def test_covector_kernel_matches_the_rref_null_vector(rep):
+    # every hyperplane, on the r coordinates that the reduction keeps, which
+    # the oracle reads too; with no redundant row, covector gives the same
+    M = rep.matroid()
+    r = M.full_rank
+    assert r >= 1
+    vectors = rep._reduced_vectors
+    reduced = Representation(rep.field, vectors, r)
+    for h in M.flats().hyperplane_masks:
+        labels = bits(h)
+        dimension, want = null_covector(reduced, labels)
+        assert dimension == 1
+        got = _covector(vectors, r, h, rep._char)
+        assert got == want
+        assert all(type(x) is int for x in got)
+        # the columns of H after its first r - 1 independent ones are never read
+        spanned = next(k for k in range(len(labels) + 1) if rank_by_rref(reduced, labels[:k]) == r - 1)
+        unread = [None if e in labels[spanned:] else vec for e, vec in enumerate(vectors)]
+        assert _covector(unread, r, h, rep._char) == got
+        if rep.dim == r:
+            assert rep.covector(ElementSet.of(labels, rep.n)) == null_covector(rep, labels)[1]
