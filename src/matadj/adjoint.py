@@ -16,16 +16,12 @@ them.  ``ElementSet`` is the boundary type: the public functions take it,
 and ``table``, ``pairs()``, ``hyperplane_order`` and the witnesses of
 violations are built as ``ElementSet``s only when they are read.
 
-Neither construction closes a set.  Both read the lift of the minor's
-lattice, which maps each flat F of M/C to F u C and each flat F of M\\D to
-cl(F), from one walk of the parent's lattice per minor.  The lift of the
-bottom flat of M/C is cl(C), and the vanishing hyperplanes of M\\D are the
-hyperplanes of M that are no flat's lift.  A matroid keeps no minors: each
-construction builds its minor afresh, a deletion once for both uses.  Both
-end in one builder, which relabels the images, builds the map and verifies
-it.  A minor map that removes no target point keeps its parent's target,
-since M' restricted to all of E' is M'; a step that removes no source
-element builds nothing and returns its parent map, since M/{} = M\\{} = M.
+Both constructions are one builder, ``_minor_map``, which closes no set:
+one walk of the parent's lattice gives the minor's lattice, its lift (F u C
+for a flat F of M/C, cl(F) for one of M\\D) and the points that go.  A
+minor map that removes no target point keeps its parent's target, since
+M' restricted to all of E' is M'; a step that removes no source element
+builds nothing and returns its parent map, since M/{} = M\\{} = M.
 A map keeps its verified contractions, keyed by the contraction set.
 
 No target's lattice is ever built.  Checking a map needs three things from
@@ -47,7 +43,7 @@ from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 from .errors import ConstructionError, InputError, PreconditionError, StructureError, expect
-from .lattice import greedy_chain
+from .lattice import FlatLattice, greedy_chain
 from .matroid import Matroid, MinorSpec, _normal_form, _squeeze
 from .sets import ElementSet, Record, _new, _set, _trusted, bits, set_mask
 
@@ -528,30 +524,27 @@ def contract_adjoint(phi: AdjointMap, C: ElementSet) -> AdjointMap:
 def _contract(phi: AdjointMap, cm: int) -> AdjointMap:
     """``contract_adjoint`` of the set with mask cm, for an adjoint phi;
     phi itself when cm is empty."""
-    if not cm:
-        return phi
-    result = phi._contractions.get(cm)
+    result = phi._contractions.get(cm) if cm else phi
     if result is None:
-        N = phi.source._minor("contract", cm)
-        # the first lift is cl(C); an adjoint maps every other lift inside its image
-        gone = phi.target._full & ~phi._table[next(iter(N.flats()._lift.values()))]
-        result = phi._contractions[cm] = _verified_minor_map(phi, N, gone, "contraction")
+        result = phi._contractions[cm] = _minor_map(phi, cm, True)
     return result
 
 
 def vanishing_hyperplanes(M: Matroid, D: ElementSet) -> tuple:
     """Hyperplanes whose rank drops when D is removed, r(H - D) < r(H), in
-    canonical order: those that lift no flat of M\\D, since the flat H - D
-    of M\\D lifts to cl(H - D), which is H unless the rank drops."""
+    canonical order, read off the walk that gives the lattice of M\\D."""
     expect(M, Matroid)
-    return tuple(_trusted(h, M.n) for h in _vanishing(M, M._minor("delete", set_mask(D, M.n))))
+    dm = set_mask(D, M.n)
+    _, least = FlatLattice.of_minor(M._minor("delete", dm))
+    return tuple(_trusted(h, M.n) for h in _vanishing(M, M._full & ~dm, least))
 
 
-def _vanishing(M: Matroid, N: Matroid) -> list:
-    """The masks of ``vanishing_hyperplanes`` of M, for the deletion N = M\\D."""
-    hyperplanes = M.flats().hyperplane_masks  # built first, so that M\\D reads its lattice off M's
-    lifted = set(N.flats()._lift.values())
-    return [h for h in hyperplanes if h not in lifted]
+def _vanishing(M: Matroid, keep: int, least: dict) -> list:
+    """The masks of the hyperplanes H of M that vanish in M\\D, for the kept
+    set K = E - D and the least flats of ``FlatLattice.of_minor``: the least
+    flat with trace H n K is cl(H n K), which is H exactly when
+    r(H n K) = r(H)."""
+    return [h for h in M.flats().hyperplane_masks if least[h & keep] != h]
 
 
 def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
@@ -564,33 +557,36 @@ def delete_adjoint(phi: AdjointMap, D: ElementSet) -> AdjointMap:
     _require_adjoint(phi)
     if not phi.source.is_coindependent(D):
         raise PreconditionError(f"deletion set {D!r} is not coindependent; use minor_adjoint for general minors")
-    return _delete(phi, D.mask)
+    return _minor_map(phi, D.mask, False)
 
 
-def _delete(phi: AdjointMap, dm: int) -> AdjointMap:
-    """``delete_adjoint`` of the coindependent set with mask dm, for an
-    adjoint phi; phi itself when dm is empty."""
-    if not dm:
+def _minor_map(phi: AdjointMap, m: int, contracted: bool) -> AdjointMap:
+    """The verified adjoint of M/S (``contracted``) or M\\S, S the set with
+    mask m, coindependent in a deletion; phi itself when S is empty.  F maps
+    to phi(lift F) minus the points gone, relabeled as ``Matroid.delete``
+    relabels, into phi's target minus them: for M/C the points outside
+    phi(cl C), cl C being the first least flat, and for M\\D those of the
+    vanishing hyperplanes."""
+    if not m:
         return phi
-    N = phi.source._minor("delete", dm)
-    removed = 0
-    for h in _vanishing(phi.source, N):
-        removed |= phi._table[h]
-    return _verified_minor_map(phi, N, removed, "deletion")
-
-
-def _verified_minor_map(phi: AdjointMap, N: Matroid, gone: int, kind: str) -> AdjointMap:
-    """The map F -> phi(lift F) - gone from the minor N of phi's source into
-    phi's target minus ``gone``, relabeled as ``Matroid.delete`` relabels,
-    after it passes verify_adjoint; phi's own target when nothing is gone."""
+    M, table = phi.source, phi._table
+    N = M._minor("contract" if contracted else "delete", m)
+    lattice, least = FlatLattice.of_minor(N)
+    if contracted:
+        # the first least flat is cl(C); an adjoint maps every other lift inside its image
+        gone = phi.target._full & ~table[next(iter(least.values()))]
+    else:
+        gone = 0
+        for h in _vanishing(M, M._full & ~m, least):
+            gone |= table[h]
     target = phi.target._minor("delete", gone) if gone else phi.target
-    lattice = N.flats()
-    lift, table = lattice._lift, phi._table
+    lift = lattice._lift
     flats = [f for layer in lattice.masks for f in layer]
-    images = _squeeze([table[lift[f]] & ~gone for f in flats], gone)
+    images = _squeeze([table[lift[f]] for f in flats], gone)  # cuts out the points gone
     result = AdjointMap._of_masks(N, target, dict(zip(flats, images)))
     report = verify_adjoint(result)
     if not report.valid:
+        kind = "contraction" if contracted else "deletion"
         raise ConstructionError(f"{kind} adjoint failed verification:\n{report.summary()}")
     return result
 
@@ -609,4 +605,4 @@ def minor_adjoint(phi: AdjointMap, spec: MinorSpec) -> AdjointMap:
     if N._rank(N._full & ~d) != N.full_rank:
         # contraction of a disjoint set preserves coindependence; reaching this is a bug
         raise ConstructionError(f"{_trusted(d, N.n)!r} lost coindependence under contraction")
-    return _delete(psi, d)
+    return _minor_map(psi, d, False)

@@ -35,6 +35,7 @@ from .matroid import Matroid, checked_basis_masks
 from .sets import ElementSet, bits, label_mask
 
 Source = str | Path | dict
+_ENTRY_KEYS = frozenset(("flat", "image"))
 
 
 def canonical_json(obj) -> str:
@@ -213,8 +214,12 @@ def load_adjoint(source: Source, source_matroid: Matroid | None = None,
                  target_matroid: Matroid | None = None) -> AdjointMap:
     """Load a map file; explicit matroids override (and are checked against)
     any embedded ones.  Entries and the hyperplane order are read straight
-    to masks."""
+    to masks.  An unknown key, as a misspelt 'hyperplane_order', is refused."""
     data = _read(source)
+    unknown = [key for key in data if key not in ("source", "target", "map", "hyperplane_order")]
+    if unknown:
+        raise InputError(f"adjoint file has unknown keys {unknown}; it takes only 'source', 'target', 'map' "
+                         "and 'hyperplane_order'")
     if "map" not in data or not isinstance(data["map"], list):
         raise InputError("adjoint file needs a 'map' list")
 
@@ -233,8 +238,11 @@ def load_adjoint(source: Source, source_matroid: Matroid | None = None,
     Mp = pick("target", target_matroid)
     table = {}
     for entry in data["map"]:
-        if not isinstance(entry, dict) or "flat" not in entry or "image" not in entry:
-            raise InputError("each map entry needs 'flat' and 'image' arrays")
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
+            if not isinstance(entry, dict) or "flat" not in entry or "image" not in entry:
+                raise InputError("each map entry needs 'flat' and 'image' arrays")
+            unknown = [key for key in entry if key not in _ENTRY_KEYS]
+            raise InputError(f"map entry has unknown keys {unknown}; it takes only 'flat' and 'image'")
         f = _labels(entry["flat"], M.n, "map flat")
         if f in table:
             raise InputError(f"duplicate map entry for flat {ElementSet._trusted(f, M.n)!r}")

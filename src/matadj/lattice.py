@@ -44,23 +44,21 @@ from .sets import ElementSet, _trusted, bits
 
 
 def _lift_walk(origin: tuple) -> tuple:
-    """(lift, layers) of N = M/C or M\\D, given by its origin (M, removed
-    mask, contracted), from one rank-order walk of the lattice of M: the
-    lift maps each flat mask of N to the mask of its least flat of M, and
-    the layers hold the flat masks of N by rank."""
+    """(least, masks, ends) of N = M/C or M\\D, given by its origin (M, removed
+    mask, contracted), from one rank-order walk of M's lattice: ``least``
+    maps each trace on the kept set to the least flat of M with it, ``masks``
+    are the traces as flats of N, and ``ends`` is len(least) after each rank."""
     M, removed, contracted = origin
-    keep, over = M._full & ~removed, removed if contracted else 0
+    keep = M._full & ~removed
     least: dict = {}  # trace on keep -> the first flat of M met with it
-    ends = []  # len(least) after each rank of M
+    ends = []
     for layer in M.flats().masks:
+        if contracted:  # only the flats over C
+            layer = [g for g in layer if not removed & ~g]
         for g in layer:
-            if not over & ~g:
-                least.setdefault(g & keep, g)
+            least.setdefault(g & keep, g)
         ends.append(len(least))
-    masks = _squeeze(least, removed)
-    # M's ranks below r(cl C), or above r(E - D), add no trace
-    layers = [masks[i:j] for i, j in zip([0] + ends, ends) if i < j]
-    return dict(zip(masks, least.values())), layers
+    return least, _squeeze(least, removed), ends
 
 
 class FlatLattice:
@@ -111,13 +109,19 @@ class FlatLattice:
         return cls(n, layers, M._minor_of)
 
     @classmethod
-    def of_minor(cls, N) -> "FlatLattice":
-        """The lattice of N = M/C or M\\D, as made by ``Matroid.contract`` or
-        ``Matroid.delete``, read off the built lattice of M with its lift."""
-        lift, by_rank = _lift_walk(N._minor_of)
-        lattice = cls(N.n, [tuple(sorted(masks, key=bits)) for masks in by_rank], N._minor_of)
-        lattice._lift = lift  # fills the cached property, so no second walk
-        return lattice
+    def of_minor(cls, N) -> tuple:
+        """(lattice, least) of N = M/C or M\\D, off M's built lattice; the
+        lattice is put on N with its lift.  A layer of M/C needs no sort: flats
+        of one rank are not nested, so their order is fixed by the least element
+        of their symmetric difference, which cutting C from both leaves as it is."""
+        origin = N._minor_of
+        least, masks, ends = _lift_walk(origin)
+        # M's ranks below r(cl C), or above r(E - D), add no trace
+        layers = [tuple(masks[i:j]) if origin[2] or j - i == 1 else tuple(sorted(masks[i:j], key=bits))
+                  for i, j in zip([0] + ends, ends) if i < j]
+        lattice = N._lattice = cls(N.n, layers, origin)
+        lattice._lift = dict(zip(masks, least.values()))  # fills the cached property, so no second walk
+        return lattice, least
 
     @property
     def flats_by_rank(self) -> tuple[tuple[ElementSet, ...], ...]:
@@ -128,7 +132,8 @@ class FlatLattice:
         """``lift`` on masks; a lattice built by closures walks the parent on first read."""
         if self._origin is None:
             raise InputError("this lattice's matroid was not made by contract or delete, so its flats have no lift")
-        return _lift_walk(self._origin)[0]
+        least, masks, _ = _lift_walk(self._origin)
+        return dict(zip(masks, least.values()))
 
     @property
     def lift(self) -> dict[int, ElementSet]:

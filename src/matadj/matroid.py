@@ -351,13 +351,10 @@ class Matroid:
         every other matroid builds its own by closures.  Both give the same
         lattice, layers in the same order; see ``matadj.lattice``."""
         if self._lattice is None:
-            from .lattice import FlatLattice
-
             origin = self._minor_of
             if origin is not None and origin[0]._lattice is not None:
-                self._lattice = FlatLattice.of_minor(self)
-            else:
-                self._lattice = FlatLattice.build(self)
+                return lattice.FlatLattice.of_minor(self)[0]  # put on this matroid too
+            self._lattice = lattice.FlatLattice.build(self)
         return self._lattice
 
     def hyperplanes(self) -> tuple:
@@ -375,14 +372,21 @@ class Matroid:
     def _minor(self, op: str, m: int) -> "Matroid":
         """M/S or M\\S (``op`` "contract" or "delete") for the set S with mask
         m, relabeled densely (the map in provenance): a new minor on each call,
-        which M keeps no reference to.  The bases are as in ``contract``, ``delete``."""
+        which M keeps no reference to.  The bases are as in ``contract``, ``delete``.
+
+        When some basis misses S, r(E - S) = r, so the bases of M\\S are the
+        independent r-subsets of E - S, that is the bases of M that miss S:
+        a deletion filters them, in M's order, with no rank query.  Else the
+        bases are the distinct traces B n (E - S) of r(E - S) elements."""
         if op == "contract":
             ind = self._independent_part(m)
-            masks = [b & ~ind for b in self._basis_masks if b & m == ind]
+            masks = [b for b in self._basis_masks if b & m == ind]  # _squeeze cuts out ind
         else:
-            keep = self._full & ~m
-            r2 = self._rank(keep)
-            masks = dict.fromkeys(b & keep for b in self._basis_masks if (b & keep).bit_count() == r2)
+            masks = [b for b in self._basis_masks if not b & m]
+            if not masks:  # S is codependent
+                keep = self._full & ~m
+                r2 = self._rank(keep)
+                masks = dict.fromkeys([t for b in self._basis_masks if (t := b & keep).bit_count() == r2])
         relabel = {e: i for i, e in enumerate(bits(self._full & ~m))}  # dense, order-preserving
         provenance = {"op": op, "removed": bits(m), "relabel": relabel, "parent": self}
         result = Matroid._unchecked(self.n - m.bit_count(), _squeeze(masks, m), provenance)
@@ -453,12 +457,16 @@ class Matroid:
 
 
 def _squeeze(masks: Iterable[int], removed: int) -> list:
-    """The relabeling of ``Matroid._minor`` on masks that miss ``removed``:
-    cut out its bits, shift the rest down."""
+    """The relabeling of ``Matroid._minor`` on masks: cut out the bits of
+    ``removed`` and shift the rest down, one pass per run of consecutive
+    removed bits, the highest run first."""
     out = list(masks)
-    for p in reversed(bits(removed)):
-        low = (1 << p) - 1
-        out = [b & low | b >> 1 & ~low for b in out]
+    while removed:
+        top = removed.bit_length()  # the run ends below bit top
+        low = (1 << (~removed & (1 << top) - 1).bit_length()) - 1  # the bits below the run
+        width, high = top - low.bit_length(), ~low
+        out = [b & low | b >> width & high for b in out]
+        removed &= low
     return out
 
 
@@ -519,3 +527,6 @@ def apply_minor(M: Matroid, spec: MinorSpec) -> Matroid:
     m1 = M.contract(spec.contract)
     d_new = spec.delete.relabel(m1.provenance["relabel"], m1.n)
     return m1.delete(d_new)
+
+
+from . import lattice  # noqa: E402  (last: lattice imports this module; ``flats`` reads it at call time)

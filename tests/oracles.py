@@ -41,13 +41,23 @@ per-element label masks; ``induced_by_scan`` and ``freest_bases_by_scan``
 are the induced map's table and search's freest target built on it.  They
 work on masks, as the code they replaced did, and the first closes each
 image with the target's own closure.
+
+``minor_adjoint_by_old_step`` is the minor step as it was before it became
+one pass: every deletion ranks E - D and deduplicates the traces of the
+bases, the relabeling cuts one removed bit at a time, every layer of the
+minor's lattice is sorted, and the vanishing hyperplanes are the parent
+hyperplanes missing from the set of lift values.  It reads the package's
+normal form, the parent's lattice and ``verify_adjoint``, and builds the
+minor's lattice itself.
 """
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import gcd, isqrt, lcm
 
 from matadj import (
+    AdjointMap,
     ConstructionError,
+    FlatLattice,
     InputError,
     Matroid,
     Representation,
@@ -58,6 +68,7 @@ from matadj import (
     verify_adjoint,
 )
 from matadj.adjoint import DEFINITION_CHECKS
+from matadj.matroid import _normal_form
 from matadj.sets import ElementSet, bits
 
 
@@ -698,3 +709,79 @@ def vamos_bases():
     (Oxley, *Matroid Theory*, 2nd ed., appendix)."""
     planes = [{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 1, 6, 7}, {2, 3, 4, 5}, {2, 3, 6, 7}]
     return [c for c in combinations(range(8), 4) if set(c) not in planes]
+
+
+def squeeze_bit_by_bit(masks, removed):
+    """The dense relabeling of masks that miss ``removed``, one removed bit at
+    a time, the highest first."""
+    out = list(masks)
+    for p in reversed(bits(removed)):
+        low = (1 << p) - 1
+        out = [b & low | b >> 1 & ~low for b in out]
+    return out
+
+
+def minor_by_dedup(M, op, m):
+    """M/S or M\\S for the set S with mask m, as ``Matroid._minor`` made it
+    before coindependent deletions were filtered: every deletion ranks E - S
+    and keeps the distinct traces B n (E - S) of that many elements."""
+    if op == "contract":
+        ind = M._independent_part(m)
+        masks = [b & ~ind for b in M._basis_masks if b & m == ind]
+    else:
+        keep = M._full & ~m
+        r2 = M._rank(keep)
+        masks = dict.fromkeys(b & keep for b in M._basis_masks if (b & keep).bit_count() == r2)
+    relabel = {e: i for i, e in enumerate(bits(M._full & ~m))}
+    provenance = {"op": op, "removed": bits(m), "relabel": relabel, "parent": M}
+    N = Matroid._unchecked(M.n - m.bit_count(), squeeze_bit_by_bit(masks, m), provenance)
+    N._minor_of = (M, m, op == "contract")
+    return N
+
+
+def _lattice_by_sorted_walk(N):
+    """The lattice of the minor N, with its lift, off its parent's lattice:
+    one walk, then every layer sorted."""
+    M, removed, contracted = N._minor_of
+    keep, over = M._full & ~removed, removed if contracted else 0
+    least, ends = {}, []
+    for layer in M.flats().masks:
+        for g in layer:
+            if not over & ~g:
+                least.setdefault(g & keep, g)
+        ends.append(len(least))
+    masks = squeeze_bit_by_bit(least, removed)
+    layers = [tuple(sorted(masks[i:j], key=bits)) for i, j in zip([0] + ends, ends) if i < j]
+    lattice = FlatLattice(N.n, layers, N._minor_of)
+    lattice._lift = dict(zip(masks, least.values()))
+    return lattice
+
+
+def _old_step(phi, m, contracted):
+    N = minor_by_dedup(phi.source, "contract" if contracted else "delete", m)
+    lattice = N._lattice = _lattice_by_sorted_walk(N)
+    lift, table = lattice._lift, phi._table
+    if contracted:
+        gone = phi.target._full & ~table[next(iter(lift.values()))]
+    else:
+        lifted = set(lift.values())
+        gone = 0
+        for h in phi.source.flats().hyperplane_masks:
+            if h not in lifted:
+                gone |= table[h]
+    target = minor_by_dedup(phi.target, "delete", gone) if gone else phi.target
+    flats = [f for layer in lattice.masks for f in layer]
+    images = squeeze_bit_by_bit([table[lift[f]] & ~gone for f in flats], gone)
+    result = AdjointMap._of_masks(N, target, dict(zip(flats, images)))
+    assert verify_adjoint(result).valid
+    return result
+
+
+def minor_adjoint_by_old_step(phi, spec):
+    """``minor_adjoint`` by the old minor step: normalize, contract, delete,
+    each step skipped when its set is empty.  Nothing is cached on phi."""
+    M = phi.source
+    c, d = _normal_form(M, spec.contract.mask, spec.delete.mask)
+    psi = _old_step(phi, c, True) if c else phi
+    d = squeeze_bit_by_bit([d], c)[0]
+    return _old_step(psi, d, False) if d else psi

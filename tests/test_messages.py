@@ -144,6 +144,15 @@ def test_matroid_file_messages(data, text):
     (lambda d: d["map"].append([[0], [0]]), "each map entry needs 'flat' and 'image' arrays"),
     (lambda d: d.update(hyperplane_order=[0, 1, 2]), "'hyperplane_order' must be a list of lists"),
     (lambda d: d.update(hyperplane_order="012"), "'hyperplane_order' must be a list of lists"),
+    # the loader refuses a key that it would not read: a misspelt hyperplane
+    # order would otherwise skip its cross-check with the table
+    (lambda d: d.update(hyperplane_ordr=d.pop("hyperplane_order")),
+     "adjoint file has unknown keys ['hyperplane_ordr']; it takes only 'source', 'target', 'map' "
+     "and 'hyperplane_order'"),
+    (lambda d: d.update(name="U_2_3", notes=""),
+     "adjoint file has unknown keys ['name', 'notes']; it takes only 'source', 'target', 'map' "
+     "and 'hyperplane_order'"),
+    (lambda d: d["map"][1].update(imge=[0]), "map entry has unknown keys ['imge']; it takes only 'flat' and 'image'"),
 ])
 def test_adjoint_file_messages(fixture_maps, edit, text):
     data = adjoint_to_dict(fixture_maps["U_2_3"])
