@@ -34,8 +34,8 @@ A map cannot change after it is built, so its definition report is
 computed once per map and kept on it: ``verify_adjoint``,
 ``full_verification`` and the minor constructions, which refuse a map that
 fails it with a PreconditionError, read the same report.  Constructed maps
-are verified before being returned; a failure there is a ConstructionError
-(an implementation bug), never a silently wrong map.
+pass one gate, ``_verified``, before being returned; a failure there is a
+ConstructionError (an implementation bug), never a silently wrong map.
 """
 from __future__ import annotations
 
@@ -232,6 +232,16 @@ def _require_adjoint(phi: AdjointMap) -> None:
     report = _report(phi)
     if not report.valid:
         raise PreconditionError(f"the map is not an adjoint: {report.violations[0]}")
+
+
+def _verified(phi: AdjointMap, what: str) -> AdjointMap:
+    """The gate of every construction: phi, once ``verify_adjoint`` passes
+    it.  A built map that fails is an implementation bug, not bad input, so
+    the failure is a ConstructionError that names ``what`` was built."""
+    report = verify_adjoint(phi)
+    if not report.valid:
+        raise ConstructionError(f"{what} failed verification:\n{report.summary()}")
+    return phi
 
 
 def _definition_report(phi: AdjointMap) -> VerificationReport:
@@ -584,11 +594,7 @@ def _minor_map(phi: AdjointMap, m: int, contracted: bool) -> AdjointMap:
     flats = [f for layer in lattice.masks for f in layer]
     images = _squeeze([table[lift[f]] for f in flats], gone)  # cuts out the points gone
     result = AdjointMap._of_masks(N, target, dict(zip(flats, images)))
-    report = verify_adjoint(result)
-    if not report.valid:
-        kind = "contraction" if contracted else "deletion"
-        raise ConstructionError(f"{kind} adjoint failed verification:\n{report.summary()}")
-    return result
+    return _verified(result, "contraction adjoint" if contracted else "deletion adjoint")
 
 
 def minor_adjoint(phi: AdjointMap, spec: MinorSpec) -> AdjointMap:

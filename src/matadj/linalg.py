@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from .adjoint import AdjointMap, _induced, verify_adjoint
+from .adjoint import AdjointMap, _induced, _verified
 from .errors import ConstructionError, InputError, expect
 from .matroid import Matroid, check_budget
 from .sets import ElementSet, Record, _set, bits, label_mask, set_mask
@@ -401,8 +401,5 @@ def adjoint_from_representation(M: Matroid, rep: Representation) -> AdjointMap:
     covectors = [_covector(rep._reduced_vectors, M.full_rank, h, rep._char) for h in hyperplanes]
     target = Matroid._unchecked(len(hyperplanes), _column_bases(covectors, rep._char),
                                 provenance={"op": "covector-adjoint"})
-    phi = _induced(M, target, [(h, 1 << i) for i, h in enumerate(hyperplanes)])
-    report = verify_adjoint(phi)
-    if not report.valid:
-        raise ConstructionError(f"covector construction failed verification:\n{report.summary()}")
-    return phi
+    return _verified(_induced(M, target, [(h, 1 << i) for i, h in enumerate(hyperplanes)]),
+                     "covector construction")

@@ -35,6 +35,13 @@ def check_budget(count: int, what: str) -> None:
         raise InputError(f"{what} {count:,} exceeds the work budget of {WORK_BUDGET:,}")
 
 
+def exchange_fault(violation: tuple) -> str:
+    """The message for a violation (B1, B2, e) of the basis-exchange axiom,
+    as ``Matroid._check_exchange`` returns it."""
+    b1, b2, e = violation
+    return f"basis exchange fails for pair B1={bits(b1)}, B2={bits(b2)} at element {e}"
+
+
 def checked_basis_masks(bases: Iterable, n: int) -> tuple:
     """The masks of a caller's bases, in order: label-checked, none listed twice."""
     masks: dict = {}
@@ -111,8 +118,8 @@ class Matroid:
     and the freest target check the budget on the subsets that their
     listings walk; the others are no larger than their parent.  In rank 4
     and above search calls ``_check_exchange`` on its candidate explicitly,
-    which returns the violating pair unformatted, so a rejection costs no
-    message.
+    and a refusal names the violating pair in the constructor's words
+    (``exchange_fault``).
     """
 
     def __init__(self, n: int, bases: Iterable, provenance: dict | None = None):
@@ -131,8 +138,7 @@ class Matroid:
         self._setup(n, masks, provenance)
         violation = self._check_exchange()
         if violation is not None:
-            b1, b2, e = violation
-            raise InputError(f"basis exchange fails for pair B1={bits(b1)}, B2={bits(b2)} at element {e}")
+            raise InputError(exchange_fault(violation))
 
     @classmethod
     def _unchecked(cls, n: int, masks: Iterable, provenance: dict | None = None) -> "Matroid":
@@ -192,7 +198,7 @@ class Matroid:
 
         A violation is (B1, B2, e): bases B1 != B2 and e in B1 - B2 such that
         no f in B2 - B1 makes B1 - e + f a basis.  The masks are returned as
-        they are; only the public constructor formats them into a message.
+        they are; ``exchange_fault`` formats them into a message.
 
         For I = B1 - e, the exit set S(I) is the set of f that make I + f a
         basis; e is one of them.  (B1, B2, e) is a violation exactly when B2

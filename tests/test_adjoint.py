@@ -30,6 +30,7 @@ from matadj import (
     induced_map,
     minor_adjoint,
     minor_normal_form,
+    search_adjoint,
     uniform,
     vanishing_hyperplanes,
     verify_adjoint,
@@ -492,6 +493,42 @@ def test_failed_contraction_is_not_cached(monkeypatch):
     psi = contract_adjoint(phi, C)
     assert verify_adjoint(psi).valid
     assert contract_adjoint(phi, C) is psi
+
+
+# each construction's verify gate, by the name in its failure message, with
+# the call that builds a map through it, made before verify_adjoint is patched
+GATED_CONSTRUCTIONS = {
+    "covector construction": lambda: (adjoint_from_representation, by_name("fano").matroid,
+                                      by_name("fano").representation),
+    "rank-3 construction": lambda: (search_adjoint, by_name("fano").matroid),
+    "rank-4 construction": lambda: (search_adjoint, uniform(4, 5)),
+    "deletion adjoint": lambda: (delete_adjoint, fano_map(), es([0], 7)),
+}
+
+
+@pytest.mark.parametrize("what", list(GATED_CONSTRUCTIONS))
+def test_every_construction_passes_one_verify_gate(monkeypatch, what):
+    # the gate calls verify_adjoint on each built map, and a failed report
+    # is a ConstructionError that names the construction
+    construct, *args = GATED_CONSTRUCTIONS[what]()
+    failed = VerificationReport(
+        ("target_simple",), (Violation("target_simple", (0,), "no loops", "element 0 is a loop"),)
+    )
+    monkeypatch.setattr(matadj.adjoint, "verify_adjoint", lambda phi: failed)
+    with pytest.raises(ConstructionError) as info:
+        construct(*args)
+    assert str(info.value) == f"{what} failed verification:\n{failed.summary()}"
+
+
+def test_image_reads_the_table(fixture_maps):
+    # every flat's image, on every catalog map and on one minor map
+    nonfano = fixture_maps["nonfano"]
+    maps = [*fixture_maps.values(), minor_adjoint(nonfano, MinorSpec(es([0], 7), es([3], 7)))]
+    for phi in maps:
+        flats = list(phi.source.flats().all_flats())
+        assert len(flats) == len(phi.table)
+        for F in flats:
+            assert phi.image(F) == phi.table[F]
 
 
 def swapped_points(phi):

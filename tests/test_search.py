@@ -162,17 +162,24 @@ def test_family_cover_masks_match_the_simplicity_oracle(m, r):
             assert (covered == all_pairs) == family_is_simple(family, m, r), family
 
 
+def refusal(m, b1, b2, e):
+    """search_adjoint's diagnostic for a rank-4 freest target on m labels
+    that fails the exchange axiom at the pair (b1, b2) and element e."""
+    return (f"the freest rank-4 target on {m} hyperplane labels is not a matroid: "
+            f"basis exchange fails for pair B1={b1}, B2={b2} at element {e}; "
+            "no other candidate is tried, so this does not show that M has no adjoint")
+
+
 def test_budget_refusal_is_not_a_negative_answer():
     # AG(3,2) and M(K5) have covector adjoints, but their freest targets are
-    # not matroids: search refuses, and does not claim that none exists
-    for M, m in ((affine_3_2(), 14), (complete_graph_5(), 15)):
+    # not matroids: search refuses, names the violating pair, and does not
+    # claim that none exists
+    for M, diagnostic in ((affine_3_2(), refusal(14, [0, 1, 3, 8], [1, 3, 10, 12], 0)),
+                          (complete_graph_5(), refusal(15, [0, 1, 4, 8], [4, 6, 8, 10], 0))):
         result = search_adjoint(M)
         assert result.found is None
         assert not result.exhausted and result.candidates_examined == 1
-        assert result.diagnostic == (
-            f"the freest rank-4 target on {m} hyperplane labels is not a matroid; "
-            "no other candidate is tried, so this does not show that M has no adjoint"
-        )
+        assert result.diagnostic == diagnostic
 
     # U_6_8 has 56 hyperplanes: the work budget refuses its C(56, 6) subsets
     # before any is listed
@@ -181,19 +188,28 @@ def test_budget_refusal_is_not_a_negative_answer():
         search_adjoint(uniform(6, 8))
 
 
+# search's refusal of each V8\e: its hyperplane count and exchange witness
+VAMOS_DELETION_REFUSALS = [
+    (29, [0, 1, 6, 15], [1, 6, 17, 23], 0),
+    (29, [0, 1, 6, 15], [1, 6, 17, 23], 0),
+    (29, [0, 1, 3, 12], [3, 7, 12, 17], 0),
+    (29, [0, 1, 3, 12], [3, 7, 12, 17], 0),
+    (26, [0, 1, 3, 14], [3, 4, 14, 15], 1),
+    (26, [0, 1, 3, 14], [3, 4, 14, 15], 1),
+    (26, [0, 1, 3, 12], [3, 6, 12, 15], 0),
+    (26, [0, 1, 3, 12], [3, 6, 12, 15], 0),
+]
+
+
 @pytest.mark.parametrize("e", range(8))
 def test_vamos_deletions_are_refused_at_default_settings(e):
     # each V8\e has rank 4 and 26 or 29 hyperplanes; its freest target is
-    # not a matroid, which the search reports without claiming that none exists
+    # not a matroid, which the search reports, with the violating pair,
+    # without claiming that none exists
     M = Matroid(8, vamos_bases()).delete(es([e], 8))
-    m = len(M.hyperplanes())
-    assert m in (26, 29)
     result = search_adjoint(M)
     assert (result.found, result.exhausted, result.candidates_examined) == (None, False, 1)
-    assert result.diagnostic == (
-        f"the freest rank-4 target on {m} hyperplane labels is not a matroid; "
-        "no other candidate is tried, so this does not show that M has no adjoint"
-    )
+    assert result.diagnostic == refusal(*VAMOS_DELETION_REFUSALS[e])
 
 
 def _canonical(phi):
